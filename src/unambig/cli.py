@@ -1,6 +1,7 @@
 """Command-line front end: solve, verify, sweep, simulate.
 
-Exit codes: 0 success, 1 verification/ordering failure, 2 usage error.
+Exit codes: 0 success, 1 verification/ordering failure, 2 usage error,
+3 internal error (a numerical self-check of the program failed).
 All outputs are deterministic: JSON uses a fixed field order and CSV is
 emitted with '.' decimals, ',' separators, LF line endings, and 12
 significant digits, so identical invocations are byte-identical.
@@ -18,11 +19,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .cases import ALL_REGIMES, KnowledgeCase, Regime
 from .povm import build_for_case, success_probabilities, validate
-from .states import PureState, StatePair
+from .states import canonical_pair
 from . import optimizer, simulate, strategies
 
 VERIFY_TOL_FACTOR = 2.0  # pass iff |closed - oracle| <= factor * resolution
@@ -30,16 +29,6 @@ VERIFY_TOL_FACTOR = 2.0  # pass iff |closed - oracle| <= factor * resolution
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
-    """Deterministic pair with overlap beta: e0 and beta*e0 + sqrt(1-beta^2)*e1."""
-    v1 = np.zeros(dim, dtype=complex)
-    v1[0] = 1.0
-    v2 = np.zeros(dim, dtype=complex)
-    v2[0] = beta
-    v2[1] = np.sqrt(max(0.0, 1.0 - beta * beta))
-    return StatePair(PureState(v1), PureState(v2), float(beta), float(eta1))
 
 
 def _case_from_args(args) -> KnowledgeCase:
@@ -52,19 +41,6 @@ def _case_from_args(args) -> KnowledgeCase:
 
 class UsageError(Exception):
     pass
-
-
-def _decision_kwargs(case: KnowledgeCase, beta, eta1) -> dict:
-    given = {name: value for name, value in (("beta", beta), ("eta1", eta1)) if value is not None}
-    needs = case.decision_inputs
-    problems = [f"missing required --{name}" for name in sorted(needs - given.keys())]
-    problems += [
-        f"must not receive --{name} (the decision cannot use it)"
-        for name in sorted(given.keys() - needs)
-    ]
-    if problems:
-        raise UsageError(f"case {case.regime.value}: " + "; ".join(problems))
-    return given
 
 
 def _eval_point(case: KnowledgeCase, beta, eta1) -> tuple[float, float]:
@@ -83,11 +59,10 @@ def _eval_point(case: KnowledgeCase, beta, eta1) -> tuple[float, float]:
 
 def cmd_solve(args) -> int:
     case = _case_from_args(args)
-    kwargs = _decision_kwargs(case, args.beta, args.eta1)
-    lam = strategies.optimal_lambda(case, **kwargs)
+    lam = strategies.optimal_lambda(case, beta=args.beta, eta1=args.eta1)
     beta_eval, eta_eval = _eval_point(case, args.beta, args.eta1)
     result = strategies.success_probability(case, beta_eval, eta_eval)
-    pair = _canonical_pair(case.dim, beta_eval, eta_eval)
+    pair = canonical_pair(case.dim, beta_eval, eta_eval)
     p1, p2 = success_probabilities(case, pair, lam)
     p_numeric = eta_eval * p1 + (1.0 - eta_eval) * p2
     report = validate(build_for_case(case, pair, lam))
@@ -188,21 +163,14 @@ def cmd_simulate(args) -> int:
     case = _case_from_args(args)
     if args.beta is None or args.eta1 is None:
         raise UsageError("simulate requires --beta and --eta1: the world needs them even when the decision ignores them")
-    # the decision only sees what its regime allows
-    kwargs = {
-        name: value
-        for name, value in (("beta", args.beta), ("eta1", args.eta1))
-        if name in case.decision_inputs
-    }
-    lam = strategies.optimal_lambda(case, **kwargs)
-    pair = _canonical_pair(case.dim, args.beta, args.eta1)
-    report = simulate.run(simulate.SimConfig(case, pair, lam, args.shots, args.seed))
-    expected = strategies.success_probability(case, args.beta, args.eta1).p_analytic
+    result = strategies.success_probability(case, args.beta, args.eta1)
+    pair = canonical_pair(case.dim, args.beta, args.eta1)
+    report = simulate.run(simulate.SimConfig(case, pair, result.lam, args.shots, args.seed))
     record = {
         "case": case.regime.value,
         "dim": case.dim,
         "inputs": {"beta": args.beta, "eta1": args.eta1},
-        "lambda": [float(x) for x in lam.flat],
+        "lambda": [float(x) for x in result.lam.flat],
         "shots": args.shots,
         "seed": args.seed,
         "counts": {
@@ -213,7 +181,7 @@ def cmd_simulate(args) -> int:
         },
         "estimated_success": report.estimated_success,
         "stderr": report.stderr,
-        "p_analytic": expected,
+        "p_analytic": result.p_analytic,
     }
     _emit(args, json.dumps(record, indent=2) + "\n")
     return 0
@@ -281,6 +249,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -147,31 +147,6 @@ def _adversary_axis(step: float = ADVERSARY_STEP) -> np.ndarray:
     return _axis_grid(0.0, 1.0, step)
 
 
-def _pair_program_feasible(l: np.ndarray) -> np.ndarray:
-    l1, l2 = l[:, 0], l[:, 1]
-    return (2.0 - l1 - l2 >= -1e-12) & (1.0 - l1 - l2 + 0.75 * l1 * l2 >= -1e-12)
-
-
-def _pair_program_feasible_qutrit(l: np.ndarray) -> np.ndarray:
-    # corrected equal-per-index region
-    return l[:, 0] + l[:, 1] <= 1.0 + 1e-12
-
-
-def _single_program_feasible(l: np.ndarray) -> np.ndarray:
-    l1, l2 = l[:, 0], l[:, 1]
-    return 1.0 - l1 - l2 + 0.5 * l1 * l2 >= -1e-12
-
-
-def _direct_feasible(beta: float) -> Callable[[np.ndarray], np.ndarray]:
-    b2 = beta * beta
-
-    def ok(l: np.ndarray) -> np.ndarray:
-        l1, l2 = l[:, 0], l[:, 1]
-        return (1.0 - l1 - l2 * b2 >= -1e-12) & (1.0 - l1 - l2 + (1.0 - b2) * l1 * l2 >= -1e-12)
-
-    return ok
-
-
 def _pair_program_boundary(l: np.ndarray) -> np.ndarray:
     out = l.copy()
     out[:, 1] = np.clip((1.0 - l[:, 0]) / (1.0 - 0.75 * l[:, 0]), 0.0, 1.0)
@@ -244,7 +219,10 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
     axis = _adversary_axis(adversary_step)
 
     if case.family is Family.UNKNOWN_UNKNOWN:
-        feas = _pair_program_feasible if case.dim == 2 else _pair_program_feasible_qutrit
+        if case.dim == 2:
+            feas = lambda l: strategies.pair_program_ok(l[:, 0], l[:, 1])
+        else:  # corrected region, equal per-index coefficients
+            feas = lambda l: strategies.totally_antisymmetric_ok(3.0 * l[:, 0], 3.0 * l[:, 1])
         bound = _pair_program_boundary if case.dim == 2 else _pair_program_boundary_qutrit
         f = 1.0 - beta * beta
         if r is Regime.A1:
@@ -263,7 +241,7 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
         )
 
     if case.family is Family.KNOWN_UNKNOWN:
-        feas3 = _single_program_feasible
+        feas3 = lambda l: strategies.single_program_ok(l[:, 0], l[:, 1])
         if r is Regime.A2:
             return MaximinProblem(
                 3,
@@ -300,7 +278,7 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
 
     # known/known
     f = 1.0 - beta * beta
-    feas = _direct_feasible(beta)
+    feas = lambda l, b=beta: strategies.direct_ok(l[:, 0], l[:, 1], b)
     bound = _direct_boundary(beta)
     if r is Regime.A4:
         return MaximinProblem(
@@ -360,18 +338,6 @@ class VerifyReport:
         return self.max_deviation <= tol
 
 
-def _lambda_from_vector(case: KnowledgeCase, vec) -> "object":
-    from .povm import LambdaParams
-
-    if case.family is Family.UNKNOWN_UNKNOWN:
-        n = 1 if case.dim == 2 else 3
-        return LambdaParams.of((vec[0],) * n, (vec[1],) * n)
-    if case.family is Family.KNOWN_UNKNOWN:
-        k = case.dim - 1
-        return LambdaParams.of((vec[0],) * k, (vec[1],) * k, (vec[2],) * (k * k))
-    return LambdaParams.of(vec[0], vec[1])
-
-
 def _check_solution_psd(case: KnowledgeCase, result: SolveResult, beta: float) -> None:
     """Cross-module check: the solved coefficients assemble into PSD elements."""
     from .povm import build_for_case, validate
@@ -379,26 +345,11 @@ def _check_solution_psd(case: KnowledgeCase, result: SolveResult, beta: float) -
 
     pair_beta = beta if case.family is Family.KNOWN_KNOWN else 0.0
     pair = pair_with_overlap(case.dim, min(pair_beta, 0.99), 0.5, seed=0)
-    report = validate(build_for_case(case, pair, _lambda_from_vector(case, result.lambda_star)))
+    report = validate(build_for_case(case, pair, strategies.symmetric_lambda(case, result.lambda_star)))
     if not all(report.psd_ok):
         raise AssertionError(
             f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
         )
-
-
-def closed_form_surface(case: KnowledgeCase) -> Callable[[float, float], float]:
-    """The closed-form surface each case's oracle value is compared against.
-
-    B3's benchmark is its worst-case curve; the qutrit unknown/unknown
-    surfaces are the corrected ones; the remaining qutrit families reduce
-    to the qubit expressions.
-    """
-    r = case.regime
-    if case.dim == 3 and r is Regime.A1:
-        return strategies.p0_opt_qutrit
-    if case.dim == 3 and r is Regime.B1:
-        return strategies.p0_weta_qutrit
-    return strategies.SURFACES[strategies.CASE_SURFACE[r]]
 
 
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,
@@ -412,7 +363,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     """
     betas = _axis_grid(0.0, 1.0, grid_step) if betas is None else np.asarray(betas, dtype=float)
     etas = _axis_grid(0.0, 1.0, grid_step) if etas is None else np.asarray(etas, dtype=float)
-    surface = closed_form_surface(case)
+    surface = strategies.case_surface(case)
     solved: dict[tuple, SolveResult] = {}
     rows = []
     worst = (0.0, (0.0, 0.0))
@@ -457,7 +408,7 @@ def full_dimension_value_known_unknown(pair: StatePair, eta1: float, step: float
     axis = _axis_grid(0.0, 1.0, step)
     grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     grid = np.vstack([grid, _single_program_boundary(grid)])
-    grid = grid[_single_program_feasible(grid)]
+    grid = grid[strategies.single_program_ok(grid[:, 0], grid[:, 1])]
     best_pairs = []
     for ci in c:
         vals = eta1 * 0.5 * grid[:, 0] * ci + (1.0 - eta1) * beta2 * grid[:, 1] * ci
@@ -494,14 +445,8 @@ def full_dimension_value_unknown_unknown(pair: StatePair, eta1: float, step: flo
     axis = _axis_grid(0.0, 1.0, step)
     mesh = np.meshgrid(*([axis] * 6), indexing="ij")
     cand = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    ok = np.all(
-        [
-            (1.0 - cand[:, i] - cand[:, 3 + i] + 0.75 * cand[:, i] * cand[:, 3 + i] >= -1e-12)
-            for i in range(3)
-        ],
-        axis=0,
-    )
-    ok &= cand.sum(axis=1) / 3.0 <= 1.0 + 1e-12  # totally antisymmetric direction
+    ok = np.all([strategies.pair_program_ok(cand[:, i], cand[:, 3 + i]) for i in range(3)], axis=0)
+    ok &= strategies.totally_antisymmetric_ok(cand[:, :3].sum(axis=1), cand[:, 3:].sum(axis=1))
     cand = cand[ok]
     stack1 = np.stack(blocks1)
     stack2 = np.stack(blocks2)

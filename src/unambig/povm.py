@@ -66,8 +66,7 @@ class LambdaParams:
 
     @classmethod
     def of(cls, lam1, lam2, lam3=None) -> "LambdaParams":
-        tup = lambda v: (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
-        return cls(tup(lam1), tup(lam2), None if lam3 is None else tup(lam3))
+        return cls(lam1, lam2, lam3)
 
     @property
     def flat(self) -> tuple[float, ...]:

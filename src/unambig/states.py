@@ -70,6 +70,16 @@ class StatePair:
         return self.psi1.dim
 
 
+def canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
+    """Deterministic pair with overlap beta: e0 and beta*e0 + sqrt(1-beta^2)*e1."""
+    v1 = np.zeros(dim, dtype=complex)
+    v1[0] = 1.0
+    v2 = np.zeros(dim, dtype=complex)
+    v2[0] = beta
+    v2[1] = np.sqrt(max(0.0, 1.0 - beta * beta))
+    return StatePair(PureState(v1), PureState(v2), float(beta), float(eta1))
+
+
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

@@ -16,6 +16,14 @@ there.  The totally antisymmetric three-register state w satisfies
 per-index coefficients the true constraint is lam1 + lam2 <= 1.  The
 strategies below for dim-3 A1/B1 optimize over that corrected region;
 the uncorrected coefficients would not form a measurement.
+
+Success probabilities are closed forms in both dims: the qutrit
+known/unknown and known/known families reduce to the qubit expressions.
+The tests check them against POVM expectations on concrete pairs.
+
+Each family's positivity inequalities are written once, below, as
+predicates on floats or numpy arrays; ``feasible`` and the oracle in
+``optimizer`` both use them.
 """
 
 from __future__ import annotations
@@ -24,15 +32,11 @@ import math
 from dataclasses import dataclass
 
 from .cases import Family, KnowledgeCase, Regime
-from .povm import LambdaParams, build_unknown_unknown, success_probabilities, validate
-from .states import pair_with_overlap
+from .povm import LambdaParams, build_unknown_unknown, validate
 
 FEASIBILITY_SLACK = 1e-12
 SQRT5 = math.sqrt(5.0)
 SQRT_HALF = math.sqrt(0.5)
-
-# seed for the internal pair used to evaluate dim-3 surfaces operationally
-_QUTRIT_EVAL_SEED = 20260809
 
 
 @dataclass(frozen=True)
@@ -50,20 +54,28 @@ class StrategyResult:
 # feasibility predicates
 # ---------------------------------------------------------------------------
 
-def _pair_program_ok(l1: float, l2: float, slack: float = FEASIBILITY_SLACK) -> bool:
-    # unknown/unknown, per antisymmetric index
-    return (2.0 - l1 - l2 >= -slack) and (1.0 - l1 - l2 + 0.75 * l1 * l2 >= -slack)
+def pair_program_ok(l1, l2, slack: float = FEASIBILITY_SLACK):
+    """Unknown/unknown, per antisymmetric index: the programmable
+    discriminator bounds (Bergou and Hillery, PRL 94, 160501, 2005)."""
+    return (2.0 - l1 - l2 >= -slack) & (1.0 - l1 - l2 + 0.75 * l1 * l2 >= -slack)
 
 
-def _single_program_ok(l1: float, l2: float, slack: float = FEASIBILITY_SLACK) -> bool:
-    # known/unknown, per antisymmetric index
-    return 1.0 - l1 - l2 + 0.5 * l1 * l2 >= -slack
+def totally_antisymmetric_ok(lam1_sum, lam2_sum):
+    """Qutrit unknown/unknown: <w|pi0|w> = 1 - (sum lam1 + sum lam2)/3 >= 0."""
+    return (lam1_sum + lam2_sum) / 3.0 <= 1.0 + FEASIBILITY_SLACK
 
 
-def _direct_ok(l1: float, l2: float, beta: float, slack: float = FEASIBILITY_SLACK) -> bool:
-    # known/known; requires the overlap
+def single_program_ok(l1, l2):
+    """Known/unknown, per antisymmetric index."""
+    return 1.0 - l1 - l2 + 0.5 * l1 * l2 >= -FEASIBILITY_SLACK
+
+
+def direct_ok(l1, l2, beta: float):
+    """Known/known; the only family whose bounds involve the overlap."""
     b2 = beta * beta
-    return (1.0 - l1 - l2 * b2 >= -slack) and (1.0 - l1 - l2 + (1.0 - b2) * l1 * l2 >= -slack)
+    return (1.0 - l1 - l2 * b2 >= -FEASIBILITY_SLACK) & (
+        1.0 - l1 - l2 + (1.0 - b2) * l1 * l2 >= -FEASIBILITY_SLACK
+    )
 
 
 def _in_box(values, slack: float = FEASIBILITY_SLACK) -> bool:
@@ -82,7 +94,7 @@ def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = Non
             raise ValueError("known/known feasibility requires beta")
         if len(lam.lam1) != 1 or len(lam.lam2) != 1 or lam.lam3 is not None:
             return False
-        return _in_box(lam.flat) and _direct_ok(lam.lam1[0], lam.lam2[0], beta)
+        return _in_box(lam.flat) and bool(direct_ok(lam.lam1[0], lam.lam2[0], beta))
     if beta is not None:
         raise ValueError(f"feasibility for {case} does not depend on beta")
     if fam is Family.KNOWN_UNKNOWN:
@@ -91,22 +103,18 @@ def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = Non
             return False
         if not _in_box(lam.flat):
             return False
-        return all(_single_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
+        return all(single_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
     # unknown/unknown
     n = 1 if case.dim == 2 else 3
     if len(lam.lam1) != n or len(lam.lam2) != n or lam.lam3 is not None:
         return False
-    if any(v < -FEASIBILITY_SLACK for v in lam.flat):
-        return False
-    per_index = all(_pair_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
-    if case.dim == 2:
+    per_index = per_index_pair_program_constraints(lam)
+    if case.dim == 2 or not per_index:
         return per_index
-    if not per_index:
-        return False
     # corrected qutrit region: equal per-index coefficients reduce to a
     # simplex; anything else needs the eigenvalue check
     if len(set(lam.lam1)) == 1 and len(set(lam.lam2)) == 1:
-        return lam.lam1[0] + lam.lam2[0] <= 1.0 + FEASIBILITY_SLACK
+        return totally_antisymmetric_ok(sum(lam.lam1), sum(lam.lam2))
     report = validate(build_unknown_unknown(3, lam))
     return all(report.psd_ok)
 
@@ -118,7 +126,7 @@ def per_index_pair_program_constraints(lam: LambdaParams, slack: float = FEASIBI
     docstring); ``feasible`` applies the corrected region instead.
     """
     return all(v >= -slack for v in lam.flat) and all(
-        _pair_program_ok(a, b, slack) for a, b in zip(lam.lam1, lam.lam2)
+        pair_program_ok(a, b, slack) for a, b in zip(lam.lam1, lam.lam2)
     )
 
 
@@ -311,43 +319,64 @@ CASE_SURFACE = {
 }
 
 
+def case_surface(case: KnowledgeCase):
+    """The closed-form surface of a case's optimal strategy, ``f(beta, eta1)``.
+
+    The qutrit unknown/unknown surfaces are the corrected ones; the other
+    qutrit families reduce to the qubit expressions.  B3's surface is its
+    guaranteed worst case; its realized value is ``p1plus_actual``.
+    """
+    r = case.regime
+    if case.dim == 3 and r is Regime.A1:
+        return p0_opt_qutrit
+    if case.dim == 3 and r is Regime.B1:
+        return p0_weta_qutrit
+    return SURFACES[CASE_SURFACE[r]]
+
+
 # ---------------------------------------------------------------------------
 # decisions and evaluation
 # ---------------------------------------------------------------------------
 
+def symmetric_lambda(case: KnowledgeCase, coeffs) -> LambdaParams:
+    """Per-index coefficients from one value per block, ``(l1, l2[, l3])``.
+
+    Every antisymmetric index of a block gets the same value: one index
+    for qubits; three (unknown/unknown) or two (known/unknown) for
+    qutrits, with the known/unknown ``lam3`` block repeated over its
+    (dim-1)^2 entries.  Known/known has a single index in either dim.
+    """
+    l1, l2, *l3 = coeffs
+    if case.family is Family.KNOWN_KNOWN:
+        return LambdaParams.of(l1, l2)
+    if case.family is Family.UNKNOWN_UNKNOWN:
+        n = 1 if case.dim == 2 else 3
+        return LambdaParams.of((l1,) * n, (l2,) * n)
+    n = case.dim - 1
+    return LambdaParams.of((l1,) * n, (l2,) * n, (l3[0],) * (n * n))
+
+
 def _decide(case: KnowledgeCase, beta: float | None, eta1: float | None) -> tuple[LambdaParams, str]:
-    r, d = case.regime, case.dim
+    r = case.regime
     if r is Regime.A1:
-        if d == 2:
-            l1, l2, br = _a1_decision(eta1)
-        else:
-            l1, l2, br = _a1_qutrit_decision(eta1)
-        n = 1 if d == 2 else 3
-        return LambdaParams.of((l1,) * n, (l2,) * n), br
-    if r is Regime.B1:
-        if d == 2:
-            l1 = l2 = 2.0 / 3.0
-        else:
-            l1 = l2 = 0.5
-        n = 1 if d == 2 else 3
-        return LambdaParams.of((l1,) * n, (l2,) * n), "equalizer"
-    if r in (Regime.A2, Regime.A3, Regime.B2, Regime.B3):
-        if r is Regime.A2:
-            l1, l2, l3, br = _a2_decision(eta1)
-        elif r is Regime.A3:
-            l1, l2, l3, br = _a3_decision(beta, eta1)
-        elif r is Regime.B2:
-            (l1, l2, l3), br = B2_LAM, "equalizer"
-        else:
-            l1, l2, l3, br = _b3_decision(beta)
-        n = d - 1
-        return LambdaParams.of((l1,) * n, (l2,) * n, (l3,) * (n * n)), br
-    if r is Regime.A4:
-        l1, l2, br = _a4_decision(beta, eta1)
-        return LambdaParams.of(l1, l2), br
-    # B4
-    l = 1.0 / (1.0 + beta)
-    return LambdaParams.of(l, l), "equalizer"
+        *coeffs, br = _a1_decision(eta1) if case.dim == 2 else _a1_qutrit_decision(eta1)
+    elif r is Regime.B1:
+        l = 2.0 / 3.0 if case.dim == 2 else 0.5
+        coeffs, br = (l, l), "equalizer"
+    elif r is Regime.A2:
+        *coeffs, br = _a2_decision(eta1)
+    elif r is Regime.A3:
+        *coeffs, br = _a3_decision(beta, eta1)
+    elif r is Regime.B2:
+        coeffs, br = B2_LAM, "equalizer"
+    elif r is Regime.B3:
+        *coeffs, br = _b3_decision(beta)
+    elif r is Regime.A4:
+        *coeffs, br = _a4_decision(beta, eta1)
+    else:  # B4
+        l = 1.0 / (1.0 + beta)
+        coeffs, br = (l, l), "equalizer"
+    return symmetric_lambda(case, coeffs), br
 
 
 def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float | None = None) -> LambdaParams:
@@ -374,56 +403,29 @@ def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float |
     return _decide(case, beta, eta1)[0]
 
 
-def _closed_form_p(case: KnowledgeCase, beta: float, eta1: float) -> float:
-    r = case.regime
-    if case.dim == 3 and r in (Regime.A1, Regime.B1):
-        return p0_opt_qutrit(beta, eta1) if r is Regime.A1 else p0_weta_qutrit(beta)
-    if r is Regime.B3:
-        return p1plus_actual(beta, eta1)
-    return SURFACES[CASE_SURFACE[r]](beta, eta1)
-
-
-def _operational_p(case: KnowledgeCase, lam: LambdaParams, beta: float, eta1: float) -> float:
-    pair = pair_with_overlap(case.dim, beta, eta1, seed=_QUTRIT_EVAL_SEED)
-    p1, p2 = success_probabilities(case, pair, lam)
-    return eta1 * p1 + (1.0 - eta1) * p2
-
-
 def success_probability(case: KnowledgeCase, beta: float, eta1: float) -> StrategyResult:
     """Success probability of the case's optimal strategy at a (beta, eta1) point.
 
     Both parameters are always accepted: surfaces depend on the true pair
-    even when the decision cannot.  For dim-3 regimes without a
-    closed form the value is computed operationally from POVM expectations
-    on an internally generated pair with the requested overlap (the result
-    depends on the pair only through beta).
+    even when the decision cannot, which sees only the inputs its regime
+    knows.  The value is the closed form of ``case_surface``, except for
+    B3, which reports its realized value ``p1plus_actual`` rather than its
+    worst case.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if not 0.0 <= eta1 <= 1.0:
         raise ValueError(f"eta1 must lie in [0, 1], got {eta1}")
-    kwargs = {}
-    if case.regime.knows_beta:
-        kwargs["beta"] = beta
-    if case.regime.knows_eta1:
-        kwargs["eta1"] = eta1
-    lam, branch = _decide(case, kwargs.get("beta"), kwargs.get("eta1"))
-
-    if case.dim == 3 and case.family is not Family.KNOWN_KNOWN and beta < 1.0 - 1e-12:
-        p = _operational_p(case, lam, beta, eta1)
-    else:
-        p = _closed_form_p(case, beta, eta1)
-
     r = case.regime
+    lam, branch = _decide(case, beta if r.knows_beta else None, eta1 if r.knows_eta1 else None)
+    surface = case_surface(case)(beta, eta1)
+    p = p1plus_actual(beta, eta1) if r is Regime.B3 else surface
+
     worst: float | None = None
     if r is Regime.A2:
         worst = 0.5 * lam.lam1[0] * eta1 + lam.lam2[0] * (1.0 - eta1)
-    elif r is Regime.B1:
-        worst = p0_weta(beta) if case.dim == 2 else p0_weta_qutrit(beta)
     elif r is Regime.B2:
         worst = 0.5 * B2_LAM[0]
-    elif r is Regime.B3:
-        worst = p1plus_weta(beta)
-    elif r is Regime.B4:
-        worst = p2_weta(beta)
+    elif r in (Regime.B1, Regime.B3, Regime.B4):
+        worst = surface  # constant in the prior, hence the guaranteed value
     return StrategyResult(case=case, lam=lam, branch=branch, p_analytic=float(p), worst_case_value=worst)

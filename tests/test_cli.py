@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from unambig import strategies as st
+from unambig import optimizer, strategies as st
 from unambig.cli import main
 
 
@@ -166,3 +166,13 @@ def test_unknown_case(capsys):
     code, _, err = run_cli(capsys, "solve", "--case", "c9", "--dim", "2")
     assert code == 2
     assert "unknown case" in err
+
+
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    def broken_check(*_args):
+        raise AssertionError("oracle solution is not a measurement")
+
+    monkeypatch.setattr(optimizer, "_check_solution_psd", broken_check)
+    code, out, err = run_cli(capsys, "verify", "--case", "b1", "--dim", "2", "--grid", "0.5")
+    assert code == 3 and out == ""
+    assert err == "internal error: oracle solution is not a measurement\n"

@@ -174,14 +174,22 @@ def test_validate_reports():
     assert validate(good).all_ok
 
 
+def _psd_case(regime, dim, beta=0.6):
+    suffix = "" if beta == 0.6 else f"-beta{beta:.4g}"
+    return pytest.param(regime, dim, beta, id=f"{regime.value}-{dim}{suffix}")
+
+
 @pytest.mark.parametrize(
-    "regime,dim", [(Regime.A1, 2), (Regime.A2, 2), (Regime.A4, 2), (Regime.A1, 3), (Regime.A2, 3), (Regime.A4, 3)]
+    "regime,dim,beta",
+    [_psd_case(r, d) for r, d in ((Regime.A1, 2), (Regime.A2, 2), (Regime.A4, 2),
+                                  (Regime.A1, 3), (Regime.A2, 3), (Regime.A4, 3))]
+    # known/known bounds depend on the overlap: also at its edges and at 1/sqrt(2)
+    + [_psd_case(Regime.A4, d, b) for d in (2, 3) for b in (0.0, 1 / np.sqrt(2), 0.99)],
 )
-def test_feasible_iff_psd(regime, dim):
+def test_feasible_iff_psd(regime, dim, beta):
     """The analytic predicate and the eigenvalue check agree on random samples."""
-    rng = np.random.default_rng(hash((regime, dim, "agree")) % 2**32)
+    rng = np.random.default_rng(hash((regime, dim, beta, "agree")) % 2**32)
     case = KnowledgeCase(regime, dim)
-    beta = 0.6
     pair = pair_with_overlap(dim, beta, 0.5, seed=28)
     for _ in range(200):
         if case.family is Family.UNKNOWN_UNKNOWN:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
-from unambig.povm import LambdaParams
+from unambig.povm import LambdaParams, success_probabilities
+from unambig.states import pair_with_overlap
 from unambig import strategies as st
 
 
@@ -148,14 +149,27 @@ def test_qutrit_direct_cases_reduce_to_qubit():
                 assert abs(p2d - p3d) <= 1e-10
 
 
+# the POVM route on concrete qutrit pairs against the closed forms
+QUTRIT_BETAS = (0.0, 0.3, 1 / math.sqrt(2), 0.95)
+QUTRIT_ETAS = (0.0, 0.4, 1.0)
+QUTRIT_SEEDS = (3, 17, 2024)
+
+
+def _assert_povm_matches_closed_form(case):
+    for beta in QUTRIT_BETAS:
+        for eta1 in QUTRIT_ETAS:
+            res = st.success_probability(case, beta, eta1)
+            for seed in QUTRIT_SEEDS:
+                pair = pair_with_overlap(case.dim, beta, eta1, seed=seed)
+                p1, p2 = success_probabilities(case, pair, res.lam)
+                p_povm = eta1 * p1 + (1.0 - eta1) * p2
+                assert abs(p_povm - res.p_analytic) <= 1e-10, (case, beta, eta1, seed)
+
+
 @pytest.mark.parametrize("regime", [Regime.A2, Regime.A3, Regime.B2, Regime.B3])
 def test_qutrit_single_program_matches_qubit_surface(regime):
-    # operational evaluation on a concrete pair lands on the qubit closed form
-    for beta in (0.0, 0.3, 0.7, 0.95):
-        for eta1 in (0.0, 0.4, 1.0):
-            p3d = st.success_probability(KnowledgeCase(regime, 3), beta, eta1).p_analytic
-            p2d = st.success_probability(KnowledgeCase(regime, 2), beta, eta1).p_analytic
-            assert abs(p3d - p2d) <= 1e-10
+    # the qutrit POVM on random pairs lands on the qubit closed form
+    _assert_povm_matches_closed_form(KnowledgeCase(regime, 3))
 
 
 def test_qutrit_pair_program_corrected_strategies():
@@ -171,6 +185,8 @@ def test_qutrit_pair_program_corrected_strategies():
     a1 = st.success_probability(KnowledgeCase(Regime.A1, 3), 0.4, 0.8)
     assert a1.lam.flat == (1.0,) * 3 + (0.0,) * 3
     assert a1.p_analytic == pytest.approx(0.5 * 0.8 * (1 - 0.16), abs=1e-10)
+    for regime in (Regime.A1, Regime.B1):
+        _assert_povm_matches_closed_form(KnowledgeCase(regime, 3))
 
 
 def test_surface_registry_consistency():
