@@ -1,8 +1,10 @@
 """Cross-check the closed-form strategies against a derivative-free maximin search.
 
 The oracle knows nothing about the derivations: it grid-searches the
-coefficient box (with boundary projection), minimizes over an adversary
-grid where a parameter is unknown, and refines locally.
+coefficient box (with boundary projection), minimizes over the vertices
+of the unknown parameters' box (every objective is multi-affine in
+1 - beta^2 and eta1, so a vertex is always worst), breaks ties by the
+objective at the mean point of a 0.01 adversary grid, and refines locally.
 """
 
 import math

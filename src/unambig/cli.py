@@ -1,6 +1,7 @@
 """Command-line front end: solve, verify, sweep, simulate.
 
-Exit codes: 0 success, 1 verification/ordering failure, 2 usage error,
+Exit codes: 0 success, 1 verification/ordering failure, 2 usage error
+(bad arguments or environment values, such as ``UNAMBIG_THREADS``),
 3 internal error (a numerical self-check of the program failed).
 All outputs are deterministic: JSON uses a fixed field order and CSV is
 emitted with '.' decimals, ',' separators, LF line endings, and 12

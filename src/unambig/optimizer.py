@@ -1,9 +1,16 @@
 """Independent numerical maximin oracle for the closed-form strategies.
 
 Each case is posed as: maximize, over feasible coefficient vectors, the
-minimum of its objective over a grid of adversary parameters (the
-unknown overlap and/or prior).  Cases where everything relevant is known
+minimum of its objective over the adversary parameters (the unknown
+overlap and/or prior).  Cases where everything relevant is known
 degenerate to plain maximization (empty adversary).
+
+Every case objective is multi-affine in the adversary coordinates
+``(1 - beta^2, eta1)``, so its minimum over the unit box is reached at a
+vertex (Boyd & Vandenberghe, *Convex Optimization*, 2004): the adversary
+is the box's vertices, ``beta`` or ``eta1`` in ``{0, 1}`` (four corners
+for B2), and the worst case equals the minimum over any product grid
+that contains them.
 
 Search is derivative-free by design: the objectives are concave
 (pointwise minima of affine functions of the coefficients) but the
@@ -12,10 +19,13 @@ local refinement is robust.  Passes start at step 0.1 over the unit box
 and shrink tenfold around the incumbent until the requested resolution
 is reached (two refinement passes at the default 1e-3).
 
-Ties in the worst-case value are broken by the higher adversary-grid
-mean (a dominance refinement: it is what recovers the free coefficient
-that the worst case alone leaves undetermined), then by the
-lexicographically smallest coefficient vector.
+Ties in the worst-case value are broken by the higher mean over the
+``ADVERSARY_STEP`` grid of the box (a dominance refinement: it is what
+recovers the free coefficient that the worst case alone leaves
+undetermined), then by the lexicographically smallest coefficient
+vector.  The mean of a multi-affine function over a product grid is its
+value at the grid's mean point, so that mean is one evaluation at the
+problem's ``tie_point``.
 
 For qutrits the per-index symmetry of the closed-form strategies is
 exploited: all index-1 coefficients equal, all index-2 coefficients
@@ -46,15 +56,21 @@ class MaximinProblem:
     """Vectorized maximin problem over coefficients in the unit box.
 
     ``objective(lams, adversary)`` receives an (N, k) coefficient block
-    and the full (M,) or (M, a) adversary grid and returns (N, M); with
+    and (M,) or (M, a) adversary rows and returns (N, M); with
     ``adversary`` None it returns (N,).  ``feasible`` maps (N, k) to a
-    boolean mask.
+    boolean mask.  The worst case is the minimum over ``adversary``
+    (the box vertices for the case problems, or any grid).
     """
 
     n_params: int
     objective: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
     feasible: Callable[[np.ndarray], np.ndarray]
     adversary: np.ndarray | None = None
+    tie_point: np.ndarray | None = None
+    """One adversary row whose objective value breaks worst-case ties; the
+    case problems put it at the mean point of the ``ADVERSARY_STEP`` grid,
+    where a multi-affine objective equals its grid mean.  None breaks ties
+    by the mean over ``adversary``."""
     boundary: Callable[[np.ndarray], np.ndarray] | None = None
     """Optional projection raising one coordinate to its exact feasibility
     boundary given the others.  The optima sit on curved boundaries that
@@ -66,7 +82,9 @@ class MaximinProblem:
 class SolveResult:
     lambda_star: tuple[float, ...]
     value: float
-    certificate: np.ndarray | None  # objective at lambda_star over the adversary grid
+    certificate: np.ndarray | None
+    """Objective at ``lambda_star`` over the problem's adversary rows (the
+    box vertices for the case problems); None without an adversary."""
 
 
 def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -75,7 +93,7 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _evaluate(problem: MaximinProblem, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Worst-case and mean objective per candidate row, chunked for memory."""
+    """Worst-case and tie-break (mean) objective per candidate row, chunked for memory."""
     if problem.adversary is None:
         vals = np.asarray(problem.objective(cand, None), dtype=float)
         return vals, vals
@@ -84,9 +102,13 @@ def _evaluate(problem: MaximinProblem, cand: np.ndarray) -> tuple[np.ndarray, np
     worst = np.empty(cand.shape[0])
     mean = np.empty(cand.shape[0])
     for start in range(0, cand.shape[0], chunk):
-        block = np.asarray(problem.objective(cand[start : start + chunk], problem.adversary), dtype=float)
+        rows = cand[start : start + chunk]
+        block = np.asarray(problem.objective(rows, problem.adversary), dtype=float)
         worst[start : start + chunk] = block.min(axis=1)
-        mean[start : start + chunk] = block.mean(axis=1)
+        if problem.tie_point is None:
+            mean[start : start + chunk] = block.mean(axis=1)
+        else:
+            mean[start : start + chunk] = np.asarray(problem.objective(rows, problem.tie_point), dtype=float)[:, 0]
     return worst, mean
 
 
@@ -120,15 +142,13 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> SolveRes
         else:
             cand = cand[mask]
             worst, mean = _evaluate(problem, cand)
-            order = np.lexsort(tuple(cand[:, j] for j in reversed(range(k))))
-            cand, worst, mean = cand[order], worst[order], mean[order]
-            top = worst >= worst.max() - _TIE_TOL
-            idx = np.flatnonzero(top)
-            best_mean_idx = idx[np.argmax(mean[idx] >= mean[idx].max() - _TIE_TOL)]
-            cand_best = (float(worst[best_mean_idx]), float(mean[best_mean_idx]))
+            ties = np.flatnonzero(worst >= worst.max() - _TIE_TOL)
+            ties = ties[mean[ties] >= mean[ties].max() - _TIE_TOL]
+            pick = ties[np.lexsort(cand[ties].T[::-1])[0]]  # lexicographically smallest row
+            cand_best = (float(worst[pick]), float(mean[pick]))
             if cand_best >= best:
                 best = cand_best
-                incumbent = cand[best_mean_idx].copy()
+                incumbent = cand[pick].copy()
         if step <= resolution * (1 + 1e-9):
             break
         prev_step = step
@@ -143,8 +163,14 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> SolveRes
 # case objectives
 # ---------------------------------------------------------------------------
 
-def _adversary_axis(step: float = ADVERSARY_STEP) -> np.ndarray:
-    return _axis_grid(0.0, 1.0, step)
+def _grid_mean_point() -> tuple[float, float]:
+    """(beta_c, eta_c): mean point of the ``ADVERSARY_STEP`` grid of the box.
+
+    The objectives are affine in ``1 - beta^2`` and ``eta1``, so the mean
+    point has ``beta_c^2 = mean(beta_i^2)`` and ``eta_c = mean(eta_i)``.
+    """
+    axis = _axis_grid(0.0, 1.0, ADVERSARY_STEP)
+    return float(np.sqrt(np.mean(axis * axis))), float(np.mean(axis))
 
 
 def _pair_program_boundary(l: np.ndarray) -> np.ndarray:
@@ -198,12 +224,12 @@ def _known_unknown_p(l: np.ndarray, beta: np.ndarray, eta1: np.ndarray) -> np.nd
     return (0.5 * l1 * eta1 + l2 * b2 * (1.0 - eta1) + l3 * f * (1.0 - eta1)) * f
 
 
-def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | None = None,
-                 adversary_step: float = ADVERSARY_STEP) -> MaximinProblem:
+def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | None = None) -> MaximinProblem:
     """Maximin problem for a case at its known parameter values.
 
     Point cases (A1, A3, A4) fix all relevant parameters; the others
-    carry an adversary grid over whatever the decision cannot see.
+    take as adversary the box vertices of whatever the decision cannot
+    see, and as tie point the mean point of the ``ADVERSARY_STEP`` grid.
     For the value comparison against a closed-form surface, point and
     worst-case-valued cases use the solved value directly, while A2/B2
     re-evaluate the actual success probability at the solved coefficients
@@ -216,7 +242,8 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
     given = {name for name, value in (("beta", beta), ("eta1", eta1)) if value is not None}
     if not needs <= given:
         raise ValueError(f"{case}: problem requires {sorted(needs)}")
-    axis = _adversary_axis(adversary_step)
+    vertices = np.array([0.0, 1.0])
+    beta_c, eta_c = _grid_mean_point()
 
     if case.family is Family.UNKNOWN_UNKNOWN:
         if case.dim == 2:
@@ -236,7 +263,8 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
             2,
             lambda l, adv, f=f: 0.5 * (l[:, 0:1] * adv[None, :] + l[:, 1:2] * (1.0 - adv[None, :])) * f,
             feas,
-            adversary=axis,
+            adversary=vertices,
+            tie_point=np.array([eta_c]),
             boundary=bound,
         )
 
@@ -247,7 +275,8 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
                 3,
                 lambda l, adv, eta=eta1: _bracket(l, adv[None, :], eta),
                 feas3,
-                adversary=axis,
+                adversary=vertices,
+                tie_point=np.array([beta_c]),
                 boundary=_single_program_boundary,
             )
         if r is Regime.A3:
@@ -258,13 +287,12 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
                 boundary=_single_program_boundary,
             )
         if r is Regime.B2:
-            bb, ee = np.meshgrid(axis, axis, indexing="ij")
-            grid = np.stack([bb.reshape(-1), ee.reshape(-1)], axis=1)
             return MaximinProblem(
                 3,
                 lambda l, adv: _bracket(l, adv[None, :, 0], adv[None, :, 1]),
                 feas3,
-                adversary=grid,
+                adversary=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                tie_point=np.array([[beta_c, eta_c]]),
                 boundary=_single_program_boundary,
             )
         # B3: overlap known, prior adversarial; full objective
@@ -272,7 +300,8 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
             3,
             lambda l, adv, b=beta: _known_unknown_p(l, np.array([[b]]), adv[None, :]),
             feas3,
-            adversary=axis,
+            adversary=vertices,
+            tie_point=np.array([eta_c]),
             boundary=_single_program_boundary,
         )
 
@@ -291,7 +320,8 @@ def case_problem(case: KnowledgeCase, beta: float | None = None, eta1: float | N
         2,
         lambda l, adv, f=f: (l[:, 0:1] * adv[None, :] + l[:, 1:2] * (1.0 - adv[None, :])) * f,
         feas,
-        adversary=axis,
+        adversary=vertices,
+        tie_point=np.array([eta_c]),
         boundary=bound,
     )
 

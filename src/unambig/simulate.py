@@ -10,7 +10,7 @@ Randomness comes from the Philox counter-based generator.  Shots are
 processed in fixed-size batches, each owning the stream
 ``Philox(key=seed).jumped(batch_index)``, so results are bit-identical
 no matter how batches are scheduled; ``UNAMBIG_THREADS`` caps how many
-run concurrently (default 1).
+run concurrently (default 1; never more than there are batches).
 """
 
 from __future__ import annotations
@@ -33,12 +33,15 @@ _PROB_SUM_TOL = 1e-9
 
 
 def thread_count() -> int:
-    """Parallelism cap from UNAMBIG_THREADS (default 1)."""
+    """Parallelism cap from UNAMBIG_THREADS (default 1); anything but an integer >= 1 is a ValueError."""
     raw = os.environ.get("UNAMBIG_THREADS", "1")
     try:
-        return max(1, int(raw))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"UNAMBIG_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def run(config: SimConfig) -> SimReport:
         (b, min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS))
         for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS)
     ]
-    workers = thread_count()
+    workers = min(thread_count(), len(spans))
     if workers == 1:
         parts = [_run_batch(config.seed, b, n, eta1, probs) for b, n in spans]
     else:

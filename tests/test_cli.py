@@ -156,6 +156,15 @@ def test_simulate_json_and_determinism(tmp_path, capsys):
     assert abs(record["estimated_success"] - record["p_analytic"]) <= 4 * sigma
 
 
+def test_simulate_rejects_bad_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("UNAMBIG_THREADS", "junk")
+    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5",
+                             "--shots", "1000")
+    assert code == 2
+    assert out == ""
+    assert "UNAMBIG_THREADS" in err
+
+
 def test_simulate_requires_world_parameters(capsys):
     code, _, err = run_cli(capsys, "simulate", "--case", "b2", "--dim", "2", "--beta", "0.4")
     assert code == 2

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from unambig.cases import KnowledgeCase, Regime
+from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
 from unambig import optimizer as opt
 from unambig import strategies as st
 from unambig.states import pair_with_overlap
@@ -15,9 +16,61 @@ def test_b1_equalizer_recovered():
     res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.B1, 2), beta=0.0))
     assert res.lambda_star == pytest.approx((2 / 3, 2 / 3), abs=2e-3)
     assert res.value == pytest.approx(1 / 3, abs=2e-3)
-    assert res.certificate is not None and res.certificate.shape == (101,)
+    assert res.certificate is not None and res.certificate.shape == (2,)
     # the equalizer makes every prior equally bad
     assert np.ptp(res.certificate) <= 2e-3
+
+
+EDGE_BETAS = (0.0, 1 / math.sqrt(2), 1.0)
+ADVERSARIAL = (Regime.A2, Regime.B1, Regime.B2, Regime.B3, Regime.B4)
+
+
+def _adversarial_problems(case):
+    """The case's problems at edge values of its inputs (beta where the problem takes it)."""
+    if case.regime is Regime.B2:
+        return [opt.case_problem(case)]
+    if case.regime is Regime.A2:
+        return [opt.case_problem(case, eta1=eta1) for eta1 in (0.0, 0.5, 1.0)]
+    return [opt.case_problem(case, beta=beta) for beta in EDGE_BETAS]
+
+
+def _dense(problem):
+    """The same problem over the full ADVERSARY_STEP grid, tie-broken by the grid mean."""
+    axis = opt._axis_grid(0.0, 1.0, opt.ADVERSARY_STEP)
+    grid = axis
+    if problem.adversary.ndim == 2:
+        grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    return dataclasses.replace(problem, adversary=grid, tie_point=None)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ADVERSARIAL, ids=lambda r: r.value)
+def test_vertex_adversary_matches_dense_grid(regime, dim):
+    # the worst case of a multi-affine objective sits on a box vertex and its
+    # grid mean is its value at the grid's mean point; interior grid points
+    # may round up to one ulp below the vertices where the objective is flat
+    axis = opt._axis_grid(0.0, 1.0, 0.1)
+    for problem in _adversarial_problems(KnowledgeCase(regime, dim)):
+        dense = _dense(problem)
+        cand = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * problem.n_params), indexing="ij")], axis=1)
+        cand = np.vstack([cand, problem.boundary(cand)])
+        cand = cand[problem.feasible(cand)]
+        worst, mean = opt._evaluate(problem, cand)
+        worst_dense, mean_dense = opt._evaluate(dense, cand)
+        assert np.all(worst_dense <= worst)
+        np.testing.assert_allclose(worst, worst_dense, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(mean, mean_dense, rtol=0.0, atol=1e-12)
+        if regime is not Regime.B2:  # a dense B2 solve takes seconds
+            res, res_dense = opt.solve_maximin(problem), opt.solve_maximin(dense)
+            assert res.lambda_star == res_dense.lambda_star
+            assert res.value == res_dense.value
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_verify_edge_points(regime, dim):
+    rep = opt.verify_case(KnowledgeCase(regime, dim), betas=EDGE_BETAS, etas=(0.0, 0.5, 1.0))
+    assert rep.within(2 * 1e-3)
 
 
 def test_b2_equalizer_and_free_third_coefficient():

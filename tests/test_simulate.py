@@ -125,6 +125,27 @@ def test_thread_count_parsing(monkeypatch):
     monkeypatch.setenv("UNAMBIG_THREADS", "3")
     assert sim.thread_count() == 3
     monkeypatch.setenv("UNAMBIG_THREADS", "junk")
-    assert sim.thread_count() == 1
+    with pytest.raises(ValueError, match="UNAMBIG_THREADS"):
+        sim.thread_count()
     monkeypatch.delenv("UNAMBIG_THREADS")
     assert sim.thread_count() == 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "1.5", ""])
+def test_thread_count_rejects_garbage(monkeypatch, raw):
+    monkeypatch.setenv("UNAMBIG_THREADS", raw)
+    with pytest.raises(ValueError, match="UNAMBIG_THREADS"):
+        sim.thread_count()
+
+
+def test_workers_capped_at_batches(monkeypatch):
+    # a one-batch run never starts a pool, however large the cap
+    cfg = _config(Regime.A1, 2, 0.3, 0.7, sim.BATCH_SHOTS, seed=4)
+    serial = sim.run(cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started for a single batch")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("UNAMBIG_THREADS", "64")
+    assert sim.run(cfg) == serial
