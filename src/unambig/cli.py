@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification/ordering failure, 2 usage error
 (bad arguments or environment values, such as ``UNAMBIG_THREADS``),
-3 internal error (a numerical self-check of the program failed).
+3 internal error (a numerical self-check of the program failed: an
+oracle solution or a simulated POVM that is not a measurement).
 All outputs are deterministic: JSON uses a fixed field order and CSV is
 emitted with '.' decimals, ',' separators, LF line endings, and 12
 significant digits, so identical invocations are byte-identical.
@@ -244,15 +245,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
+    except (AssertionError, simulate.MeasurementError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

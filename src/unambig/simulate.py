@@ -32,6 +32,10 @@ BATCH_SHOTS = 1 << 16
 _PROB_SUM_TOL = 1e-9
 
 
+class MeasurementError(ValueError):
+    """The assembled POVM is not a measurement: a numerical failure, not bad input."""
+
+
 def thread_count() -> int:
     """Parallelism cap from UNAMBIG_THREADS (default 1); anything but an integer >= 1 is a ValueError."""
     raw = os.environ.get("UNAMBIG_THREADS", "1")
@@ -73,15 +77,15 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     povm = build_for_case(case, pair, lam)
     report = validate(povm)
     if not all(report.psd_ok):
-        raise ValueError(f"POVM is not positive semidefinite: min eigenvalues {report.min_eigenvalues}")
+        raise MeasurementError(f"POVM is not positive semidefinite: min eigenvalues {report.min_eigenvalues}")
     if report.completeness_residual > _PROB_SUM_TOL:
-        raise ValueError(f"POVM completeness residual {report.completeness_residual:.3e}")
+        raise MeasurementError(f"POVM completeness residual {report.completeness_residual:.3e}")
     ins = input_states(case, pair)
     probs = np.array([[expectation(v, el) for el in povm.elements] for v in ins])
     probs = np.clip(probs, 0.0, None)
     sums = probs.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > _PROB_SUM_TOL:
-        raise ValueError(f"outcome probabilities sum to {sums}, expected 1")
+        raise MeasurementError(f"outcome probabilities sum to {sums}, expected 1")
     return probs / sums[:, None]
 
 

@@ -54,7 +54,7 @@ def test_criterion_2_specific_values():
         assert st.p0_weta(float(beta)) == pytest.approx((1 - beta**2) / 3, abs=1e-15)
         assert st.p2_weta(float(beta)) == pytest.approx(1 - beta, abs=1e-15)
     assert st.p2_opt(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
-    res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.B2, 2)), resolution=2e-4)
+    res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.B2, 2)), resolution=2e-4)[0]
     target = (3 - SQRT5, (3 - SQRT5) / 2, 1.0)
     for got, want in zip(res.lambda_star, target):
         assert abs(got - want) <= 1e-3, (res.lambda_star, target)

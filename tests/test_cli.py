@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from unambig import optimizer, strategies as st
+from unambig import optimizer, simulate, strategies as st
 from unambig.cli import main
 
 
@@ -185,3 +186,28 @@ def test_internal_check_failure_exits_3(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "--case", "b1", "--dim", "2", "--grid", "0.5")
     assert code == 3 and out == ""
     assert err == "internal error: oracle solution is not a measurement\n"
+
+
+def test_simulate_measurement_failure_exits_3(monkeypatch, capsys):
+    real = simulate.validate
+
+    def negative_eigenvalue(povm):
+        report = real(povm)
+        return dataclasses.replace(report, psd_ok=(False,) + report.psd_ok[1:],
+                                   min_eigenvalues=(-0.25,) + report.min_eigenvalues[1:])
+
+    monkeypatch.setattr(simulate, "validate", negative_eigenvalue)
+    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5",
+                             "--shots", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: POVM is not positive semidefinite")
+
+
+@pytest.mark.parametrize("argv", (
+    ("--beta", "0.3", "--eta1", "0.5", "--shots", "0"),
+    ("--beta", "1.5", "--eta1", "0.5"),
+))
+def test_simulate_bad_arguments_stay_usage_errors(argv, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
