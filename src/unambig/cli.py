@@ -1,9 +1,11 @@
 """Command-line front end: solve, verify, sweep, simulate.
 
 Exit codes: 0 success, 1 verification/ordering failure, 2 usage error
-(bad arguments or environment values, such as ``UNAMBIG_THREADS``),
-3 internal error (a numerical self-check of the program failed: an
-oracle solution or a simulated POVM that is not a measurement).
+(bad arguments), 3 internal error (a numerical self-check of the program
+failed: an oracle solution or a simulated POVM that is not a
+measurement, a non-Hermitian operator, an expectation value with an
+imaginary part, or a state pair whose overlap differs from its stored
+beta).
 All outputs are deterministic: JSON uses a fixed field order and CSV is
 emitted with '.' decimals, ',' separators, LF line endings, and 12
 significant digits, so identical invocations are byte-identical.
@@ -22,6 +24,7 @@ import json
 import sys
 
 from .cases import ALL_REGIMES, KnowledgeCase, Regime
+from .linalg import NumericalError
 from .povm import build_for_case, success_probabilities, validate
 from .states import canonical_pair
 from . import optimizer, simulate, strategies
@@ -245,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (AssertionError, simulate.MeasurementError) as exc:
+    except (AssertionError, NumericalError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -12,9 +12,21 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 
 
+class NumericalError(ValueError):
+    """A numerical self-check failed inside the program: not a fault of the caller's input."""
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of vectors or operators, leftmost factor most significant."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Tensor product of vectors or operators, leftmost factor most significant.
+
+    A vector-vector product is one broadcast multiply, bitwise equal to
+    ``np.kron`` without its per-call axis bookkeeping; other ranks go to
+    ``np.kron``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return np.kron(a, b)
 
 
 def projector(v: np.ndarray) -> np.ndarray:
@@ -33,6 +45,12 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and hermiticity_defect(m) <= tol
 
 
+def _check_hermitian(m: np.ndarray, tol: float) -> None:
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise NumericalError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+
+
 def eigvals_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 
@@ -41,18 +59,14 @@ def eigvals_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    _check_hermitian(m, tol)
     return np.linalg.eigvalsh(m)
 
 
 def hermitian_eigensystem(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    _check_hermitian(m, tol)
     return np.linalg.eigh(m)
 
 
@@ -72,7 +86,7 @@ def expectation(state: np.ndarray, op: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: state dim {state.size}, operator shape {op.shape}")
     val = np.vdot(state, op @ state)
     if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
+        raise NumericalError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
     return float(val.real)
 
 

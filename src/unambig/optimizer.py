@@ -557,29 +557,19 @@ def full_dimension_value_unknown_unknown(pair: StatePair, eta1: float, step: flo
     """
     if pair.dim != 3:
         raise ValueError("full-dimension check is for qutrits")
-    from .povm import input_states, antisymmetric_state
-    from .linalg import kron, projector
+    from .povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
 
     case = KnowledgeCase(Regime.A1, 3)
     in1, in2 = input_states(case, pair)
-    eye = np.eye(3)
-    pairs_idx = ((0, 1), (0, 2), (1, 2))
-    blocks1, blocks2, w1, w2 = [], [], [], []
-    for m, n in pairs_idx:
-        p_as = projector(antisymmetric_state(eye[m], eye[n]))
-        b1, b2 = kron(eye, p_as), kron(p_as, eye)
-        blocks1.append(b1)
-        blocks2.append(b2)
-        w1.append(float(np.vdot(in1, b1 @ in1).real))
-        w2.append(float(np.vdot(in2, b2 @ in2).real))
+    stack1, stack2 = UNKNOWN_UNKNOWN_BLOCKS[3]
+    w1 = [float(np.vdot(in1, b1 @ in1).real) for b1 in stack1]
+    w2 = [float(np.vdot(in2, b2 @ in2).real) for b2 in stack2]
     axis = _axis_grid(0.0, 1.0, step)
     mesh = np.meshgrid(*([axis] * 6), indexing="ij")
     cand = np.stack([m.reshape(-1) for m in mesh], axis=1)
     ok = np.all([strategies.pair_program_ok(cand[:, i], cand[:, 3 + i]) for i in range(3)], axis=0)
     ok &= strategies.totally_antisymmetric_ok(cand[:, :3].sum(axis=1), cand[:, 3:].sum(axis=1))
     cand = cand[ok]
-    stack1 = np.stack(blocks1)
-    stack2 = np.stack(blocks2)
     best = -np.inf
     eye27 = np.eye(27)
     for start in range(0, cand.shape[0], chunk):

@@ -115,6 +115,19 @@ def antisymmetric_state(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (kron(u, v) - kron(v, u)) / np.sqrt(2.0)
 
 
+def _unknown_unknown_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    eye = np.eye(dim)
+    p_as = [projector(antisymmetric_state(eye[m], eye[n])) for m, n in _PAIRS[dim]]
+    blocks = np.stack([kron(eye, p) for p in p_as]), np.stack([kron(p, eye) for p in p_as])
+    for stack in blocks:
+        stack.setflags(write=False)
+    return blocks
+
+
+# dim -> read-only stacks (I_A (x) P^as_BC,i, P^as_AB,i (x) I_C) over the basis pairs i of _PAIRS[dim]
+UNKNOWN_UNKNOWN_BLOCKS = {dim: _unknown_unknown_blocks(dim) for dim in _PAIRS}
+
+
 def build_unknown_unknown(dim: int, lam: LambdaParams) -> PovmSet:
     """Discriminator for two classically unknown states, one copy of each.
 
@@ -131,15 +144,13 @@ def build_unknown_unknown(dim: int, lam: LambdaParams) -> PovmSet:
     lam2 = _as_components(lam.lam2, len(pairs), "lam2")
     if lam.lam3 is not None:
         raise ValueError("unknown/unknown POVM takes no lam3")
-    eye = np.eye(dim)
+    block_bc, block_ab = UNKNOWN_UNKNOWN_BLOCKS[dim]
     d3 = dim**3
     pi1 = np.zeros((d3, d3), dtype=complex)
     pi2 = np.zeros((d3, d3), dtype=complex)
-    for i, (m, n) in enumerate(pairs):
-        em, en = np.eye(dim)[m], np.eye(dim)[n]
-        p_as = projector(antisymmetric_state(em, en))
-        pi1 += lam1[i] * kron(eye, p_as)
-        pi2 += lam2[i] * kron(p_as, eye)
+    for l1, l2, bc, ab in zip(lam1, lam2, block_bc, block_ab):
+        pi1 += l1 * bc
+        pi2 += l2 * ab
     return PovmSet(pi1, pi2, np.eye(d3) - pi1 - pi2)
 
 

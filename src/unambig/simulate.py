@@ -1,29 +1,29 @@
 """Monte Carlo simulation of the full discrimination experiment.
 
-Each shot draws the preparation (state 1 with probability eta1), forms
-the case's register input, and samples one of the three outcomes by
-inverse CDF on the Born probabilities.  Unambiguity is structural: for
-feasible coefficients the wrong-identification probability is zero to
-machine precision, so error counts are exactly zero, not just small.
+Shots are exchangeable, so a batch of ``n`` shots is drawn as counts:
+the preparation split ``n1 ~ Binomial(n, eta1)`` (state 1 prepared),
+then one ``Multinomial`` draw of the three outcomes per preparation on
+the Born probabilities of its register input.  A batch costs the same
+whatever its size.  Unambiguity is structural: for feasible
+coefficients the wrong-identification probability is zero to machine
+precision, so error counts are exactly zero, not just small.
 
 Randomness comes from the Philox counter-based generator.  Shots are
-processed in fixed-size batches, each owning the stream
-``Philox(key=seed).jumped(batch_index)``, so results are bit-identical
-no matter how batches are scheduled; ``UNAMBIG_THREADS`` caps how many
-run concurrently (default 1; never more than there are batches).
+processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
+the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
+run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
+any longer run with the same seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cases import KnowledgeCase
-from .linalg import expectation
+from .linalg import NumericalError, expectation
 from .povm import LambdaParams, build_for_case, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
@@ -32,20 +32,8 @@ BATCH_SHOTS = 1 << 16
 _PROB_SUM_TOL = 1e-9
 
 
-class MeasurementError(ValueError):
+class MeasurementError(NumericalError):
     """The assembled POVM is not a measurement: a numerical failure, not bad input."""
-
-
-def thread_count() -> int:
-    """Parallelism cap from UNAMBIG_THREADS (default 1); anything but an integer >= 1 is a ValueError."""
-    raw = os.environ.get("UNAMBIG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"UNAMBIG_THREADS must be an integer >= 1, got {raw!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -90,46 +78,37 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
 
 
 def _run_batch(seed: int, batch_index: int, n: int, eta1: float, probs: np.ndarray) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
-    u = rng.random((n, 2))
-    prep2 = u[:, 0] >= eta1  # True: state 2 prepared
-    counts = np.zeros(4, dtype=np.int64)
-    for is2, row in ((False, probs[0]), (True, probs[1])):
-        sel = u[prep2 == is2, 1]
-        t1, t2 = row[0], row[0] + row[1]
-        n1 = int(np.count_nonzero(sel < t1))
-        n2 = int(np.count_nonzero((sel >= t1) & (sel < t2)))
-        n0 = sel.size - n1 - n2
-        if is2:
-            counts += np.array([0, n2, n0, n1])  # outcome 1 on prep 2 is an error
-        else:
-            counts += np.array([n1, 0, n0, n2])
-    return counts
+    """Counts (identified-1, identified-2, inconclusive, error) of one batch of ``n`` shots."""
+    # counter = batch_index * 2^128 is the state of Philox(key=seed).jumped(batch_index), built in one step
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=batch_index << 128))
+    n_prep1 = rng.binomial(n, eta1)
+    id1, wrong2, inc1 = rng.multinomial(n_prep1, probs[0])  # state 1 prepared: outcome 2 is an error
+    wrong1, id2, inc2 = rng.multinomial(n - n_prep1, probs[1])  # state 2 prepared: outcome 1 is an error
+    return np.array([id1, id2, inc1 + inc2, wrong1 + wrong2], dtype=np.int64)
 
 
 def run(config: SimConfig) -> SimReport:
     """Simulate the experiment; deterministic for a fixed seed."""
     probs = outcome_probabilities(config.case, config.pair, config.lam)
-    eta1 = config.pair.eta1
-    spans = [
-        (b, min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS))
-        for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS)
-    ]
-    workers = min(thread_count(), len(spans))
-    if workers == 1:
-        parts = [_run_batch(config.seed, b, n, eta1, probs) for b, n in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda bn: _run_batch(config.seed, bn[0], bn[1], eta1, probs), spans))
-    counts = np.sum(parts, axis=0)
+    counts = np.zeros(4, dtype=np.int64)
+    for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS):
+        n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
+        counts += _run_batch(config.seed, b, n, config.pair.eta1, probs)
     n1, n2, n0, nerr = (int(x) for x in counts)
     p_hat = (n1 + n2) / config.shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
     return SimReport(counts=(n1, n2, n0, nerr), estimated_success=p_hat, stderr=stderr)
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return (seed * 1_000_003 + index) & 0xFFFFFFFFFFFFFFFF
+def _point_seeds(seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
+    """Grid point ``index``'s pair seed and sampler key.
+
+    Both come from ``SeedSequence(seed).spawn(...)[index]``, built directly
+    in O(1): its first child seeds the state pair, its second gives the
+    Philox key, so no two (seed, index) share a stream.
+    """
+    pair_seq, sampler_seq = np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2)
+    return pair_seq, int(sampler_seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -154,8 +133,9 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
         for j, beta in enumerate(beta_grid):
             idx = i * len(beta_grid) + j
             res = strategies.success_probability(case, float(beta), float(eta1))
-            pair = pair_with_overlap(case.dim, float(beta), float(eta1), seed=_point_seed(seed, 2 * idx))
-            report = run(SimConfig(case, pair, res.lam, shots_per_point, _point_seed(seed, 2 * idx + 1)))
+            pair_seed, sampler_key = _point_seeds(seed, idx)
+            pair = pair_with_overlap(case.dim, float(beta), float(eta1), seed=pair_seed)
+            report = run(SimConfig(case, pair, res.lam, shots_per_point, sampler_key))
             rows.append(
                 SurfaceRow(float(beta), float(eta1), report.estimated_success, res.p_analytic, report.stderr)
             )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fix_global_phase
+from .linalg import NumericalError, fix_global_phase
 
 NORM_TOL = 1e-12
 
@@ -63,7 +63,7 @@ class StatePair:
             raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
         actual = overlap(self.psi1, self.psi2)
         if abs(actual - self.beta) > NORM_TOL:
-            raise ValueError(f"stored beta {self.beta} differs from |<psi1|psi2>| = {actual}")
+            raise NumericalError(f"stored beta {self.beta} differs from |<psi1|psi2>| = {actual}")
 
     @property
     def dim(self) -> int:

@@ -2,9 +2,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from unambig import optimizer, simulate, strategies as st
+from unambig import linalg, optimizer, povm, simulate, states, strategies as st
 from unambig.cli import main
 
 
@@ -157,15 +158,6 @@ def test_simulate_json_and_determinism(tmp_path, capsys):
     assert abs(record["estimated_success"] - record["p_analytic"]) <= 4 * sigma
 
 
-def test_simulate_rejects_bad_thread_count(capsys, monkeypatch):
-    monkeypatch.setenv("UNAMBIG_THREADS", "junk")
-    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5",
-                             "--shots", "1000")
-    assert code == 2
-    assert out == ""
-    assert "UNAMBIG_THREADS" in err
-
-
 def test_simulate_requires_world_parameters(capsys):
     code, _, err = run_cli(capsys, "simulate", "--case", "b2", "--dim", "2", "--beta", "0.4")
     assert code == 2
@@ -201,6 +193,37 @@ def test_simulate_measurement_failure_exits_3(monkeypatch, capsys):
                              "--shots", "1000")
     assert code == 3 and out == ""
     assert err.startswith("internal error: POVM is not positive semidefinite")
+
+
+def _non_hermitian(monkeypatch):
+    monkeypatch.setattr(linalg, "hermiticity_defect", lambda m: 1.0)
+
+
+def _imaginary_expectation(monkeypatch):
+    real = povm.build_for_case
+
+    def skewed(*args):
+        built = real(*args)
+        return povm.PovmSet(built.pi1 + 0.1j * np.eye(built.dim), built.pi2, built.pi0)
+
+    monkeypatch.setattr(povm, "build_for_case", skewed)
+
+
+def _overlap_mismatch(monkeypatch):
+    real = states.overlap
+    monkeypatch.setattr(states, "overlap", lambda a, b: real(a, b) + 1e-6)
+
+
+@pytest.mark.parametrize("defect,message", (
+    (_non_hermitian, "matrix is not Hermitian"),
+    (_imaginary_expectation, "expectation has imaginary part"),
+    (_overlap_mismatch, "stored beta"),
+))
+def test_numerical_failures_exit_3(defect, message, monkeypatch, capsys):
+    defect(monkeypatch)
+    code, out, err = run_cli(capsys, "solve", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5")
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: {message}")
 
 
 @pytest.mark.parametrize("argv", (

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from unambig.linalg import (
+    NumericalError,
     eigvals_hermitian,
     expectation,
     fix_global_phase,
@@ -44,6 +45,25 @@ def test_kron_associative_and_bilinear(seed):
     assert np.max(np.abs(kron(a + b, c) - (kron(a, c) + kron(b, c)))) <= 1e-12
 
 
+_operands = hs.tuples(hs.integers(1, 4), hs.integers(1, 4), hs.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hs.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]), _operands, _operands, hs.integers(0, 2**32 - 1))
+def test_kron_equals_numpy_kron(ranks, shape_a, shape_b, seed):
+    rng = np.random.default_rng(seed)
+
+    def operand(rank, shape):
+        rows, cols, is_complex = shape
+        dims = (rows, cols)[:rank]
+        x = rng.standard_normal(dims)
+        return x + 1j * rng.standard_normal(dims) if is_complex else x
+
+    a, b = operand(ranks[0], shape_a), operand(ranks[1], shape_b)
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_eigvals_identity():
     assert np.allclose(eigvals_hermitian(np.eye(3)), [1, 1, 1])
 
@@ -78,7 +98,7 @@ def test_eigensystem_reconstruction():
 
 def test_non_hermitian_rejected():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(NumericalError, match="Hermitian"):
         eigvals_hermitian(m)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,12 +40,22 @@ def test_identical_seeds_identical_reports():
     assert a == b
 
 
-def test_partitioning_invariance(monkeypatch):
-    cfg = _config(Regime.A1, 2, 0.3, 0.7, 300_000, seed=4)
-    serial = sim.run(cfg)
-    monkeypatch.setenv("UNAMBIG_THREADS", "4")
-    threaded = sim.run(cfg)
-    assert serial == threaded
+def test_runs_are_prefixes_of_one_batch_stream():
+    # batch b draws binomial, multinomial, multinomial from Philox(key=seed).jumped(b),
+    # so a run of k full batches is exactly the first k batches of any longer run
+    k = 3
+    cfg = _config(Regime.A1, 2, 0.3, 0.7, (k + 2) * sim.BATCH_SHOTS + 17, seed=4)
+    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    sizes = [sim.BATCH_SHOTS] * (k + 2) + [17]
+    batches = [sim._run_batch(cfg.seed, b, n, cfg.pair.eta1, probs) for b, n in enumerate(sizes)]
+    for b, n in enumerate(sizes):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
+        n_prep1 = rng.binomial(n, cfg.pair.eta1)
+        prep1, prep2 = rng.multinomial(n_prep1, probs[0]), rng.multinomial(n - n_prep1, probs[1])
+        assert batches[b].tolist() == [prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]]
+    assert sim.run(cfg).counts == tuple(np.sum(batches, axis=0))
+    short = sim.run(dataclasses.replace(cfg, shots=k * sim.BATCH_SHOTS))
+    assert short.counts == tuple(np.sum(batches[:k], axis=0))
 
 
 @pytest.mark.parametrize(
@@ -76,6 +88,20 @@ def test_estimated_success_within_four_sigma():
     cfg = _config(Regime.A4, 2, 0.5, 0.5, 1_000_000, seed=7)
     report = sim.run(cfg)
     assert abs(report.estimated_success - 0.5) <= 4 * report.stderr
+
+
+def test_billion_shot_counts_chi_square():
+    # all four outcome categories against the prior-weighted Born rows
+    cfg = _config(Regime.B2, 3, 0.4, 0.3, 10**9, seed=13)
+    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    prep1, prep2 = cfg.pair.eta1 * probs[0], (1 - cfg.pair.eta1) * probs[1]
+    expected = cfg.shots * np.array([prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]])
+    report = sim.run(cfg)
+    assert report.n_error == 0
+    observed = np.array(report.counts, dtype=float)
+    keep = expected > 0
+    chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
+    assert chi2 < stats.chi2.isf(0.001, int(keep.sum()) - 1)
 
 
 def test_run_rejects_invalid_measurement():
@@ -121,31 +147,17 @@ def test_estimate_surface_identical_states_column():
         assert row.p_analytic == 0.0
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.setenv("UNAMBIG_THREADS", "3")
-    assert sim.thread_count() == 3
-    monkeypatch.setenv("UNAMBIG_THREADS", "junk")
-    with pytest.raises(ValueError, match="UNAMBIG_THREADS"):
-        sim.thread_count()
-    monkeypatch.delenv("UNAMBIG_THREADS")
-    assert sim.thread_count() == 1
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "1.5", ""])
-def test_thread_count_rejects_garbage(monkeypatch, raw):
-    monkeypatch.setenv("UNAMBIG_THREADS", raw)
-    with pytest.raises(ValueError, match="UNAMBIG_THREADS"):
-        sim.thread_count()
-
-
-def test_workers_capped_at_batches(monkeypatch):
-    # a one-batch run never starts a pool, however large the cap
-    cfg = _config(Regime.A1, 2, 0.3, 0.7, sim.BATCH_SHOTS, seed=4)
-    serial = sim.run(cfg)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started for a single batch")
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("UNAMBIG_THREADS", "64")
-    assert sim.run(cfg) == serial
+def test_point_seeds_do_not_collide_across_seeds():
+    # under the former seed * 1_000_003 + index these two grid points shared streams
+    pair_a, key_a = sim._point_seeds(0, 1_000_003)
+    pair_b, key_b = sim._point_seeds(1, 0)
+    assert key_a != key_b
+    vec_a = pair_with_overlap(3, 0.4, 0.5, seed=pair_a).psi1.vec
+    vec_b = pair_with_overlap(3, 0.4, 0.5, seed=pair_b).psi1.vec
+    assert not np.array_equal(vec_a, vec_b)
+    # each point's seeds are the children of SeedSequence(seed).spawn
+    child = np.random.SeedSequence(1).spawn(3)[2]
+    pair_seq, key = sim._point_seeds(1, 2)
+    pair_child, key_child = child.spawn(2)
+    assert np.array_equal(pair_seq.generate_state(4), pair_child.generate_state(4))
+    assert key == int(key_child.generate_state(1, np.uint64)[0])
