@@ -7,7 +7,7 @@ from unambig.linalg import (
     eigvals_hermitian,
     expectation,
     fix_global_phase,
-    hermitian_eigensystem,
+    hermiticity_defect,
     kron,
     min_eigenvalue,
     orthonormal_completion,
@@ -64,6 +64,16 @@ def test_kron_equals_numpy_kron(ranks, shape_a, shape_b, seed):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_kron_of_matrix_stacks_is_kron_per_matrix():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    b = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    got = kron(a, b)
+    assert got.shape == (4, 6, 6)
+    assert all(np.array_equal(got[k], np.kron(a[k], b[k])) for k in range(4))
+    assert np.array_equal(kron(a[:1], b), np.stack([np.kron(a[0], m) for m in b]))
+
+
 def test_eigvals_identity():
     assert np.allclose(eigvals_hermitian(np.eye(3)), [1, 1, 1])
 
@@ -87,13 +97,37 @@ def test_eigvals_sum_equals_trace():
         assert abs(eigvals_hermitian(m).sum() - np.trace(m).real) <= 1e-9
 
 
-def test_eigensystem_reconstruction():
-    rng = np.random.default_rng(4)
-    m = random_hermitian(rng, 27)
-    vals, vecs = hermitian_eigensystem(m)
-    recon = vecs @ np.diag(vals) @ vecs.conj().T
-    assert np.max(np.abs(m - recon)) <= 1e-9
-    assert np.all(np.diff(vals) >= -1e-12)
+@pytest.mark.parametrize("d", (2, 3, 4, 8, 9, 27))
+def test_stacked_linalg_matches_single_matrices(d):
+    # one call on an (..., n, n) stack gives bitwise each matrix's own result
+    rng = np.random.default_rng(d)
+    ms = np.stack([random_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+    vs = rng.standard_normal((2, 3, d)) + 1j * rng.standard_normal((2, 3, d))
+    vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+    vals, defects, means = eigvals_hermitian(ms), hermiticity_defect(ms), expectation(vs, ms)
+    assert vals.shape == vs.shape and defects.shape == means.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(vals[i], eigvals_hermitian(ms[i]))
+        assert defects[i] == hermiticity_defect(ms[i])
+        assert means[i] == expectation(vs[i], ms[i]) == np.vdot(vs[i], ms[i] @ vs[i]).real
+    assert np.array_equal(expectation(vs[0, 0], ms), [[expectation(vs[0, 0], m) for m in row] for row in ms])
+
+
+def test_stacked_checks_locate_the_first_failure():
+    ms = np.stack([np.eye(2, dtype=complex)] * 4)
+    ms[2, 0, 1] = 1e-3
+    ms[3, 1, 0] = 1.0
+    with pytest.raises(NumericalError, match=r"defect 1\.000e-03") as err:
+        eigvals_hermitian(ms)
+    assert err.value.index == (2,)
+    skew = np.stack([np.eye(2, dtype=complex)] * 3)
+    skew[1] += 1e-6j * np.eye(2)
+    with pytest.raises(NumericalError, match="imaginary part") as err:
+        expectation(np.array([[1.0, 0.0], [0.0, 1.0]])[:, None, :], skew)
+    assert err.value.index == (0, 1)
+    with pytest.raises(NumericalError) as err:
+        eigvals_hermitian(ms[3])
+    assert err.value.index == ()
 
 
 def test_non_hermitian_rejected():
