@@ -23,6 +23,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .cases import ALL_REGIMES, KnowledgeCase, Regime
 from .linalg import NumericalError
 from .povm import build_for_case, success_probabilities, validate
@@ -32,8 +34,7 @@ from . import optimizer, simulate, strategies
 VERIFY_TOL_FACTOR = 2.0  # pass iff |closed - oracle| <= factor * resolution
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_fmt = "{:.12g}".format
 
 
 def _case_from_args(args) -> KnowledgeCase:
@@ -53,8 +54,7 @@ def _eval_point(case: KnowledgeCase, beta, eta1) -> tuple[float, float]:
     beta_eval = float(beta) if beta is not None else 0.0
     if eta1 is not None:
         return beta_eval, float(eta1)
-    res0 = strategies.success_probability(case, beta_eval, 0.0)
-    res1 = strategies.success_probability(case, beta_eval, 1.0)
+    res0, res1 = strategies.success_probability(case, [beta_eval] * 2, [0.0, 1.0])
     if res0.p_analytic < res1.p_analytic - 1e-15:
         return beta_eval, 0.0
     if res1.p_analytic < res0.p_analytic - 1e-15:
@@ -105,60 +105,50 @@ def cmd_verify(args) -> int:
     return status
 
 
-def _surface_rows(name: str, step: float) -> tuple[list[str], list[tuple], int]:
-    """Rows for one sweep; returns (header, rows, status)."""
-    betas = optimizer._axis_grid(0.0, 1.0, step)
-    etas = optimizer._axis_grid(0.0, 1.0, step)
-    status = 0
-    if name in strategies.SURFACES:
-        fn = strategies.SURFACES[name]
-        header = ["beta", "eta1", "value"]
-        rows = [
-            (float(b), float(e), fn(float(b), float(e)))
-            for e in etas
-            for b in betas
-        ]
-        return header, rows, status
-    if name in strategies.DIFFERENCE_SURFACES:
-        minuend_name, subtrahend_name = strategies.DIFFERENCE_SURFACES[name]
-        f_min = strategies.SURFACES[minuend_name]
-        f_sub = strategies.SURFACES[subtrahend_name]
-        header = ["beta", "eta1", "value", "value_minuend", "value_subtrahend"]
-        rows = []
-        for e in etas:
-            for b in betas:
-                hi, lo = f_min(float(b), float(e)), f_sub(float(b), float(e))
-                rows.append((float(b), float(e), hi - lo, hi, lo))
-                if hi - lo < -1e-9 and status == 0:
-                    status = 1
-                    print(
-                        f"ordering violated: {name} = {hi - lo:.6g} < 0 "
-                        f"at beta={_fmt(float(b))}, eta1={_fmt(float(e))}",
-                        file=sys.stderr,
-                    )
-        return header, rows, status
-    raise UsageError(
-        f"unknown surface '{name}' (surfaces: {sorted(strategies.SURFACES)}; "
-        f"differences: {sorted(strategies.DIFFERENCE_SURFACES)})"
-    )
-
-
 def cmd_sweep(args) -> int:
     if not 0.0 < args.grid <= 0.5:
         raise UsageError(f"--grid step must lie in (0, 0.5], got {args.grid}")
-    header, rows, status = _surface_rows(args.surface, args.grid)
+    name = args.surface
+    header = ["beta", "eta1", "value"]
+    if name in strategies.DIFFERENCE_SURFACES:
+        parts = strategies.DIFFERENCE_SURFACES[name]
+        header += ["value_minuend", "value_subtrahend"]
+    elif name in strategies.SURFACES:
+        parts = (name,)
+    else:
+        raise UsageError(
+            f"unknown surface '{name}' (surfaces: {sorted(strategies.SURFACES)}; "
+            f"differences: {sorted(strategies.DIFFERENCE_SURFACES)})"
+        )
+    axis = optimizer._axis_grid(0.0, 1.0, args.grid)
+    eta_grid, beta_grid = np.meshgrid(axis, axis, indexing="ij")  # row order: eta1-major, beta fastest
+    values = [strategies.SURFACES[part](beta_grid, eta_grid).ravel() for part in parts]
+    labels = list(map(_fmt, axis.tolist()))
+    status = 0
+    if len(parts) == 2:
+        gap = values[0] - values[1]
+        values.insert(0, gap)
+        violated = gap < -1e-9
+        if violated.any():
+            status = 1
+            k = int(np.argmax(violated))  # the first violating cell in row order
+            print(
+                f"ordering violated: {name} = {gap[k]:.6g} < 0 "
+                f"at beta={labels[k % len(labels)]}, eta1={labels[k // len(labels)]}",
+                file=sys.stderr,
+            )
+    cells = zip(
+        labels * len(labels),  # beta
+        np.repeat(np.array(labels, dtype=object), len(labels)),  # eta1
+        *(map(_fmt, v.tolist()) for v in values),
+    )
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join([",".join(header), *map(",".join, cells), ""]))
     else:
         payload = {
             "surface": args.surface,
             "step": args.grid,
-            "rows": [
-                {key: float(_fmt(x)) for key, x in zip(header, row)}
-                for row in rows
-            ],
+            "rows": [dict(zip(header, map(float, cell))) for cell in cells],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     return status

@@ -277,29 +277,6 @@ def _grid_mean_point() -> tuple[float, float]:
     return float(np.sqrt(np.mean(axis * axis))), float(np.mean(axis))
 
 
-def _pair_program_boundary(l1: np.ndarray) -> np.ndarray:
-    return np.clip((1.0 - l1) / (1.0 - 0.75 * l1), 0.0, 1.0)
-
-
-def _pair_program_boundary_qutrit(l1: np.ndarray) -> np.ndarray:
-    return np.clip(1.0 - l1, 0.0, 1.0)
-
-
-def _single_program_boundary(l1: np.ndarray) -> np.ndarray:
-    return np.clip((1.0 - l1) / (1.0 - 0.5 * l1), 0.0, 1.0)
-
-
-def _direct_boundary(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    b2 = beta * beta
-
-    def project(l1: np.ndarray) -> np.ndarray:
-        from_sum = np.where(b2 > 0.0, (1.0 - l1) / np.maximum(b2, 1e-300), np.inf)
-        from_det = (1.0 - l1) / np.maximum(1.0 - (1.0 - b2) * l1, 1e-15)
-        return np.clip(np.minimum(from_sum, from_det), 0.0, 1.0)
-
-    return project
-
-
 def _bracket(l1, l2, l3, beta, eta1):
     """Overlap-normalized known/unknown objective: P / (1 - beta^2).
 
@@ -366,7 +343,7 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
             feas = strategies.pair_program_ok
         else:  # corrected region, equal per-index coefficients
             feas = lambda l1, l2: strategies.totally_antisymmetric_ok(3.0 * l1, 3.0 * l2)
-        bound = _pair_program_boundary if case.dim == 2 else _pair_program_boundary_qutrit
+        bound = strategies.pair_program_boundary if case.dim == 2 else strategies.pair_program_boundary_qutrit
         f = 1.0 - beta * beta
         if r is Regime.A1:
             return problem(lambda l1, l2, _adv: 0.5 * (l1 * eta1 + l2 * (1.0 - eta1)) * f, feas, bound)
@@ -376,7 +353,7 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
         )
 
     if case.family is Family.KNOWN_UNKNOWN:
-        feas, bound = strategies.single_program_ok, _single_program_boundary
+        feas, bound = strategies.single_program_ok, strategies.single_program_boundary
         if r is Regime.A2:
             return problem(
                 lambda l1, l2, l3, adv: _bracket(l1, l2, l3, adv, eta1), feas, bound,
@@ -399,7 +376,7 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     # known/known
     f = 1.0 - beta * beta
     feas = lambda l1, l2: strategies.direct_ok(l1, l2, beta)
-    bound = _direct_boundary(beta)
+    bound = lambda l1: strategies.direct_boundary(l1, beta)
     if r is Regime.A4:
         return problem(lambda l1, l2, _adv: (l1 * eta1 + l2 * (1.0 - eta1)) * f, feas, bound)
     return problem(
@@ -485,8 +462,8 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     """
     betas = _axis_grid(0.0, 1.0, grid_step) if betas is None else np.asarray(betas, dtype=float)
     etas = _axis_grid(0.0, 1.0, grid_step) if etas is None else np.asarray(etas, dtype=float)
-    surface = strategies.case_surface(case)
-    grid = [(float(beta), float(eta1)) for eta1 in etas for beta in betas]
+    eta_grid, beta_grid = np.meshgrid(etas, betas, indexing="ij")  # row order: eta1-major, beta fastest
+    grid = list(zip(beta_grid.ravel().tolist(), eta_grid.ravel().tolist()))
     first = {}  # decision key -> the grid point it is first solved at
     for beta, eta1 in grid:
         first.setdefault(_decision_key(case, beta, eta1), (beta, eta1))
@@ -502,16 +479,15 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
             if pair_beta not in pairs:
                 pairs[pair_beta] = pair_with_overlap(case.dim, pair_beta, 0.5, seed=0)
             _check_solution_psd(case, pairs[pair_beta], lambda_star)
-    rows = []
-    worst = (0.0, (0.0, 0.0))
-    for beta, eta1 in grid:
-        oracle = oracle_value(case, solved[_decision_key(case, beta, eta1)], beta, eta1)
-        closed = surface(beta, eta1) + perturb
-        dev = abs(closed - oracle)
-        rows.append((beta, eta1, float(closed), float(oracle)))
-        if dev > worst[0]:
-            worst = (dev, (beta, eta1))
-    return VerifyReport(case=case, rows=tuple(rows), max_deviation=worst[0], worst_point=worst[1])
+    closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
+    oracle = np.array([oracle_value(case, solved[_decision_key(case, beta, eta1)], beta, eta1) for beta, eta1 in grid])
+    dev = np.abs(closed - oracle)
+    worst = (0.0, (0.0, 0.0))  # the first largest deviation; none when all are 0
+    if dev.size and dev.max() > 0.0:
+        k = int(np.argmax(dev))
+        worst = (float(dev[k]), grid[k])
+    rows = tuple((beta, eta1, c, o) for (beta, eta1), c, o in zip(grid, closed.tolist(), oracle.tolist()))
+    return VerifyReport(case=case, rows=rows, max_deviation=worst[0], worst_point=worst[1])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +513,7 @@ def full_dimension_value_known_unknown(pair: StatePair, eta1: float, step: float
     beta2 = abs(np.vdot(basis[:, 0], pair.psi2.vec)) ** 2
     axis = _axis_grid(0.0, 1.0, step)
     grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
-    grid = np.vstack([grid, np.stack([grid[:, 0], _single_program_boundary(grid[:, 0])], axis=1)])
+    grid = np.vstack([grid, np.stack([grid[:, 0], strategies.single_program_boundary(grid[:, 0])], axis=1)])
     grid = grid[strategies.single_program_ok(grid[:, 0], grid[:, 1])]
     best_pairs = []
     for ci in c:

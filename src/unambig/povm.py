@@ -55,13 +55,9 @@ def _stacked(*inputs: tuple[object, type]) -> tuple[list[list], bool]:
     return stacks, False
 
 
-def _as_components(value, n: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        out = (float(value),) * n
-    else:
-        out = tuple(float(x) for x in value)
-    if len(out) != n:
-        raise ValueError(f"{name} must have {n} component(s), got {len(out)}")
+def _as_components(value, name: str) -> tuple[float, ...]:
+    """A scalar as one component, a sequence as its components; each a nonnegative float."""
+    out = (float(value),) if np.isscalar(value) else tuple(map(float, value))
     for x in out:
         if x < 0.0:
             raise ValueError(f"{name} components must be nonnegative, got {x}")
@@ -83,10 +79,10 @@ class LambdaParams:
     lam3: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam1", _as_components(self.lam1, len(np.atleast_1d(self.lam1)), "lam1"))
-        object.__setattr__(self, "lam2", _as_components(self.lam2, len(np.atleast_1d(self.lam2)), "lam2"))
+        object.__setattr__(self, "lam1", _as_components(self.lam1, "lam1"))
+        object.__setattr__(self, "lam2", _as_components(self.lam2, "lam2"))
         if self.lam3 is not None:
-            object.__setattr__(self, "lam3", _as_components(self.lam3, len(np.atleast_1d(self.lam3)), "lam3"))
+            object.__setattr__(self, "lam3", _as_components(self.lam3, "lam3"))
 
     @classmethod
     def of(cls, lam1, lam2, lam3=None) -> "LambdaParams":

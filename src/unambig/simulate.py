@@ -16,13 +16,13 @@ any longer run with the same seed.
 
 ``estimate_surface`` walks its grid in row order, in chunks of at most
 ``STACK_POINTS`` points and ``STACK_CELLS`` complex cells per stacked
-POVM element, which bounds the chunk's memory.  For a chunk it
-takes every decision and draws every pair (each point on its own
-``SeedSequence`` child), then makes one stacked ``outcome_probabilities``
-call: one POVM build, one validation and one Born-rule pass for all its
-points.  Each point is then sampled by its own ``run`` call, which is
-handed the point's probabilities.  The rows are bitwise those of building
-and sampling one point at a time.
+POVM element, which bounds the chunk's memory.  For a chunk it takes
+all decisions in one ``success_probability`` call and draws every pair
+(each point on its own ``SeedSequence`` child), then makes one stacked
+``outcome_probabilities`` call: one POVM build, one validation and one
+Born-rule pass for all its points.  Each point is then sampled by its
+own ``run`` call, which is handed the point's probabilities.  The rows
+are bitwise those of building and sampling one point at a time.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     rows = []
     for start in range(0, len(points), size):
         chunk = points[start : start + size]
-        decisions = [strategies.success_probability(case, beta, eta1) for beta, eta1 in chunk]
+        decisions = strategies.success_probability(case, *np.array(chunk).T)
         seeds = [_point_seeds(seed, start + k) for k in range(len(chunk))]
         pairs = [pair_with_overlap(case.dim, beta, eta1, seed=pair_seed)
                  for (beta, eta1), (pair_seed, _) in zip(chunk, seeds)]

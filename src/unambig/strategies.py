@@ -22,14 +22,19 @@ known/unknown and known/known families reduce to the qubit expressions.
 The tests check them against POVM expectations on concrete pairs.
 
 Each family's positivity inequalities are written once, below, as
-predicates on floats or numpy arrays; ``feasible`` and the oracle in
-``optimizer`` both use them.
+predicates on floats or numpy arrays, next to the projections onto their
+boundaries; ``feasible`` and the oracle in ``optimizer`` both use them.
+The surfaces take floats or broadcast arrays: ``np.where`` keeps, per
+cell, the branch its threshold selects, so each cell rounds exactly as
+that branch alone does.  The decision tables stay scalar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
 from .povm import LambdaParams, build_unknown_unknown, validate
@@ -76,6 +81,29 @@ def direct_ok(l1, l2, beta: float):
     return (1.0 - l1 - l2 * b2 >= -FEASIBILITY_SLACK) & (
         1.0 - l1 - l2 + (1.0 - b2) * l1 * l2 >= -FEASIBILITY_SLACK
     )
+
+
+def pair_program_boundary(l1: np.ndarray) -> np.ndarray:
+    """l2 on the boundary of ``pair_program_ok`` (1 - l1 - l2 + 3/4 l1 l2 = 0), clipped to [0, 1]."""
+    return np.clip((1.0 - l1) / (1.0 - 0.75 * l1), 0.0, 1.0)
+
+
+def pair_program_boundary_qutrit(l1: np.ndarray) -> np.ndarray:
+    """l2 on the boundary of ``totally_antisymmetric_ok`` with equal per-index coefficients: l1 + l2 = 1."""
+    return np.clip(1.0 - l1, 0.0, 1.0)
+
+
+def single_program_boundary(l1: np.ndarray) -> np.ndarray:
+    """l2 on the boundary of ``single_program_ok`` (1 - l1 - l2 + 1/2 l1 l2 = 0), clipped to [0, 1]."""
+    return np.clip((1.0 - l1) / (1.0 - 0.5 * l1), 0.0, 1.0)
+
+
+def direct_boundary(l1: np.ndarray, beta) -> np.ndarray:
+    """l2 on the boundary of ``direct_ok`` at overlap ``beta``: the nearer of its two bounds."""
+    b2 = beta * beta
+    from_sum = np.where(b2 > 0.0, (1.0 - l1) / np.maximum(b2, 1e-300), np.inf)
+    from_det = (1.0 - l1) / np.maximum(1.0 - (1.0 - b2) * l1, 1e-15)
+    return np.clip(np.minimum(from_sum, from_det), 0.0, 1.0)
 
 
 def _in_box(values, slack: float = FEASIBILITY_SLACK) -> bool:
@@ -208,79 +236,74 @@ def _a1_qutrit_decision(eta1: float) -> tuple[float, float, str]:
 # success-probability surfaces (dim 2 closed forms)
 # ---------------------------------------------------------------------------
 
-def p0_opt(beta: float, eta1: float) -> float:
+def _where(cond, then, otherwise):
+    """``np.where`` that gives a float, not a 0-d array, for scalar inputs."""
+    return np.where(cond, then, otherwise)[()]
+
+
+def p0_opt(beta, eta1):
     f = 1.0 - beta * beta
-    if eta1 <= 0.2:
-        return 0.5 * (1.0 - eta1) * f
-    if eta1 <= 0.8:
-        return (2.0 / 3.0) * (1.0 - math.sqrt(eta1 * (1.0 - eta1))) * f
-    return 0.5 * eta1 * f
+    return _where(eta1 <= 0.2, 0.5 * (1.0 - eta1) * f,
+                  _where(eta1 <= 0.8, (2.0 / 3.0) * (1.0 - np.sqrt(eta1 * (1.0 - eta1))) * f,
+                         0.5 * eta1 * f))
 
 
-def p1_wbeta(beta: float, eta1: float) -> float:
+def p1_wbeta(beta, eta1):
     b2 = beta * beta
     f = 1.0 - b2
-    if eta1 <= 0.5:
-        return (1.0 - eta1) * f
-    if eta1 <= 0.8:
-        return (1.0 + b2 * (1.0 - eta1) - (1.0 + b2) * math.sqrt(eta1 * (1.0 - eta1))) * f
-    return (1.0 - 0.5 * eta1 - b2 * (1.0 - eta1)) * f
+    return _where(eta1 <= 0.5, (1.0 - eta1) * f,
+                  _where(eta1 <= 0.8, (1.0 + b2 * (1.0 - eta1) - (1.0 + b2) * np.sqrt(eta1 * (1.0 - eta1))) * f,
+                         (1.0 - 0.5 * eta1 - b2 * (1.0 - eta1)) * f))
 
 
-def p1plus_opt(beta: float, eta1: float) -> float:
+def p1plus_opt(beta, eta1):
     b2 = beta * beta
     f = 1.0 - b2
     t1, t2 = b2 / (1.0 + b2), 4.0 * b2 / (1.0 + 4.0 * b2)
-    if eta1 <= t1:
-        return (1.0 - eta1) * f
-    if eta1 <= t2:
-        return (1.0 + b2 * (1.0 - eta1) - 2.0 * beta * math.sqrt(eta1 * (1.0 - eta1))) * f
-    return (1.0 - 0.5 * eta1 - b2 * (1.0 - eta1)) * f
+    return _where(eta1 <= t1, (1.0 - eta1) * f,
+                  _where(eta1 <= t2, (1.0 + b2 * (1.0 - eta1) - 2.0 * beta * np.sqrt(eta1 * (1.0 - eta1))) * f,
+                         (1.0 - 0.5 * eta1 - b2 * (1.0 - eta1)) * f))
 
 
-def p2_opt(beta: float, eta1: float) -> float:
+def p2_opt(beta, eta1):
+    """Jaeger and Shimony's unequal-prior optimum (PLA 197, 83, 1995)."""
     b2 = beta * beta
     t1, t2 = b2 / (1.0 + b2), 1.0 / (1.0 + b2)
-    if eta1 <= t1:
-        return (1.0 - eta1) * (1.0 - b2)
-    if eta1 <= t2:
-        return 1.0 - 2.0 * math.sqrt(eta1 * (1.0 - eta1)) * beta
-    return eta1 * (1.0 - b2)
+    return _where(eta1 <= t1, (1.0 - eta1) * (1.0 - b2),
+                  _where(eta1 <= t2, 1.0 - 2.0 * np.sqrt(eta1 * (1.0 - eta1)) * beta,
+                         eta1 * (1.0 - b2)))
 
 
-def p0_weta(beta: float, eta1: float = 0.0) -> float:
+def p0_weta(beta, eta1=0.0):
     return (1.0 - beta * beta) / 3.0
 
 
-def p1_wbetaeta(beta: float, eta1: float) -> float:
+def p1_wbetaeta(beta, eta1):
     f = 1.0 - beta * beta
     return (0.5 * (3.0 - SQRT5) + 0.5 * (SQRT5 - 1.0) * f * (1.0 - eta1)) * f
 
 
-def p1plus_actual(beta: float, eta1: float) -> float:
+def p1plus_actual(beta, eta1):
     b2 = beta * beta
     f = 1.0 - b2
-    if beta <= SQRT_HALF:
-        return (0.5 + (0.5 - b2) * (1.0 - eta1)) * f
-    return (1.0 + 0.5 * b2 - 0.5 * math.sqrt(b2 * b2 + 4.0 * b2)) * f
+    return _where(beta <= SQRT_HALF, (0.5 + (0.5 - b2) * (1.0 - eta1)) * f,
+                  (1.0 + 0.5 * b2 - 0.5 * np.sqrt(b2 * b2 + 4.0 * b2)) * f)
 
 
-def p1plus_weta(beta: float, eta1: float = 0.0) -> float:
-    b2 = beta * beta
-    if beta <= SQRT_HALF:
-        return 0.5 * (1.0 - b2)
-    return (1.0 + 0.5 * b2 - 0.5 * math.sqrt(b2 * b2 + 4.0 * b2)) * (1.0 - b2)
+def p1plus_weta(beta, eta1=0.0):
+    # B3's guaranteed value: its realized value at the worst prior, eta1 = 1
+    return p1plus_actual(beta, 1.0)
 
 
-def p2_weta(beta: float, eta1: float = 0.0) -> float:
+def p2_weta(beta, eta1=0.0):
     return 1.0 - beta
 
 
-def p0_opt_qutrit(beta: float, eta1: float) -> float:
-    return 0.5 * max(eta1, 1.0 - eta1) * (1.0 - beta * beta)
+def p0_opt_qutrit(beta, eta1):
+    return 0.5 * np.maximum(eta1, 1.0 - eta1) * (1.0 - beta * beta)
 
 
-def p0_weta_qutrit(beta: float, eta1: float = 0.0) -> float:
+def p0_weta_qutrit(beta, eta1=0.0):
     return 0.25 * (1.0 - beta * beta)
 
 
@@ -403,7 +426,7 @@ def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float |
     return _decide(case, beta, eta1)[0]
 
 
-def success_probability(case: KnowledgeCase, beta: float, eta1: float) -> StrategyResult:
+def success_probability(case: KnowledgeCase, beta, eta1) -> StrategyResult | list[StrategyResult]:
     """Success probability of the case's optimal strategy at a (beta, eta1) point.
 
     Both parameters are always accepted: surfaces depend on the true pair
@@ -411,21 +434,31 @@ def success_probability(case: KnowledgeCase, beta: float, eta1: float) -> Strate
     knows.  The value is the closed form of ``case_surface``, except for
     B3, which reports its realized value ``p1plus_actual`` rather than its
     worst case.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1}")
-    r = case.regime
-    lam, branch = _decide(case, beta if r.knows_beta else None, eta1 if r.knows_eta1 else None)
-    surface = case_surface(case)(beta, eta1)
-    p = p1plus_actual(beta, eta1) if r is Regime.B3 else surface
 
-    worst: float | None = None
-    if r is Regime.A2:
-        worst = 0.5 * lam.lam1[0] * eta1 + lam.lam2[0] * (1.0 - eta1)
-    elif r is Regime.B2:
-        worst = 0.5 * B2_LAM[0]
-    elif r in (Regime.B1, Regime.B3, Regime.B4):
-        worst = surface  # constant in the prior, hence the guaranteed value
-    return StrategyResult(case=case, lam=lam, branch=branch, p_analytic=float(p), worst_case_value=worst)
+    For equal-length 1-d arrays of P points the surfaces are evaluated once
+    and the result is a list of P results, each equal to its lone call.
+    """
+    lone = np.ndim(beta) == np.ndim(eta1) == 0
+    betas, etas = np.array(beta, dtype=float, ndmin=1), np.array(eta1, dtype=float, ndmin=1)
+    if betas.ndim != 1 or betas.shape != etas.shape:
+        raise ValueError(f"beta and eta1 must be scalars or equal-length 1-d arrays, got {betas.shape}, {etas.shape}")
+    for name, given, values in (("beta", beta, betas), ("eta1", eta1, etas)):
+        bad = ~((0.0 <= values) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {given if lone else values[bad.argmax()]}")
+    r = case.regime
+    surface = case_surface(case)(betas, etas)
+    p = p1plus_actual(betas, etas) if r is Regime.B3 else surface
+
+    results = []
+    for b, e, p_k, surface_k in zip(betas.tolist(), etas.tolist(), p.tolist(), surface.tolist()):
+        lam, branch = _decide(case, b if r.knows_beta else None, e if r.knows_eta1 else None)
+        worst: float | None = None
+        if r is Regime.A2:
+            worst = 0.5 * lam.lam1[0] * e + lam.lam2[0] * (1.0 - e)
+        elif r is Regime.B2:
+            worst = 0.5 * B2_LAM[0]
+        elif r in (Regime.B1, Regime.B3, Regime.B4):
+            worst = surface_k  # constant in the prior, hence the guaranteed value
+        results.append(StrategyResult(case=case, lam=lam, branch=branch, p_analytic=p_k, worst_case_value=worst))
+    return results[0] if lone else results

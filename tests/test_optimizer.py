@@ -178,6 +178,15 @@ def test_verify_b4_over_overlap():
         assert closed == pytest.approx(1.0 - beta, abs=1e-12)
 
 
+def test_verify_worst_point_is_the_first_largest_deviation():
+    rep = opt.verify_case(KnowledgeCase(Regime.A3, 2), grid_step=0.25)
+    devs = [abs(closed - oracle) for _, _, closed, oracle in rep.rows]
+    k = devs.index(max(devs))
+    assert devs[k] > 0 and (rep.max_deviation, rep.worst_point) == (devs[k], rep.rows[k][:2])
+    assert all(type(x) is float for row in rep.rows for x in row)
+    empty = opt.verify_case(KnowledgeCase(Regime.A4, 2), betas=[], etas=[0.5])
+    assert empty.rows == () and (empty.max_deviation, empty.worst_point) == (0.0, (0.0, 0.0))
+
 def test_a3_branch_thresholds_located():
     # the solved first coefficient turns on within one grid step of the
     # closed-form lower threshold and saturates near the upper one

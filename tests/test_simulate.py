@@ -265,13 +265,15 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
 
 
 def _infeasible_at(monkeypatch, bad_points):
+    # estimate_surface takes the decisions of a chunk in one call, with arrays of its points
     real = st.success_probability
 
-    def decision(case, beta, eta1):
-        res = real(case, beta, eta1)
-        return dataclasses.replace(res, lam=LambdaParams.of(1.0, 1.0)) if (beta, eta1) in bad_points else res
+    def decisions(case, betas, etas):
+        points = zip(betas.tolist(), etas.tolist())
+        return [dataclasses.replace(res, lam=LambdaParams.of(1.0, 1.0)) if point in bad_points else res
+                for point, res in zip(points, real(case, betas, etas))]
 
-    monkeypatch.setattr(sim.strategies, "success_probability", decision)
+    monkeypatch.setattr(sim.strategies, "success_probability", decisions)
 
 
 def test_stacked_failure_names_first_failing_point(monkeypatch):
