@@ -45,6 +45,11 @@ def _case_from_args(args) -> KnowledgeCase:
     return KnowledgeCase(regime, args.dim)
 
 
+def _check_grid(args) -> None:
+    if not 0.0 < args.grid <= 0.5:
+        raise UsageError(f"--grid step must lie in (0, 0.5], got {args.grid}")
+
+
 class UsageError(Exception):
     pass
 
@@ -86,12 +91,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = list(ALL_REGIMES) if args.case == "all" else [Regime(args.case.lower())]
+    _check_grid(args)
+    cases = [KnowledgeCase(r, args.dim) for r in ALL_REGIMES] if args.case == "all" else [_case_from_args(args)]
     tol = VERIFY_TOL_FACTOR * args.resolution
     status = 0
     lines = []
-    for regime in cases:
-        case = KnowledgeCase(regime, args.dim)
+    for case in cases:
         rep = optimizer.verify_case(case, grid_step=args.grid, resolution=args.resolution,
                                     perturb=args.perturb)
         ok = rep.within(tol)
@@ -106,8 +111,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not 0.0 < args.grid <= 0.5:
-        raise UsageError(f"--grid step must lie in (0, 0.5], got {args.grid}")
+    _check_grid(args)
     name = args.surface
     header = ["beta", "eta1", "value"]
     if name in strategies.DIFFERENCE_SURFACES:

@@ -45,8 +45,9 @@ duplicate cell changes neither the maximum, the tie filters nor the
 lexicographically smallest pick.  Infeasible cells score ``-inf``.
 Every family's feasibility predicate reads only the first two
 coefficients, so it is evaluated on the ``(l0, l1)`` axes and broadcast.
-``verify_case`` stacks all distinct decision inputs of a case, in
-solves of at most ``_BLOCK_CELLS`` cells per block (a memory cap).
+``verify_case`` keys its solves by the problem's inputs
+(``_problem_inputs``) and stacks the distinct keys of a case, in solves
+of at most ``_BLOCK_CELLS`` cells per block (a memory cap).
 
 For qutrits the per-index symmetry of the closed-form strategies is
 exploited: all index-1 coefficients equal, all index-2 coefficients
@@ -297,28 +298,37 @@ def _n_params(case: KnowledgeCase) -> int:
     return 3 if case.family is Family.KNOWN_UNKNOWN else 2
 
 
+def _problem_inputs(case: KnowledgeCase) -> tuple[str, ...]:
+    """Names of the parameters a case's problem is posed at, in ``(beta, eta1)`` order.
+
+    The decision's inputs, plus ``beta`` except for the beta-free A2/B2 brackets: every other
+    objective carries ``beta`` as a fixed scale, so its solved value is the surface value there.
+    """
+    needs = case.decision_inputs if case.regime in (Regime.A2, Regime.B2) else case.decision_inputs | {"beta"}
+    return tuple(name for name in ("beta", "eta1") if name in needs)
+
+
 def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     """Maximin problem for a case at its known parameter values.
 
     ``beta`` and ``eta1`` are scalars, or equal-length 1-d arrays that
-    stack one independent problem per entry (``MaximinProblem.points``).
+    stack one independent problem per entry (``MaximinProblem.points``);
+    the case needs those named by ``_problem_inputs``.
     Point cases (A1, A3, A4) fix all relevant parameters; the others
     take as adversary the box vertices of whatever the decision cannot
     see, and as tie point the mean point of the ``ADVERSARY_STEP`` grid.
-    For the value comparison against a closed-form surface, point and
-    worst-case-valued cases use the solved value directly, while A2/B2
-    re-evaluate the actual success probability at the solved coefficients
-    (see ``oracle_value``).
+    For the value comparison against a closed-form surface, the solved
+    value is used directly, except for the A2/B2 brackets: ``verify_case``
+    re-evaluates their actual success probability at the solved
+    coefficients.
     """
     r = case.regime
-    needs = set(case.decision_inputs)
-    if r not in (Regime.A2, Regime.B2):
-        needs.add("beta")  # fixed objective scale even when the decision ignores it
+    needs = _problem_inputs(case)
     given = {
         name: np.asarray(value, dtype=float) for name, value in (("beta", beta), ("eta1", eta1)) if value is not None
     }
-    if not needs <= set(given):
-        raise ValueError(f"{case}: problem requires {sorted(needs)}")
+    if not set(needs) <= set(given):
+        raise ValueError(f"{case}: problem requires {list(needs)}")
     shape = np.broadcast_shapes(*(v.shape for v in given.values()))
     k = _n_params(case)
     # one value per point, shaped to broadcast against a (P, n_0, ..., n_{k-1}, M) block
@@ -385,36 +395,6 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     )
 
 
-def _decision_key(case: KnowledgeCase, beta: float, eta1: float) -> tuple:
-    """Distinct problems to solve per grid point; cache key for verify_case.
-
-    A2/B2 solve beta-free normalized problems (their actual probability is
-    re-evaluated per point); all other problems carry beta in the
-    objective, so their solved value is specific to it.
-    """
-    r = case.regime
-    if r is Regime.A2:
-        return (eta1,)
-    if r is Regime.B2:
-        return ()
-    if r in (Regime.A1, Regime.A3, Regime.A4):
-        return (beta, eta1)
-    return (beta,)
-
-
-def oracle_value(case: KnowledgeCase, result: SolveResult, beta: float, eta1: float) -> float:
-    """Map a solved problem to the value comparable with the case's surface.
-
-    A2 and B2 optimize a worst-case bracket but are judged on the actual
-    success probability of their fixed decision, so the solved
-    coefficients are re-substituted; every other case's solved value is
-    already the surface value.
-    """
-    if case.regime in (Regime.A2, Regime.B2):
-        return float(_known_unknown_p(*result.lambda_star, beta, eta1))
-    return result.value
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     case: KnowledgeCase
@@ -450,43 +430,56 @@ def _solve_stacked(case: KnowledgeCase, points: np.ndarray, resolution: float) -
     return results
 
 
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows where each distinct key first occurs, and each row's index among those rows.
+
+    Row order comes from the mask, not from sorting indices: a process's first integer sort maps
+    about 0.3 MB more of numpy into a verify run's peak RSS (as ``np.unique`` without indices
+    would by importing ``numpy.ma``)."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[first] = True
+    return mask, (np.cumsum(mask) - 1)[first[inverse]]
+
+
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,
                 perturb: float = 0.0, betas=None, etas=None) -> VerifyReport:
     """Compare the closed-form surface against the oracle over a (beta, eta1) grid.
 
-    Decisions are solved once per distinct decision input, in stacked
-    solves, then evaluated across the grid; each distinct solution is
-    checked to assemble into a measurement.  ``betas``/``etas`` override
-    the default square grid; ``perturb`` shifts the closed form
-    (negative-control hook for the CLI's verify command).
+    The problem is solved once per distinct value of its inputs
+    (``_problem_inputs``), at the first grid point with that value, in
+    stacked solves; each distinct solution is checked to assemble into a
+    measurement.  ``betas``/``etas`` override the default square grid;
+    ``perturb`` shifts the closed form (negative-control hook for the
+    CLI's verify command).
     """
     betas = _axis_grid(0.0, 1.0, grid_step) if betas is None else np.asarray(betas, dtype=float)
     etas = _axis_grid(0.0, 1.0, grid_step) if etas is None else np.asarray(etas, dtype=float)
     eta_grid, beta_grid = np.meshgrid(etas, betas, indexing="ij")  # row order: eta1-major, beta fastest
-    grid = list(zip(beta_grid.ravel().tolist(), eta_grid.ravel().tolist()))
-    first = {}  # decision key -> the grid point it is first solved at
-    for beta, eta1 in grid:
-        first.setdefault(_decision_key(case, beta, eta1), (beta, eta1))
-    solved = dict(zip(first, _solve_stacked(case, np.array(list(first.values())), resolution)))
+    points = np.stack([beta_grid.ravel(), eta_grid.ravel()], axis=1)
+    inputs = _problem_inputs(case)
+    # distinct keys in row order: fewer padded cells per stacked solve than sorted keys
+    first, solution = _first_rows(points[:, [("beta", "eta1").index(name) for name in inputs]])
+    solved = points[first]
+    results = _solve_stacked(case, solved, resolution)
+    lam = np.array([r.lambda_star for r in results]).reshape(-1, _n_params(case))
+    if "beta" in inputs:
+        oracle = np.array([r.value for r in results])[solution]
+    else:  # the A2/B2 brackets are judged on the actual success probability of their decision
+        oracle = _known_unknown_p(*lam[solution].T, points[:, 0], points[:, 1])
     # the check depends only on the pair's overlap and the solution; each pair is drawn once
-    pairs: dict[float, StatePair] = {}
-    checked = set()
-    for key, (beta, _) in first.items():
-        pair_beta = min(beta if case.family is Family.KNOWN_KNOWN else 0.0, 0.99)
-        lambda_star = solved[key].lambda_star
-        if (pair_beta, lambda_star) not in checked:
-            checked.add((pair_beta, lambda_star))
-            if pair_beta not in pairs:
-                pairs[pair_beta] = pair_with_overlap(case.dim, pair_beta, 0.5, seed=0)
-            _check_solution_psd(case, pairs[pair_beta], lambda_star)
+    pair_beta = np.minimum(solved[:, 0], 0.99) if case.family is Family.KNOWN_KNOWN else np.zeros(len(solved))
+    checks = np.column_stack([pair_beta, lam])
+    pair = functools.cache(lambda beta: pair_with_overlap(case.dim, beta, 0.5, seed=0))
+    for beta, *lambda_star in checks[_first_rows(checks)[0]].tolist():
+        _check_solution_psd(case, pair(beta), tuple(lambda_star))
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
-    oracle = np.array([oracle_value(case, solved[_decision_key(case, beta, eta1)], beta, eta1) for beta, eta1 in grid])
     dev = np.abs(closed - oracle)
     worst = (0.0, (0.0, 0.0))  # the first largest deviation; none when all are 0
     if dev.size and dev.max() > 0.0:
         k = int(np.argmax(dev))
-        worst = (float(dev[k]), grid[k])
-    rows = tuple((beta, eta1, c, o) for (beta, eta1), c, o in zip(grid, closed.tolist(), oracle.tolist()))
+        worst = (float(dev[k]), tuple(points[k].tolist()))
+    rows = tuple(zip(*points.T.tolist(), closed.tolist(), oracle.tolist()))
     return VerifyReport(case=case, rows=rows, max_deviation=worst[0], worst_point=worst[1])
 
 

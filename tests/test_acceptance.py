@@ -50,15 +50,27 @@ def test_criterion_1_closed_form_vs_oracle():
 
 
 def test_criterion_2_specific_values():
+    outer = 0
     for beta in GRID_05:
         assert st.p0_weta(float(beta)) == pytest.approx((1 - beta**2) / 3, abs=1e-15)
         assert st.p2_weta(float(beta)) == pytest.approx(1 - beta, abs=1e-15)
+        # the IDP bound at equal priors (Ivanovic 1987; Dieks 1988; Peres 1988)
+        assert st.p2_opt(float(beta), 0.5) == pytest.approx(1 - beta, abs=1e-15)
+        # the two outer Jaeger-Shimony branches (PLA 197, 83, 1995): measure only the likelier state
+        for eta1 in GRID_05:
+            if eta1 <= beta**2 / (1 + beta**2):
+                assert st.p2_opt(float(beta), float(eta1)) == pytest.approx((1 - eta1) * (1 - beta**2), abs=1e-15)
+                outer += 1
+            elif eta1 > 1 / (1 + beta**2):
+                assert st.p2_opt(float(beta), float(eta1)) == pytest.approx(eta1 * (1 - beta**2), abs=1e-15)
+                outer += 1
+    assert outer > 0
     assert st.p2_opt(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
     res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.B2, 2)), resolution=2e-4)[0]
     target = (3 - SQRT5, (3 - SQRT5) / 2, 1.0)
     for got, want in zip(res.lambda_star, target):
         assert abs(got - want) <= 1e-3, (res.lambda_star, target)
-    report(2, f"B1=(1-b^2)/3 and B4=1-b exact; A4(0.5,0.5)=0.5; "
+    report(2, f"B1=(1-b^2)/3 and B4=1-b exact; IDP bound and {outer} outer Jaeger-Shimony points exact; A4(0.5,0.5)=0.5; "
               f"B2 coefficients recovered to {max(abs(g - w) for g, w in zip(res.lambda_star, target)):.1e}")
 
 
@@ -131,15 +143,16 @@ def test_criterion_3_povm_structural_suite():
         for lam in lams:
             rep = validate(build_for_case(case, pairs[0], lam))
             assert all(rep.psd_ok), (case, lam, rep.min_eigenvalues)
+        # one stacked build and validation per pair; test_stacked_measurements_match_single_points
+        # pins every stacked element to its lone build
         for pair in pairs:
-            for lam in lams:
-                povm = build_for_case(case, pair, lam)
-                rep = validate(povm)
-                assert rep.completeness_residual <= 1e-10
-                in1, in2 = input_states(case, pair)
-                assert expectation(in2, povm.pi1) <= 1e-12
-                assert expectation(in1, povm.pi2) <= 1e-12
-                checked += 1
+            povm = build_for_case(case, [pair] * len(lams), lams)
+            rep = validate(povm)
+            assert np.all(rep.completeness_residual <= 1e-10)
+            in1, in2 = input_states(case, pair)
+            assert np.all(expectation(in2, povm.pi1) <= 1e-12)
+            assert np.all(expectation(in1, povm.pi2) <= 1e-12)
+            checked += len(lams)
         # negative control: step across the boundary
         for l1 in (0.3, 0.5, 0.7):
             bad = _pushed_out(_boundary_lambda(case, l1, beta_fixed))

@@ -217,9 +217,20 @@ def test_simulate_requires_world_parameters(capsys):
 
 
 def test_unknown_case(capsys):
-    code, _, err = run_cli(capsys, "solve", "--case", "c9", "--dim", "2")
-    assert code == 2
-    assert "unknown case" in err
+    for command in ("solve", "verify"):
+        code, out, err = run_cli(capsys, command, "--case", "c9", "--dim", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown case 'c9' (expected one of ['a1', ")
+
+
+@pytest.mark.parametrize("grid", ("0", "-0.5", "2", "nan"))
+@pytest.mark.parametrize("command", (("verify", "--case", "a1"), ("sweep", "--surface", "p2_opt")))
+def test_bad_grid_is_a_usage_error(command, grid, capsys):
+    # unchecked, a zero step divides by zero in verify and a negative or too coarse
+    # one verifies only the four corners of the box
+    code, out, err = run_cli(capsys, *command, "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: --grid step must lie in (0, 0.5], got {float(grid)}\n"
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,67 @@ def test_verify_worst_point_is_the_first_largest_deviation():
     assert all(type(x) is float for row in rep.rows for x in row)
     empty = opt.verify_case(KnowledgeCase(Regime.A4, 2), betas=[], etas=[0.5])
     assert empty.rows == () and (empty.max_deviation, empty.worst_point) == (0.0, (0.0, 0.0))
+
+
+# sha256 of repr of (rows, max_deviation, worst_point) of three verify grids per case:
+# the square grid (step 0.25 in dim 2, 0.5 in dim 3), the edge grid and an empty grid;
+# recorded when verify_case still keyed and evaluated its solves one grid point at a time
+VERIFY_GOLDEN = {
+    "a1-2": "8fd28c4514cc49a8e1eabed1f63cde85fd891fb3ee90c8dd55bc3560ebac6560",
+    "a2-2": "c81da33ab54b19b5fd2647768061717e9a29d1ca61ea83c632d8cd3fc62b57b8",
+    "a3-2": "9e78129c58e0a076dee2565817b220356dabb61799ece6df298de9c53c282d75",
+    "a4-2": "30ab670d406e8b6fa86f2ae17f9a2a4d59bf69bad0de6512e46bc4b42cccd2f1",
+    "b1-2": "9762d73bdf5f76444be394186ac37c6c4f956167982c363fd6f3d0f42e8402d8",
+    "b2-2": "068ebcfff10921d27cb8b63178669942c1a59532b8274fab292940639a0f3fef",
+    "b3-2": "682366dda4c523f519ca39a7f5409a9f414696b79f6c5f82bec69f2ba54cda9c",
+    "b4-2": "fc90a4d1040d1f4963e1a0963a20b19722cb91d395782a17d4495f38febf6db9",
+    "a1-3": "5b9b9c1ead561dbf42c2a4202554927332fa0927c9c0690020248faa45d0d208",
+    "a2-3": "a9b3d5e1557e4d24bb333f10398194a21427512f78453d9576c37f8b8f36bfc1",
+    "a3-3": "655cdae5009fc7558e758221e925d8ea781e3c36e3364ccc34500a6b95a68c00",
+    "a4-3": "4402e274659d65bb728eeaad9151750436387d0563c19f74a46b6c3688065a60",
+    "b1-3": "c92ab67ebfc8605f93c38404a9621f68f6dceb9353530d0ec5eb932c6453473d",
+    "b2-3": "db3862f38ce7eac01b5f8dd3f58642a2cf90ea85cd2702b244f0de35837df6ff",
+    "b3-3": "1a258068bfae82ac5219afd60f45ec6c336c183340efc9a5037752eb694de98b",
+    "b4-3": "04084152625eab92113f96ca1323c8dc8d09906028d5eff6f3be929711ea8820",
+}
+
+
+@pytest.mark.parametrize("label", VERIFY_GOLDEN)
+def test_verify_rows_golden(label):
+    regime, dim = label.split("-")
+    case = KnowledgeCase(Regime(regime), int(dim))
+    reps = [
+        opt.verify_case(case, grid_step=0.25 if case.dim == 2 else 0.5),
+        opt.verify_case(case, betas=EDGE_BETAS, etas=(0.0, 0.5, 1.0)),
+        opt.verify_case(case, betas=[], etas=[0.5]),
+    ]
+    digest = hashlib.sha256(repr([(r.rows, r.max_deviation, r.worst_point) for r in reps]).encode()).hexdigest()
+    assert digest == VERIFY_GOLDEN[label]
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_verify_solves_one_point_per_problem_input_in_row_order(regime, monkeypatch):
+    # the problem sees beta except for the beta-free A2/B2 brackets, and eta1 where
+    # the decision does; each distinct input is solved once, at its first grid row
+    solved = []
+    real = opt._solve_stacked
+
+    def record(case, points, resolution):
+        solved.extend(map(tuple, points.tolist()))
+        return real(case, points, resolution)
+
+    monkeypatch.setattr(opt, "_solve_stacked", record)
+    betas, etas = (0.0, 0.5, 1.0), (0.0, 0.25, 0.75, 1.0)
+    opt.verify_case(KnowledgeCase(regime, 2), betas=betas, etas=etas)
+    rows = [(b, e) for e in etas for b in betas]
+    expected = {
+        Regime.B2: rows[:1],
+        Regime.A2: [(betas[0], e) for e in etas],
+        Regime.B1: [(b, etas[0]) for b in betas],
+        Regime.B3: [(b, etas[0]) for b in betas],
+        Regime.B4: [(b, etas[0]) for b in betas],
+    }.get(regime, rows)
+    assert solved == expected
 
 def test_a3_branch_thresholds_located():
     # the solved first coefficient turns on within one grid step of the
