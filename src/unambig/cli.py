@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_grid(args)
-    cases = [KnowledgeCase(r, args.dim) for r in ALL_REGIMES] if args.case == "all" else [_case_from_args(args)]
+    cases = [KnowledgeCase(r, args.dim) for r in ALL_REGIMES] if args.case.lower() == "all" else [_case_from_args(args)]
     tol = VERIFY_TOL_FACTOR * args.resolution
     status = 0
     lines = []

@@ -1,16 +1,19 @@
 """Independent numerical maximin oracle for the closed-form strategies.
 
-Each case is posed as: maximize, over feasible coefficient vectors, the
-minimum of its objective over the adversary parameters (the unknown
-overlap and/or prior).  Cases where everything relevant is known
-degenerate to plain maximization (empty adversary).
+One rule poses every case: the coefficients may use only the a priori
+knowledge of the case's regime, and what the problem does not take it
+must survive in the worst case.  ``_problem_inputs`` names the inputs
+the problem is posed at; each other input of ``(beta, eta1)`` is hidden
+and left to the adversary.  So each case is: maximize, over feasible
+coefficient vectors, the minimum of the family's objective over the
+hidden inputs.  Cases with nothing hidden degenerate to plain
+maximization (no adversary).
 
 Every case objective is multi-affine in the adversary coordinates
 ``(1 - beta^2, eta1)``, so its minimum over the unit box is reached at a
 vertex (Boyd & Vandenberghe, *Convex Optimization*, 2004): the adversary
-is the box's vertices, ``beta`` or ``eta1`` in ``{0, 1}`` (four corners
-for B2), and the worst case equals the minimum over any product grid
-that contains them.
+is the box vertices of the hidden inputs, each in ``{0, 1}``, and the
+worst case equals the minimum over any product grid that contains them.
 
 Search is derivative-free by design: the objectives are concave
 (pointwise minima of affine functions of the coefficients) but the
@@ -61,6 +64,7 @@ coarse grid as a cross-check.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -101,7 +105,7 @@ class MaximinProblem:
 
     ``objective(block, adversary)`` receives a ``Block`` (coordinate i
     varies along axis 1 + i, or along axis 1 in a boundary block) and
-    adversary rows (M,) or (M, a); it returns values broadcasting to the
+    adversary rows (M, a); it returns values broadcasting to the
     block's shape with M in its last axis, or 1 with ``adversary`` None.
     ``feasible(block)`` returns a boolean mask of the block's shape.  The
     worst case is the minimum over ``adversary`` (the box vertices for
@@ -278,6 +282,10 @@ def _grid_mean_point() -> tuple[float, float]:
     return float(np.sqrt(np.mean(axis * axis))), float(np.mean(axis))
 
 
+def _unknown_unknown_p(l1, l2, beta, eta1):
+    return 0.5 * (l1 * eta1 + l2 * (1.0 - eta1)) * (1.0 - beta * beta)
+
+
 def _bracket(l1, l2, l3, beta, eta1):
     """Overlap-normalized known/unknown objective: P / (1 - beta^2).
 
@@ -292,6 +300,10 @@ def _known_unknown_p(l1, l2, l3, beta, eta1):
     b2 = beta * beta
     f = 1.0 - b2
     return (0.5 * l1 * eta1 + l2 * b2 * (1.0 - eta1) + l3 * f * (1.0 - eta1)) * f
+
+
+def _known_known_p(l1, l2, beta, eta1):
+    return (l1 * eta1 + l2 * (1.0 - eta1)) * (1.0 - beta * beta)
 
 
 def _n_params(case: KnowledgeCase) -> int:
@@ -309,89 +321,56 @@ def _problem_inputs(case: KnowledgeCase) -> tuple[str, ...]:
 
 
 def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
-    """Maximin problem for a case at its known parameter values.
+    """Maximin problem for a case at the values of the inputs it is posed at.
 
-    ``beta`` and ``eta1`` are scalars, or equal-length 1-d arrays that
-    stack one independent problem per entry (``MaximinProblem.points``);
-    the case needs those named by ``_problem_inputs``.
-    Point cases (A1, A3, A4) fix all relevant parameters; the others
-    take as adversary the box vertices of whatever the decision cannot
-    see, and as tie point the mean point of the ``ADVERSARY_STEP`` grid.
-    For the value comparison against a closed-form surface, the solved
-    value is used directly, except for the A2/B2 brackets: ``verify_case``
-    re-evaluates their actual success probability at the solved
-    coefficients.
+    The regime enters only through ``_problem_inputs``: the problem takes
+    those inputs (scalars, or equal-length 1-d arrays that stack one
+    independent problem per entry, ``MaximinProblem.points``) and ignores
+    any other given one.  Each hidden input, one it does not take, is left
+    to the adversary: the adversary is the box vertices of the hidden
+    inputs as ``(M, a)`` rows, the tie point the ``ADVERSARY_STEP`` grid's
+    mean point over them, and with nothing hidden there is neither.  The
+    family chooses only the objective (its success probability, or the
+    ``_bracket`` for known/unknown with ``beta`` hidden), the feasibility
+    predicate and the boundary projection.  ``verify_case`` compares the
+    solved value with the closed form, except for the brackets, whose
+    actual success probability it re-evaluates at the solved coefficients.
     """
-    r = case.regime
-    needs = _problem_inputs(case)
-    given = {
-        name: np.asarray(value, dtype=float) for name, value in (("beta", beta), ("eta1", eta1)) if value is not None
-    }
-    if not set(needs) <= set(given):
-        raise ValueError(f"{case}: problem requires {list(needs)}")
-    shape = np.broadcast_shapes(*(v.shape for v in given.values()))
+    inputs = _problem_inputs(case)
+    hidden = tuple(name for name in ("beta", "eta1") if name not in inputs)
+    given = {"beta": beta, "eta1": eta1}
+    if any(given[name] is None for name in inputs):
+        raise ValueError(f"{case}: problem requires {list(inputs)}")
+    values = [np.asarray(given[name], dtype=float) for name in inputs]
+    shape = np.broadcast_shapes(*(v.shape for v in values))
     k = _n_params(case)
     # one value per point, shaped to broadcast against a (P, n_0, ..., n_{k-1}, M) block
-    beta, eta1 = (np.broadcast_to(given[name], shape).reshape((-1,) + (1,) * (k + 1)) if name in given else None
-                  for name in ("beta", "eta1"))
-    vertices = np.array([0.0, 1.0])
-    beta_c, eta_c = _grid_mean_point()
-
-    def problem(objective, predicate, boundary, **adversarial) -> MaximinProblem:
-        # the objective sees the coordinates; the predicate reads the (l0, l1) axes, broadcast to the block
-        return MaximinProblem(
-            k,
-            lambda block, adv: objective(*block.coords, adv),
-            lambda block: np.broadcast_to(predicate(*block.coords[:2]), block.shape),
-            boundary=boundary,
-            points=math.prod(shape),
-            **adversarial,
-        )
-
+    fixed = {name: np.broadcast_to(v, shape).reshape((-1,) + (1,) * (k + 1)) for name, v in zip(inputs, values)}
     if case.family is Family.UNKNOWN_UNKNOWN:
+        p = _unknown_unknown_p
         if case.dim == 2:
-            feas = strategies.pair_program_ok
+            feas, bound = strategies.pair_program_ok, strategies.pair_program_boundary
         else:  # corrected region, equal per-index coefficients
             feas = lambda l1, l2: strategies.totally_antisymmetric_ok(3.0 * l1, 3.0 * l2)
-        bound = strategies.pair_program_boundary if case.dim == 2 else strategies.pair_program_boundary_qutrit
-        f = 1.0 - beta * beta
-        if r is Regime.A1:
-            return problem(lambda l1, l2, _adv: 0.5 * (l1 * eta1 + l2 * (1.0 - eta1)) * f, feas, bound)
-        return problem(
-            lambda l1, l2, adv: 0.5 * (l1 * adv + l2 * (1.0 - adv)) * f, feas, bound,
-            adversary=vertices, tie_point=np.array([eta_c]),
-        )
-
-    if case.family is Family.KNOWN_UNKNOWN:
+            bound = strategies.pair_program_boundary_qutrit
+    elif case.family is Family.KNOWN_UNKNOWN:
+        p = _bracket if "beta" in hidden else _known_unknown_p
         feas, bound = strategies.single_program_ok, strategies.single_program_boundary
-        if r is Regime.A2:
-            return problem(
-                lambda l1, l2, l3, adv: _bracket(l1, l2, l3, adv, eta1), feas, bound,
-                adversary=vertices, tie_point=np.array([beta_c]),
-            )
-        if r is Regime.A3:
-            return problem(lambda l1, l2, l3, _adv: _known_unknown_p(l1, l2, l3, beta, eta1), feas, bound)
-        if r is Regime.B2:
-            return problem(
-                lambda l1, l2, l3, adv: _bracket(l1, l2, l3, adv[:, 0], adv[:, 1]), feas, bound,
-                adversary=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
-                tie_point=np.array([[beta_c, eta_c]]),
-            )
-        # B3: overlap known, prior adversarial; full objective
-        return problem(
-            lambda l1, l2, l3, adv: _known_unknown_p(l1, l2, l3, beta, adv), feas, bound,
-            adversary=vertices, tie_point=np.array([eta_c]),
-        )
-
-    # known/known
-    f = 1.0 - beta * beta
-    feas = lambda l1, l2: strategies.direct_ok(l1, l2, beta)
-    bound = lambda l1: strategies.direct_boundary(l1, beta)
-    if r is Regime.A4:
-        return problem(lambda l1, l2, _adv: (l1 * eta1 + l2 * (1.0 - eta1)) * f, feas, bound)
-    return problem(
-        lambda l1, l2, adv: (l1 * adv + l2 * (1.0 - adv)) * f, feas, bound,
-        adversary=vertices, tie_point=np.array([eta_c]),
+    else:
+        p = _known_known_p
+        feas = lambda l1, l2: strategies.direct_ok(l1, l2, fixed["beta"])
+        bound = lambda l1: strategies.direct_boundary(l1, fixed["beta"])
+    mean = dict(zip(("beta", "eta1"), _grid_mean_point()))
+    return MaximinProblem(
+        k,
+        # the objective fills each hidden input from its adversary column
+        lambda block, adv: p(*block.coords, **fixed, **{name: adv[:, i] for i, name in enumerate(hidden)}),
+        # the predicate reads the (l0, l1) axes, broadcast to the block
+        lambda block: np.broadcast_to(feas(*block.coords[:2]), block.shape),
+        adversary=np.array(list(itertools.product((0.0, 1.0), repeat=len(hidden)))) if hidden else None,
+        tie_point=np.array([[mean[name] for name in hidden]]) if hidden else None,
+        boundary=bound,
+        points=math.prod(shape),
     )
 
 
@@ -475,8 +454,8 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
         _check_solution_psd(case, pair(beta), tuple(lambda_star))
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
     dev = np.abs(closed - oracle)
-    worst = (0.0, (0.0, 0.0))  # the first largest deviation; none when all are 0
-    if dev.size and dev.max() > 0.0:
+    worst = (0.0, (0.0, 0.0))  # the first largest deviation, or the first NaN; none when all are 0
+    if dev.size and dev.max() != 0.0:  # != rather than >: a NaN deviation must fail
         k = int(np.argmax(dev))
         worst = (float(dev[k]), tuple(points[k].tolist()))
     rows = tuple(zip(*points.T.tolist(), closed.tolist(), oracle.tolist()))

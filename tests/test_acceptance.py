@@ -50,13 +50,14 @@ def test_criterion_1_closed_form_vs_oracle():
 
 
 def test_criterion_2_specific_values():
-    outer = 0
+    outer = middle = 0
     for beta in GRID_05:
         assert st.p0_weta(float(beta)) == pytest.approx((1 - beta**2) / 3, abs=1e-15)
         assert st.p2_weta(float(beta)) == pytest.approx(1 - beta, abs=1e-15)
         # the IDP bound at equal priors (Ivanovic 1987; Dieks 1988; Peres 1988)
         assert st.p2_opt(float(beta), 0.5) == pytest.approx(1 - beta, abs=1e-15)
-        # the two outer Jaeger-Shimony branches (PLA 197, 83, 1995): measure only the likelier state
+        # the Jaeger-Shimony branches (PLA 197, 83, 1995): the two outer ones measure only the
+        # likelier state, the middle one is the unequal-prior generalization of the IDP bound
         for eta1 in GRID_05:
             if eta1 <= beta**2 / (1 + beta**2):
                 assert st.p2_opt(float(beta), float(eta1)) == pytest.approx((1 - eta1) * (1 - beta**2), abs=1e-15)
@@ -64,13 +65,17 @@ def test_criterion_2_specific_values():
             elif eta1 > 1 / (1 + beta**2):
                 assert st.p2_opt(float(beta), float(eta1)) == pytest.approx(eta1 * (1 - beta**2), abs=1e-15)
                 outer += 1
-    assert outer > 0
+            else:
+                expected = 1 - 2 * beta * math.sqrt(eta1 * (1 - eta1))
+                assert st.p2_opt(float(beta), float(eta1)) == pytest.approx(expected, abs=1e-15)
+                middle += 1
+    assert outer > 0 and middle > 0
     assert st.p2_opt(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
     res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.B2, 2)), resolution=2e-4)[0]
     target = (3 - SQRT5, (3 - SQRT5) / 2, 1.0)
     for got, want in zip(res.lambda_star, target):
         assert abs(got - want) <= 1e-3, (res.lambda_star, target)
-    report(2, f"B1=(1-b^2)/3 and B4=1-b exact; IDP bound and {outer} outer Jaeger-Shimony points exact; A4(0.5,0.5)=0.5; "
+    report(2, f"B1=(1-b^2)/3 and B4=1-b exact; IDP bound, {outer} outer and {middle} middle Jaeger-Shimony points exact; A4(0.5,0.5)=0.5; "
               f"B2 coefficients recovered to {max(abs(g - w) for g, w in zip(res.lambda_star, target)):.1e}")
 
 

@@ -63,6 +63,18 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in out
 
 
+def test_verify_nan_deviation_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--case", "b1", "--dim", "2", "--grid", "0.5", "--perturb", "nan")
+    assert code == 1
+    assert out == "b1/dim2: max |closed - oracle| = nan at (beta, eta1) = (0.0, 0.0) -> FAIL\nEXCEEDS tolerance 0.002\n"
+
+
+def test_verify_case_all_is_case_insensitive(capsys):
+    lower = run_cli(capsys, "verify", "--case", "all", "--dim", "2", "--grid", "0.5")
+    assert lower[0] == 0
+    assert run_cli(capsys, "verify", "--case", "ALL", "--dim", "2", "--grid", "0.5") == lower
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--surface", "p2_opt", "--grid", "0.05", "--out", str(out_file))

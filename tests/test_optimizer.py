@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -38,8 +39,8 @@ def _adversarial_problems(case):
 def _dense(problem):
     """The same problem over the full ADVERSARY_STEP grid, tie-broken by the grid mean."""
     axis = opt._axis_grid(0.0, 1.0, opt.ADVERSARY_STEP)
-    grid = axis
-    if problem.adversary.ndim == 2:
+    grid = axis[:, None]
+    if problem.adversary.shape[1] == 2:
         grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     return dataclasses.replace(problem, adversary=grid, tie_point=None)
 
@@ -104,6 +105,23 @@ def test_stacked_solves_match_single_points(regime, dim):
             part = points[start : start + size]
             chunked += opt.solve_maximin(opt.case_problem(case, beta=part[:, 0], eta1=part[:, 1]))
         assert _fields(chunked) == single
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_problem_ignores_inputs_it_does_not_take(regime, dim):
+    # the information-structure contract for the oracle: an input the problem is not
+    # posed at is left to the adversary, so its given value changes nothing
+    case = KnowledgeCase(regime, dim)
+    inputs = opt._problem_inputs(case)
+    known = dict.fromkeys(inputs, 0.6)
+    hidden = [name for name in ("beta", "eta1") if name not in inputs]
+    reference = _fields(opt.solve_maximin(opt.case_problem(case, **known)))
+    for values in itertools.product((0.0, 0.37, 1.0), repeat=len(hidden)):
+        assert _fields(opt.solve_maximin(opt.case_problem(case, **known, **dict(zip(hidden, values))))) == reference
+    for name in inputs:  # and an input it is posed at cannot be left out
+        with pytest.raises(ValueError, match="requires"):
+            opt.case_problem(case, **{n: v for n, v in known.items() if n != name})
 
 
 # (case, dim, beta, eta1, lambda_star, value) as found by the one-point-per-solve
@@ -187,6 +205,18 @@ def test_verify_worst_point_is_the_first_largest_deviation():
     assert all(type(x) is float for row in rep.rows for x in row)
     empty = opt.verify_case(KnowledgeCase(Regime.A4, 2), betas=[], etas=[0.5])
     assert empty.rows == () and (empty.max_deviation, empty.worst_point) == (0.0, (0.0, 0.0))
+
+
+def test_verify_nan_deviation_is_the_worst(monkeypatch):
+    # a NaN deviation must fail verification: it is the maximum, at its first row
+    case = KnowledgeCase(Regime.B1, 2)
+    rep = opt.verify_case(case, grid_step=0.5, perturb=math.nan)
+    assert math.isnan(rep.max_deviation) and rep.worst_point == (0.0, 0.0) and not rep.within(1.0)
+    surface = st.case_surface(case)
+    with_nan = lambda beta, eta1: np.where((beta == 0.5) & (eta1 >= 0.5), np.nan, surface(beta, eta1))
+    monkeypatch.setattr(st, "case_surface", lambda c: with_nan)
+    rep = opt.verify_case(case, grid_step=0.25)
+    assert math.isnan(rep.max_deviation) and rep.worst_point == (0.5, 0.5) and not rep.within(1.0)
 
 
 # sha256 of repr of (rows, max_deviation, worst_point) of three verify grids per case:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
 from unambig.povm import LambdaParams, success_probabilities
@@ -20,6 +21,18 @@ def test_feasible_zero_slack_points():
     # exact zero slack: 1 - l1 - l2 + l1 l2 / 2 == 0 at that point
     l1, l2 = 3 - SQRT5, (3 - SQRT5) / 2
     assert abs(1 - l1 - l2 + 0.5 * l1 * l2) < 1e-15
+
+
+@pytest.mark.parametrize("regime", [r for r in ALL_REGIMES if not (r.knows_beta and r.knows_eta1)],
+                         ids=lambda r: r.value)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(hs.sampled_from([2, 3]), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0))
+def test_decision_ignores_inputs_its_regime_lacks(regime, dim, beta, eta1, other_beta, other_eta1):
+    # the information-structure contract: changing an input the regime does not
+    # know leaves the chosen coefficients unchanged
+    case = KnowledgeCase(regime, dim)
+    changed = (beta if regime.knows_beta else other_beta, eta1 if regime.knows_eta1 else other_eta1)
+    assert st.success_probability(case, *changed).lam == st.success_probability(case, beta, eta1).lam
 
 
 def test_feasible_rejections():
