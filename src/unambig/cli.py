@@ -32,17 +32,18 @@ from .states import canonical_pair
 from . import optimizer, simulate, strategies
 
 VERIFY_TOL_FACTOR = 2.0  # pass iff |closed - oracle| <= factor * resolution
+REGIMES = [r.value for r in ALL_REGIMES]  # the --case choices of solve and simulate
 
 
 _fmt = "{:.12g}".format
 
 
-def _case_from_args(args) -> KnowledgeCase:
-    try:
-        regime = Regime(args.case.lower())
-    except ValueError:
-        raise UsageError(f"unknown case '{args.case}' (expected one of {[r.value for r in ALL_REGIMES]})")
-    return KnowledgeCase(regime, args.dim)
+def _cases_from_args(args, choices: list[str]) -> list[KnowledgeCase]:
+    """The cases ``--case`` names among the command's ``choices`` ('all' is every regime)."""
+    name = args.case.lower()
+    if name not in choices:
+        raise UsageError(f"unknown case '{args.case}' (expected one of {choices})")
+    return [KnowledgeCase(r, args.dim) for r in (ALL_REGIMES if name == "all" else [Regime(name)])]
 
 
 def _check_grid(args) -> None:
@@ -68,7 +69,7 @@ def _eval_point(case: KnowledgeCase, beta, eta1) -> tuple[float, float]:
 
 
 def cmd_solve(args) -> int:
-    case = _case_from_args(args)
+    (case,) = _cases_from_args(args, REGIMES)
     lam = strategies.optimal_lambda(case, beta=args.beta, eta1=args.eta1)
     beta_eval, eta_eval = _eval_point(case, args.beta, args.eta1)
     result = strategies.success_probability(case, beta_eval, eta_eval)
@@ -92,7 +93,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_grid(args)
-    cases = [KnowledgeCase(r, args.dim) for r in ALL_REGIMES] if args.case.lower() == "all" else [_case_from_args(args)]
+    cases = _cases_from_args(args, REGIMES + ["all"])
     tol = VERIFY_TOL_FACTOR * args.resolution
     status = 0
     lines = []
@@ -159,7 +160,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    case = _case_from_args(args)
+    (case,) = _cases_from_args(args, REGIMES)
     if args.beta is None or args.eta1 is None:
         raise UsageError("simulate requires --beta and --eta1: the world needs them even when the decision ignores them")
     result = strategies.success_probability(case, args.beta, args.eta1)

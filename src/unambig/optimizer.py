@@ -33,9 +33,11 @@ problem's ``tie_point``.
 One solve handles a batch: a problem carries a leading axis of P
 independent parameter points (``case_problem`` takes arrays of ``beta``
 and ``eta1``; a scalar call is P = 1), and candidates are never
-materialized as rows.  Each pass evaluates three broadcast ``Block``s
-per point, with coordinate i along axis 1 + i and a trailing adversary
-axis:
+materialized as rows.  Each pass splits the points into chunks of
+consecutive rows, as many as fit ``_BLOCK_CELLS`` cells (a memory cap)
+padded to the chunk's longest axes, and at least one; per chunk it
+evaluates three broadcast ``Block``s, with coordinate i along axis 1 + i
+and a trailing adversary axis:
 
 * the product grid of the per-coefficient axes;
 * the boundary block: the second coordinate set to the boundary
@@ -49,8 +51,8 @@ lexicographically smallest pick.  Infeasible cells score ``-inf``.
 Every family's feasibility predicate reads only the first two
 coefficients, so it is evaluated on the ``(l0, l1)`` axes and broadcast.
 ``verify_case`` keys its solves by the problem's inputs
-(``_problem_inputs``) and stacks the distinct keys of a case, in solves
-of at most ``_BLOCK_CELLS`` cells per block (a memory cap).
+(``_problem_inputs``) and stacks the distinct keys of a case in one
+solve.
 
 For qutrits the per-index symmetry of the closed-form strategies is
 exploited: all index-1 coefficients equal, all index-2 coefficients
@@ -77,8 +79,7 @@ from . import strategies
 
 ADVERSARY_STEP = 0.01
 _TIE_TOL = 1e-12
-_AXIS_MAX = 33  # longest axis of a pass: a window of +-1.6 old steps at a tenth of the step
-_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 16
 
 
 class Block:
@@ -87,13 +88,16 @@ class Block:
     ``coords[i]`` is coordinate i; together they broadcast to ``shape``,
     ``(P, n_0, ..., n_{k-1}, 1)``, whose cells are the candidates, so
     ``len`` is the number of candidates (padded duplicates included).
+    ``rows`` selects the problem's points that the block's leading axis
+    covers, in order; a problem reads its per-point inputs through it.
     """
 
-    __slots__ = ("coords", "shape")
+    __slots__ = ("coords", "shape", "rows")
 
-    def __init__(self, coords: tuple[np.ndarray, ...]):
+    def __init__(self, coords: tuple[np.ndarray, ...], rows: slice):
         self.coords = coords
         self.shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        self.rows = rows
 
     def __len__(self) -> int:
         return math.prod(self.shape)
@@ -107,9 +111,10 @@ class MaximinProblem:
     varies along axis 1 + i, or along axis 1 in a boundary block) and
     adversary rows (M, a); it returns values broadcasting to the
     block's shape with M in its last axis, or 1 with ``adversary`` None.
-    ``feasible(block)`` returns a boolean mask of the block's shape.  The
-    worst case is the minimum over ``adversary`` (the box vertices for
-    the case problems, or any grid).
+    ``feasible(block)`` returns a boolean mask of the block's shape.  Both
+    read the inputs of the points ``block.rows``.  The worst case is the
+    minimum over ``adversary`` (the box vertices for the case problems,
+    or any grid).
     """
 
     n_params: int
@@ -121,10 +126,10 @@ class MaximinProblem:
     case problems put it at the mean point of the ``ADVERSARY_STEP`` grid,
     where a multi-affine objective equals its grid mean.  None breaks ties
     by the mean over ``adversary``."""
-    boundary: Callable[[np.ndarray], np.ndarray] | None = None
-    """Optional projection from the first coordinate to the second one's
-    exact feasibility boundary.  The optima sit on curved boundaries that
-    axis-aligned grids straddle; projected candidates remove the resulting
+    boundary: Callable[[Block], np.ndarray] | None = None
+    """Optional projection of a block's first coordinate to the second one's
+    exact feasibility boundary, at the block's points.  The optima sit on curved
+    boundaries that axis-aligned grids straddle; projected candidates remove the
     misalignment noise so the located coefficients are grid-step accurate."""
     points: int = 1
     """Number P of stacked parameter points."""
@@ -144,22 +149,32 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _axes(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
-    """``_axis_grid`` per point as the rows of a (P, n) array, bit for bit.
+def _axes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``_axis_grid`` per point, of ``n`` values each, as the rows of a (P, max n) array, bit for bit.
 
     ``np.linspace`` computes ``i * ((hi - lo) / (n - 1)) + lo`` and ends
     exactly at ``hi``; rows shorter than the longest repeat ``hi``.
     """
-    n = np.maximum(1, np.rint((hi - lo) / step).astype(int)) + 1
     i = np.arange(n.max(), dtype=float)
     rows = i * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
     return np.where(i >= (n - 1)[:, None], hi[:, None], rows)
 
 
-def _block(cols: list[np.ndarray]) -> Block:
+def _block(cols: list[np.ndarray], rows: slice) -> Block:
     """The product of per-point axes (P, n_i), axis i at block axis 1 + i."""
     k = len(cols)
-    return Block(tuple(c.reshape(c.shape[:1] + (1,) * i + c.shape[1:] + (1,) * (k - i)) for i, c in enumerate(cols)))
+    return Block(tuple(c.reshape(c.shape[:1] + (1,) * i + c.shape[1:] + (1,) * (k - i)) for i, c in enumerate(cols)), rows)
+
+
+def _chunks(n: np.ndarray) -> list[slice]:
+    """Runs of consecutive rows of axis lengths (P, k), as many as fit ``_BLOCK_CELLS`` padded cells and at least one."""
+    starts, top = [], []
+    for row, lengths in enumerate(n.tolist()):
+        top = [max(a, b) for a, b in zip(top, lengths)]
+        if not starts or (row + 1 - starts[-1]) * math.prod(top) > _BLOCK_CELLS:
+            starts.append(row)
+            top = lengths
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(n)])]
 
 
 def _evaluate(problem: MaximinProblem, block: Block) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +219,10 @@ def _select(problem: MaximinProblem, blocks: list[Block], n: int):
     # gather the cells within _TIE_TOL of their point's top worst case (usually a few)
     pid, worst, mean, coords = [], [], [], []
     for block, w, m in scored:
-        cells = np.nonzero(w >= (top - _TIE_TOL).reshape((-1,) + (1,) * (w.ndim - 1)))
+        flat = np.flatnonzero(w >= (top - _TIE_TOL).reshape((-1,) + (1,) * (w.ndim - 1)))
+        cells = np.unravel_index(flat, w.shape)
         pid.append(cells[0])
-        worst.append(w[cells])
+        worst.append(w.ravel()[flat])
         mean.append(np.broadcast_to(m, block.shape)[cells])
         coords.append([np.broadcast_to(c, block.shape)[cells] for c in block.coords])
     pid, worst, mean = np.concatenate(pid), np.concatenate(worst), np.concatenate(mean)
@@ -226,7 +242,7 @@ def _select(problem: MaximinProblem, blocks: list[Block], n: int):
 
 
 def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[SolveResult]:
-    """Grid search with tenfold local refinement down to ``resolution``; one result per stacked point."""
+    """Grid search with tenfold local refinement down to ``resolution``, by ``_chunks``; one result per stacked point."""
     if not 0 < resolution <= 1e-2:
         raise ValueError(f"resolution must lie in (0, 1e-2], got {resolution}")
     k, n = problem.n_params, problem.points
@@ -235,16 +251,19 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[Sol
     incumbent: np.ndarray | None = None
     best_worst, best_mean = np.full(n, -np.inf), np.full(n, -np.inf)
     while True:
-        grid = _block([_axes(lo[:, i], hi[:, i], step) for i in range(k)])
-        blocks = [grid]
-        if problem.boundary is not None:
-            blocks.append(Block(grid.coords[:1] + (problem.boundary(grid.coords[0]),) + grid.coords[2:]))
-        if incumbent is not None:
-            inc = _block([c[:, None] for c in incumbent.T]).coords
+        found, lam, worst, mean = np.zeros(n, dtype=bool), np.zeros((n, k)), np.zeros(n), np.zeros(n)
+        lengths = np.maximum(1, np.rint((hi - lo) / step).astype(int)) + 1
+        for rows in _chunks(lengths):
+            grid = _block([_axes(lo[rows, i], hi[rows, i], lengths[rows, i]) for i in range(k)], rows)
+            blocks = [grid]
             if problem.boundary is not None:
-                inc = inc[:1] + (np.concatenate([inc[1], problem.boundary(inc[0])], axis=2),) + inc[2:]
-            blocks.append(Block(inc))
-        found, lam, worst, mean = _select(problem, blocks, n)
+                blocks.append(Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], rows))
+            if incumbent is not None:
+                inc = _block([c[:, None] for c in incumbent[rows].T], rows).coords
+                if problem.boundary is not None:
+                    inc = inc[:1] + (np.concatenate([inc[1], problem.boundary(Block(inc, rows))], axis=2),) + inc[2:]
+                blocks.append(Block(inc, rows))
+            found[rows], lam[rows], worst[rows], mean[rows] = _select(problem, blocks, rows.stop - rows.start)
         if incumbent is None:
             if not found.all():
                 raise ValueError("empty feasible set")
@@ -260,8 +279,8 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[Sol
         lo, hi = np.maximum(0.0, incumbent - window), np.minimum(1.0, incumbent + window)
     cert = None
     if problem.adversary is not None:
-        vals = problem.objective(_block([c[:, None] for c in incumbent.T]), problem.adversary)
-        cert = np.broadcast_to(vals, (n,) + (1,) * k + (len(problem.adversary),)).reshape(n, -1)
+        vals = problem.objective(_block([c[:, None] for c in incumbent.T], slice(0, n)), problem.adversary)
+        cert = np.broadcast_to(vals, (n,) + (1,) * k + (len(problem.adversary),)).reshape(n, len(problem.adversary))
     return [
         SolveResult(tuple(float(x) for x in incumbent[p]), float(best_worst[p]), None if cert is None else cert[p])
         for p in range(n)
@@ -325,12 +344,12 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
 
     The regime enters only through ``_problem_inputs``: the problem takes
     those inputs (scalars, or equal-length 1-d arrays that stack one
-    independent problem per entry, ``MaximinProblem.points``) and ignores
-    any other given one.  Each hidden input, one it does not take, is left
-    to the adversary: the adversary is the box vertices of the hidden
-    inputs as ``(M, a)`` rows, the tie point the ``ADVERSARY_STEP`` grid's
-    mean point over them, and with nothing hidden there is neither.  The
-    family chooses only the objective (its success probability, or the
+    independent problem per entry, ``MaximinProblem.points``); of any other
+    given one it uses only the length.  Each hidden input, one it does not
+    take, is left to the adversary: the adversary is the box vertices of the
+    hidden inputs as ``(M, a)`` rows, the tie point the ``ADVERSARY_STEP``
+    grid's mean point over them, and with nothing hidden there is neither.
+    The family chooses only the objective (its success probability, or the
     ``_bracket`` for known/unknown with ``beta`` hidden), the feasibility
     predicate and the boundary projection.  ``verify_case`` compares the
     solved value with the closed form, except for the brackets, whose
@@ -342,31 +361,34 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     if any(given[name] is None for name in inputs):
         raise ValueError(f"{case}: problem requires {list(inputs)}")
     values = [np.asarray(given[name], dtype=float) for name in inputs]
-    shape = np.broadcast_shapes(*(v.shape for v in values))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in given.values() if v is not None))
     k = _n_params(case)
     # one value per point, shaped to broadcast against a (P, n_0, ..., n_{k-1}, M) block
     fixed = {name: np.broadcast_to(v, shape).reshape((-1,) + (1,) * (k + 1)) for name, v in zip(inputs, values)}
+    at = lambda block: {name: v[block.rows] for name, v in fixed.items()}  # the block's points
     if case.family is Family.UNKNOWN_UNKNOWN:
         p = _unknown_unknown_p
         if case.dim == 2:
-            feas, bound = strategies.pair_program_ok, strategies.pair_program_boundary
+            feas = lambda block: strategies.pair_program_ok(*block.coords[:2])
+            bound = lambda block: strategies.pair_program_boundary(block.coords[0])
         else:  # corrected region, equal per-index coefficients
-            feas = lambda l1, l2: strategies.totally_antisymmetric_ok(3.0 * l1, 3.0 * l2)
-            bound = strategies.pair_program_boundary_qutrit
+            feas = lambda block: strategies.totally_antisymmetric_ok(3.0 * block.coords[0], 3.0 * block.coords[1])
+            bound = lambda block: strategies.pair_program_boundary_qutrit(block.coords[0])
     elif case.family is Family.KNOWN_UNKNOWN:
         p = _bracket if "beta" in hidden else _known_unknown_p
-        feas, bound = strategies.single_program_ok, strategies.single_program_boundary
+        feas = lambda block: strategies.single_program_ok(*block.coords[:2])
+        bound = lambda block: strategies.single_program_boundary(block.coords[0])
     else:
         p = _known_known_p
-        feas = lambda l1, l2: strategies.direct_ok(l1, l2, fixed["beta"])
-        bound = lambda l1: strategies.direct_boundary(l1, fixed["beta"])
+        feas = lambda block: strategies.direct_ok(*block.coords[:2], at(block)["beta"])
+        bound = lambda block: strategies.direct_boundary(block.coords[0], at(block)["beta"])
     mean = dict(zip(("beta", "eta1"), _grid_mean_point()))
     return MaximinProblem(
         k,
         # the objective fills each hidden input from its adversary column
-        lambda block, adv: p(*block.coords, **fixed, **{name: adv[:, i] for i, name in enumerate(hidden)}),
+        lambda block, adv: p(*block.coords, **at(block), **{name: adv[:, i] for i, name in enumerate(hidden)}),
         # the predicate reads the (l0, l1) axes, broadcast to the block
-        lambda block: np.broadcast_to(feas(*block.coords[:2]), block.shape),
+        lambda block: np.broadcast_to(feas(block), block.shape),
         adversary=np.array(list(itertools.product((0.0, 1.0), repeat=len(hidden)))) if hidden else None,
         tie_point=np.array([[mean[name] for name in hidden]]) if hidden else None,
         boundary=bound,
@@ -396,19 +418,6 @@ def _check_solution_psd(case: KnowledgeCase, pair: StatePair, lambda_star: tuple
         )
 
 
-def _solve_stacked(case: KnowledgeCase, points: np.ndarray, resolution: float) -> list[SolveResult]:
-    """One result per (beta, eta1) row, stacked so that no grid block exceeds ``_BLOCK_CELLS`` cells.
-
-    ``_evaluate`` slices the adversary to the same cap.
-    """
-    size = max(1, _BLOCK_CELLS // _AXIS_MAX ** _n_params(case))
-    results = []
-    for start in range(0, len(points), size):
-        part = points[start : start + size]
-        results += solve_maximin(case_problem(case, beta=part[:, 0], eta1=part[:, 1]), resolution=resolution)
-    return results
-
-
 def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the rows where each distinct key first occurs, and each row's index among those rows.
 
@@ -426,8 +435,8 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     """Compare the closed-form surface against the oracle over a (beta, eta1) grid.
 
     The problem is solved once per distinct value of its inputs
-    (``_problem_inputs``), at the first grid point with that value, in
-    stacked solves; each distinct solution is checked to assemble into a
+    (``_problem_inputs``), at the first grid point with that value, in one
+    stacked solve; each distinct solution is checked to assemble into a
     measurement.  ``betas``/``etas`` override the default square grid;
     ``perturb`` shifts the closed form (negative-control hook for the
     CLI's verify command).
@@ -440,7 +449,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     # distinct keys in row order: fewer padded cells per stacked solve than sorted keys
     first, solution = _first_rows(points[:, [("beta", "eta1").index(name) for name in inputs]])
     solved = points[first]
-    results = _solve_stacked(case, solved, resolution)
+    results = solve_maximin(case_problem(case, beta=solved[:, 0], eta1=solved[:, 1]), resolution=resolution)
     lam = np.array([r.lambda_star for r in results]).reshape(-1, _n_params(case))
     if "beta" in inputs:
         oracle = np.array([r.value for r in results])[solution]

@@ -235,6 +235,23 @@ def test_unknown_case(capsys):
         assert err.startswith("error: unknown case 'c9' (expected one of ['a1', ")
 
 
+REGIME_CHOICES = "['a1', 'a2', 'a3', 'a4', 'b1', 'b2', 'b3', 'b4']"
+
+
+@pytest.mark.parametrize("command, case, choices", (
+    ("solve", "c9", REGIME_CHOICES),
+    ("solve", "all", REGIME_CHOICES),
+    ("simulate", "c9", REGIME_CHOICES),
+    ("simulate", "ALL", REGIME_CHOICES),
+    ("verify", "c9", REGIME_CHOICES[:-1] + ", 'all']"),
+))
+def test_unknown_case_lists_the_commands_own_choices(command, case, choices, capsys):
+    # verify also takes 'all'; solve and simulate take one regime
+    code, out, err = run_cli(capsys, command, "--case", case, "--dim", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown case '{case}' (expected one of {choices})\n"
+
+
 @pytest.mark.parametrize("grid", ("0", "-0.5", "2", "nan"))
 @pytest.mark.parametrize("command", (("verify", "--case", "a1"), ("sweep", "--surface", "p2_opt")))
 def test_bad_grid_is_a_usage_error(command, grid, capsys):

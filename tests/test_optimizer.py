@@ -54,8 +54,8 @@ def test_vertex_adversary_matches_dense_grid(regime, dim):
     axis = opt._axis_grid(0.0, 1.0, 0.1)
     for problem in _adversarial_problems(KnowledgeCase(regime, dim)):
         dense = _dense(problem)
-        grid = opt._block([axis[None, :]] * problem.n_params)
-        boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid.coords[0]),) + grid.coords[2:])
+        grid = opt._block([axis[None, :]] * problem.n_params, slice(0, 1))
+        boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], grid.rows)
         for lams in (grid, boundary):
             scores = opt._evaluate(problem, lams) + opt._evaluate(dense, lams)
             feasible = np.broadcast_to(problem.feasible(lams), scores[0].shape)
@@ -71,7 +71,7 @@ def test_vertex_adversary_matches_dense_grid(regime, dim):
 
 def test_block_len_and_feasibility_mask_are_per_candidate_cell():
     problem = opt.case_problem(KnowledgeCase(Regime.A3, 2), beta=[0.3, 0.6], eta1=[0.5, 0.5])
-    block = opt._block([np.tile(opt._axis_grid(0.0, 1.0, 0.1), (2, 1))] * 3)
+    block = opt._block([np.tile(opt._axis_grid(0.0, 1.0, 0.1), (2, 1))] * 3, slice(0, 2))
     assert len(block) == 2 * 11**3
     assert problem.feasible(block).shape == block.shape == (2, 11, 11, 11, 1)
 
@@ -92,9 +92,9 @@ def _fields(results):
 
 
 @pytest.mark.parametrize("regime, dim", ((Regime.A3, 2), (Regime.A4, 3)), ids=("a3-2", "a4-3"))
-def test_stacked_solves_match_single_points(regime, dim):
-    # points are independent: stacking them, one at a time or in odd chunks whose
-    # windows pad differently, gives bitwise the same solutions
+def test_stacked_solves_match_single_points(regime, dim, monkeypatch):
+    # points are independent: stacking them, one at a time, in odd chunks whose windows
+    # pad differently, or under any cell cap on a pass's chunks, gives bitwise the same solutions
     case = KnowledgeCase(regime, dim)
     points = _stack_points(regime)
     single = _fields([opt.solve_maximin(opt.case_problem(case, beta=b, eta1=e))[0] for b, e in points])
@@ -105,6 +105,26 @@ def test_stacked_solves_match_single_points(regime, dim):
             part = points[start : start + size]
             chunked += opt.solve_maximin(opt.case_problem(case, beta=part[:, 0], eta1=part[:, 1]))
         assert _fields(chunked) == single
+    chunks, real = [], opt._chunks
+
+    def record(lengths):
+        chunks.append((lengths, real(lengths)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(opt, "_chunks", record)
+    full = 33  # a refinement window of +-1.6 old steps at a tenth of the step, not clipped by the box
+    for cap in (1, 3 * full**opt._n_params(case)):
+        monkeypatch.setattr(opt, "_BLOCK_CELLS", cap)
+        chunks.clear()
+        assert _fields(opt.solve_maximin(opt.case_problem(case, beta=points[:, 0], eta1=points[:, 1]))) == single
+        spans = [n[rows] for n, pass_chunks in chunks for rows in pass_chunks]
+        assert all(len(span) == 1 for span in spans) == (cap == 1)
+        if cap == 1:  # every chunk is one point, and windows exceed the cap
+            assert all(span.prod() > cap for span in spans)
+        else:  # some chunks mix clipped and full windows
+            assert any(len(span) > 1 and (span == full).any() and (span < full).any() for span in spans)
+    # a stack of no points is solved, to no results
+    assert opt.solve_maximin(opt.case_problem(case, beta=[], eta1=[])) == []
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -258,15 +278,22 @@ def test_verify_rows_golden(label):
 @pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
 def test_verify_solves_one_point_per_problem_input_in_row_order(regime, monkeypatch):
     # the problem sees beta except for the beta-free A2/B2 brackets, and eta1 where
-    # the decision does; each distinct input is solved once, at its first grid row
-    solved = []
-    real = opt._solve_stacked
+    # the decision does; each distinct input is solved once, at its first grid row,
+    # in a single solve over all of them
+    posed, solves = {}, []
+    real_problem, real_solve = opt.case_problem, opt.solve_maximin
 
-    def record(case, points, resolution):
-        solved.extend(map(tuple, points.tolist()))
-        return real(case, points, resolution)
+    def record_problem(case, beta=None, eta1=None):
+        problem = real_problem(case, beta=beta, eta1=eta1)
+        posed[id(problem)] = list(zip(np.asarray(beta).tolist(), np.asarray(eta1).tolist()))
+        return problem
 
-    monkeypatch.setattr(opt, "_solve_stacked", record)
+    def record_solve(problem, resolution=1e-3):
+        solves.append(posed[id(problem)])
+        return real_solve(problem, resolution)
+
+    monkeypatch.setattr(opt, "case_problem", record_problem)
+    monkeypatch.setattr(opt, "solve_maximin", record_solve)
     betas, etas = (0.0, 0.5, 1.0), (0.0, 0.25, 0.75, 1.0)
     opt.verify_case(KnowledgeCase(regime, 2), betas=betas, etas=etas)
     rows = [(b, e) for e in etas for b in betas]
@@ -277,7 +304,8 @@ def test_verify_solves_one_point_per_problem_input_in_row_order(regime, monkeypa
         Regime.B3: [(b, etas[0]) for b in betas],
         Regime.B4: [(b, etas[0]) for b in betas],
     }.get(regime, rows)
-    assert solved == expected
+    assert solves == [expected]
+
 
 def test_a3_branch_thresholds_located():
     # the solved first coefficient turns on within one grid step of the
