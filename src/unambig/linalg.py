@@ -35,16 +35,12 @@ def _first_failure(bad) -> tuple[int, ...] | None:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of vectors or operators, leftmost factor most significant.
 
-    A vector-vector product is one broadcast multiply, bitwise equal to
-    ``np.kron`` without its per-call axis bookkeeping.  Operands with more
-    than two axes are stacks of matrices: the product is taken matrix by
-    matrix over their broadcast leading axes, each entry the same single
-    multiply as ``np.kron`` of the two matrices.  Other ranks go to
-    ``np.kron``.
+    Operands with more than two axes are stacks of matrices: the product
+    is taken matrix by matrix over their broadcast leading axes, each
+    entry the same single multiply as ``np.kron`` of the two matrices.
+    Other ranks go to ``np.kron``.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim == b.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(-1)
     if a.ndim > 2 or b.ndim > 2:
         out = a[..., :, None, :, None] * b[..., None, :, None, :]
         return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
@@ -65,7 +61,7 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
 
 def _check_hermitian(m: np.ndarray, tol: float) -> None:
     defect = np.asarray(hermiticity_defect(m))
-    index = _first_failure(defect > tol)
+    index = _first_failure(~(defect <= tol))  # NaN fails
     if index is not None:
         raise NumericalError(f"matrix is not Hermitian (defect {defect[index]:.3e} > {tol:.1e})", index)
 
@@ -102,19 +98,44 @@ def expectation(state: np.ndarray, op: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"dimension mismatch: state shape {state.shape}, operator shape {op.shape}")
     # two matmuls, bitwise equal to np.vdot(state, op @ state) per value; einsum rounds differently
     val = np.matmul(state.conj()[..., None, :], np.matmul(op, state[..., None]))[..., 0, 0]
-    index = _first_failure(np.abs(val.imag) > 1e-12)
+    index = _first_failure(~(np.abs(val.imag) <= 1e-12))
     if index is not None:
         raise NumericalError(f"expectation has imaginary part {val.imag[index]:.3e}; operator not Hermitian?", index)
     return float(val.real) if val.ndim == 0 else val.real
 
 
-def fix_global_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a vector's global phase so its first nonzero entry is real positive."""
+def modulus(c: np.ndarray) -> np.ndarray:
+    """|c| per entry, bitwise Python's ``abs`` of each complex scalar (``np.abs`` rounds differently)."""
+    return np.hypot(np.real(c), np.imag(c))
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of an ``(..., d)`` stack: two stacked matmuls, bitwise ``np.linalg.norm`` of the row."""
     v = np.asarray(v, dtype=complex)
-    for x in v:
-        if abs(x) > tol:
-            return v * (abs(x) / x)
-    return v.copy()
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> for each pair of rows of two ``(..., d)`` stacks; a stacked matmul, bitwise ``np.vdot``."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def fix_global_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rotate a vector's global phase so its first entry above ``tol`` is real positive.
+
+    Works row by row on an ``(..., d)`` stack; a row with no such entry
+    is returned unchanged.
+    """
+    v = np.array(v, dtype=complex)  # a copy, rotated in place
+    rows = v.reshape(-1, v.shape[-1])
+    mags = modulus(rows)
+    big = mags > tol
+    k = np.flatnonzero(big.any(axis=-1))
+    j = big[k].argmax(axis=-1)
+    rows[k] = rows[k] * (mags[k, j] / rows[k, j])[:, None]
+    return v
 
 
 def orthonormal_completion(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -122,22 +143,23 @@ def orthonormal_completion(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
     Deterministic: Gram-Schmidt over the canonical basis vectors in index
     order, skipping the one most parallel to ``v``, with every column
-    phase-fixed.
+    phase-fixed.  An ``(..., d)`` stack gives one ``(d, d)`` unitary per
+    row, each bitwise that of the row alone.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = v.size
-    cols = [v]
-    skip = int(np.argmax(np.abs(v)))
-    for j in [k for k in range(d) if k != skip]:
-        w = np.zeros(d, dtype=complex)
-        w[j] = 1.0
+    v = np.asarray(v, dtype=complex)
+    rows = v.reshape(-1, v.shape[-1])
+    p, d = rows.shape
+    skip = np.argmax(np.abs(rows), axis=-1)
+    steps = np.arange(d - 1)
+    others = steps + (steps >= skip[:, None])  # (p, d - 1): the other indices in order
+    cols = [rows]
+    for j in others.T:
+        w = np.zeros((p, d), dtype=complex)
+        w[np.arange(p), j] = 1.0
         for c in cols:
-            w = w - np.vdot(c, w) * c
-        n = np.linalg.norm(w)
-        if n > tol:
-            cols.append(fix_global_phase(w / n))
-        if len(cols) == d:
-            break
-    if len(cols) != d:
-        raise ValueError("failed to complete basis (input vector degenerate?)")
-    return np.column_stack(cols)
+            w = w - row_vdots(c, w)[:, None] * c
+        n = row_norms(w)
+        if not np.all(n > tol):
+            raise ValueError("failed to complete basis (input vector degenerate?)")
+        cols.append(fix_global_phase(w / n[:, None]))
+    return np.stack(cols, axis=-1).reshape(v.shape + (d,))

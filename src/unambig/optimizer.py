@@ -59,8 +59,7 @@ exploited: all index-1 coefficients equal, all index-2 coefficients
 equal, the extra known/unknown block equal.  Under that reduction the
 known/unknown objectives coincide with the qubit ones; the
 unknown/unknown family uses the corrected simplex constraint (see
-``strategies``).  ``full_dimension_value`` releases the symmetry on a
-coarse grid as a cross-check.
+``strategies``).
 """
 
 from __future__ import annotations
@@ -469,73 +468,3 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
         worst = (float(dev[k]), tuple(points[k].tolist()))
     rows = tuple(zip(*points.T.tolist(), closed.tolist(), oracle.tolist()))
     return VerifyReport(case=case, rows=rows, max_deviation=worst[0], worst_point=worst[1])
-
-
-# ---------------------------------------------------------------------------
-# symmetry-released cross-checks
-# ---------------------------------------------------------------------------
-
-def full_dimension_value_known_unknown(pair: StatePair, eta1: float, step: float = 0.01) -> float:
-    """Best average success probability over all 8 per-index qutrit coefficients.
-
-    Exact weights |<b_i|psi2>|^2 are computed for the concrete pair; the
-    objective is evaluated in closed form (no operator assembly).  The
-    per-index blocks have independent constraints and separable
-    objectives, so each 2-coefficient block is searched on its own
-    boundary-projected grid.  Serves to confirm the symmetric optimum is
-    not beaten when the weights are generic.
-    """
-    if pair.dim != 3:
-        raise ValueError("full-dimension check is for qutrits")
-    from .linalg import orthonormal_completion
-
-    basis = orthonormal_completion(pair.psi1.vec)
-    c = np.array([abs(np.vdot(basis[:, i], pair.psi2.vec)) ** 2 for i in (1, 2)])
-    beta2 = abs(np.vdot(basis[:, 0], pair.psi2.vec)) ** 2
-    axis = _axis_grid(0.0, 1.0, step)
-    grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
-    grid = np.vstack([grid, np.stack([grid[:, 0], strategies.single_program_boundary(grid[:, 0])], axis=1)])
-    grid = grid[strategies.single_program_ok(grid[:, 0], grid[:, 1])]
-    best_pairs = []
-    for ci in c:
-        vals = eta1 * 0.5 * grid[:, 0] * ci + (1.0 - eta1) * beta2 * grid[:, 1] * ci
-        best_pairs.append(vals.max())
-    lam3_part = (1.0 - eta1) * (c[0] + c[1]) ** 2  # all lam3 = 1
-    return float(sum(best_pairs) + lam3_part)
-
-
-def full_dimension_value_unknown_unknown(pair: StatePair, eta1: float, step: float = 0.2,
-                                         chunk: int = 2048) -> float:
-    """Best average success probability over all 6 per-index qutrit coefficients.
-
-    Feasibility is certified by eigenvalue checks of the assembled
-    inconclusive element (the per-index constraints alone are not
-    sufficient for this family).
-    """
-    if pair.dim != 3:
-        raise ValueError("full-dimension check is for qutrits")
-    from .povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
-
-    case = KnowledgeCase(Regime.A1, 3)
-    in1, in2 = input_states(case, pair)
-    stack1, stack2 = UNKNOWN_UNKNOWN_BLOCKS[3]
-    w1 = [float(np.vdot(in1, b1 @ in1).real) for b1 in stack1]
-    w2 = [float(np.vdot(in2, b2 @ in2).real) for b2 in stack2]
-    axis = _axis_grid(0.0, 1.0, step)
-    mesh = np.meshgrid(*([axis] * 6), indexing="ij")
-    cand = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    ok = np.all([strategies.pair_program_ok(cand[:, i], cand[:, 3 + i]) for i in range(3)], axis=0)
-    ok &= strategies.totally_antisymmetric_ok(cand[:, :3].sum(axis=1), cand[:, 3:].sum(axis=1))
-    cand = cand[ok]
-    best = -np.inf
-    eye27 = np.eye(27)
-    for start in range(0, cand.shape[0], chunk):
-        block = cand[start : start + chunk]
-        pi = np.tensordot(block[:, :3], stack1, axes=(1, 0)) + np.tensordot(block[:, 3:], stack2, axes=(1, 0))
-        min_eig = np.linalg.eigvalsh(eye27[None, :, :] - pi)[:, 0]
-        feas = min_eig >= -1e-9
-        if not feas.any():
-            continue
-        vals = eta1 * block[feas, :3] @ np.array(w1) + (1.0 - eta1) * block[feas, 3:] @ np.array(w2)
-        best = max(best, float(vals.max()))
-    return best

@@ -18,8 +18,9 @@ Stacks: every builder, ``build_for_case``, ``input_states`` and
 ``LambdaParams`` each and then work on ``(P, n, n)`` elements.  A lone
 input is a stack of one that loses its stack axis at the end, so both go
 through the same arithmetic and every stacked element, eigenvalue and
-residual is bitwise that of its own lone call.  The basis of each state
-(Gram-Schmidt or the qutrit adapted basis) is still built per state.
+residual is bitwise that of its own lone call.  The bases (Gram-Schmidt
+or the qutrit adapted basis), the known/known directions and the
+register inputs are built on ``(P, d)`` arrays of the states too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .cases import Family, KnowledgeCase
 from .linalg import eigvals_hermitian, expectation, kron, orthonormal_completion, projector
-from .states import PureState, StatePair, orthogonal_complement_qubit, qutrit_adapted_basis
+from .states import PureState, StatePair, _adapted_basis, _qubit_complement, overlap
 
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -214,7 +215,7 @@ def build_known_unknown(psi1: PureState | Sequence[PureState],
         over = coeffs[coeffs > 1.0 + 1e-12]
         if over.size:
             raise ValueError(f"{name} components must lie in [0, 1], got {over[0]}")
-    bases = np.array([orthonormal_completion(state.vec) for state in states])  # (P, d, d), b_j = column j
+    bases = orthonormal_completion(np.array([state.vec for state in states]))  # (P, d, d), b_j = column j
     products = kron(bases, bases)  # column j*d + k is b_j (x) b_k
 
     def b(j: int, k: int) -> np.ndarray:
@@ -232,17 +233,17 @@ def build_known_unknown(psi1: PureState | Sequence[PureState],
     return _povm(pi1, pi2, lone)
 
 
-def _known_known_directions(psi1: PureState, psi2: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """(e1, e2): e1 orthogonal to psi2 and e2 to psi1, within the pair's span for qutrits."""
-    beta = float(abs(np.vdot(psi1.vec, psi2.vec)))
-    if beta > 1.0 - 1e-12:
+def _known_known_directions(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``(P, 2, d)``: per pair of rows, e1 orthogonal to v2 and e2 to v1, within the pair's span for qutrits."""
+    beta = overlap(v1, v2)
+    if not np.all(beta <= 1.0 - 1e-12):
         raise ValueError("states are parallel (beta = 1): no unambiguous measurement exists")
-    if psi1.dim == 2:
-        return orthogonal_complement_qubit(psi2).vec, orthogonal_complement_qubit(psi1).vec
-    b0, b1, _ = qutrit_adapted_basis(psi1, psi2)
-    cos_half = beta
-    sin_half = np.sqrt(1.0 - beta * beta)
-    return sin_half * b0 - cos_half * b1, b1
+    if v1.shape[-1] == 2:
+        return _qubit_complement(np.stack([v2, v1], axis=1))
+    b0, b1, _ = _adapted_basis(v1, v2)
+    cos_half = beta[:, None]
+    sin_half = np.sqrt(1.0 - beta * beta)[:, None]
+    return np.stack([sin_half * b0 - cos_half * b1, b1], axis=1)
 
 
 def build_known_known(psi1: PureState | Sequence[PureState], psi2: PureState | Sequence[PureState],
@@ -262,7 +263,7 @@ def build_known_known(psi1: PureState | Sequence[PureState], psi2: PureState | S
         raise ValueError("known/known POVM takes no lam3")
     if np.count_nonzero(lam1 > 1.0 + 1e-12) or np.count_nonzero(lam2 > 1.0 + 1e-12):
         raise ValueError("lam components must lie in [0, 1]")
-    directions = np.array([_known_known_directions(a, b) for a, b in zip(firsts, seconds)])  # (P, 2, d)
+    directions = _known_known_directions(np.array([a.vec for a in firsts]), np.array([b.vec for b in seconds]))
     pi1 = lam1[:, :, None] * projector(directions[:, 0])
     pi2 = lam2[:, :, None] * projector(directions[:, 1])
     return _povm(pi1, pi2, lone)
@@ -288,22 +289,24 @@ def validate(povm: PovmSet, psd_tol: float = PSD_TOL) -> PovmReport:
     )
 
 
-def _input_states(case: KnowledgeCase, pair: StatePair) -> tuple[np.ndarray, np.ndarray]:
-    if pair.dim != case.dim:
-        raise ValueError(f"pair dimension {pair.dim} does not match case {case}")
-    v1, v2 = pair.psi1.vec, pair.psi2.vec
-    if case.family is Family.UNKNOWN_UNKNOWN:
-        return kron(kron(v1, v1), v2), kron(kron(v1, v2), v2)
-    if case.family is Family.KNOWN_UNKNOWN:
-        return kron(v2, v1), kron(v2, v2)
-    return v1, v2
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tensor product of each pair of rows of two ``(P, m)`` and ``(P, n)`` stacks, as ``kron`` of vectors."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 def input_states(case: KnowledgeCase, pair: StatePair | Sequence[StatePair]) -> tuple[np.ndarray, np.ndarray]:
     """Register inputs produced when state 1 or state 2 was prepared; ``(P, n)`` each for P pairs."""
     (pairs,), lone = _stacked((pair, StatePair))
-    ins = np.array([_input_states(case, p) for p in pairs])  # (P, 2, n)
-    return (ins[0, 0], ins[0, 1]) if lone else (ins[:, 0], ins[:, 1])
+    v1, v2 = np.array([p.psi1.vec for p in pairs]), np.array([p.psi2.vec for p in pairs])
+    if v1.shape[-1] != case.dim:
+        raise ValueError(f"pair dimension {v1.shape[-1]} does not match case {case}")
+    if case.family is Family.UNKNOWN_UNKNOWN:
+        ins = _kron_rows(_kron_rows(v1, v1), v2), _kron_rows(_kron_rows(v1, v2), v2)
+    elif case.family is Family.KNOWN_UNKNOWN:
+        ins = _kron_rows(v2, v1), _kron_rows(v2, v2)
+    else:
+        ins = v1, v2
+    return (ins[0][0], ins[1][0]) if lone else ins
 
 
 def build_for_case(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],

@@ -18,7 +18,8 @@ any longer run with the same seed.
 ``STACK_POINTS`` points and ``STACK_CELLS`` complex cells per stacked
 POVM element, which bounds the chunk's memory.  For a chunk it takes
 all decisions in one ``success_probability`` call and draws every pair
-(each point on its own ``SeedSequence`` child), then makes one stacked
+in one ``pair_with_overlap`` call (each point on its own
+``SeedSequence`` child), then makes one stacked
 ``outcome_probabilities`` call: one POVM build, one validation and one
 Born-rule pass for all its points.  Each point is then sampled by its
 own ``run`` call, which is handed the point's probabilities.  The rows
@@ -110,13 +111,13 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StateP
             f"POVM is not positive semidefinite {at(k)}: min eigenvalues {tuple(mins[:, k].tolist())}"
         )
     residual = np.reshape(report.completeness_residual, -1)
-    bad = residual > _PROB_SUM_TOL
+    bad = ~(residual <= _PROB_SUM_TOL)  # NaN fails
     if bad.any():
         k = int(np.argmax(bad))
         raise MeasurementError(f"POVM completeness residual {residual[k]:.3e} {at(k)}")
     probs = np.clip(probs, 0.0, None)
     sums = probs.sum(axis=-1)
-    bad = (np.abs(sums - 1.0) > _PROB_SUM_TOL).reshape(-1, 2).any(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= _PROB_SUM_TOL).reshape(-1, 2).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         raise MeasurementError(f"outcome probabilities sum to {sums.reshape(-1, 2)[k]} {at(k)}, expected 1")
@@ -185,10 +186,10 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     rows = []
     for start in range(0, len(points), size):
         chunk = points[start : start + size]
-        decisions = strategies.success_probability(case, *np.array(chunk).T)
+        betas, etas = np.array(chunk).T
+        decisions = strategies.success_probability(case, betas, etas)
         seeds = [_point_seeds(seed, start + k) for k in range(len(chunk))]
-        pairs = [pair_with_overlap(case.dim, beta, eta1, seed=pair_seed)
-                 for (beta, eta1), (pair_seed, _) in zip(chunk, seeds)]
+        pairs = pair_with_overlap(case.dim, betas, etas, [pair_seed for pair_seed, _ in seeds])
         probs = outcome_probabilities(case, pairs, [res.lam for res in decisions])
         for (beta, eta1), res, pair, (_, key), p in zip(chunk, decisions, pairs, seeds, probs):
             report = run(SimConfig(case, pair, res.lam, shots_per_point, key, probs=p))

@@ -318,6 +318,16 @@ def test_numerical_failures_exit_3(defect, message, monkeypatch, capsys):
     assert err.startswith(f"internal error: {message}")
 
 
+def test_simulate_nan_probabilities_exit_3(monkeypatch, capsys):
+    # NaN probabilities must not reach the sampler, whose ValueError would read as a usage error
+    nan_values = lambda state, op: np.full(np.broadcast_shapes(state.shape[:-1], op.shape[:-2]), np.nan)
+    monkeypatch.setattr(simulate, "expectation", nan_values)
+    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5",
+                             "--shots", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: outcome probabilities sum to")
+
+
 @pytest.mark.parametrize("argv", (
     ("--beta", "0.3", "--eta1", "0.5", "--shots", "0"),
     ("--beta", "1.5", "--eta1", "0.5"),

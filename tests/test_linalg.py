@@ -169,3 +169,59 @@ def test_orthonormal_completion_is_unitary():
         u = orthonormal_completion(v)
         assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
         assert np.allclose(u[:, 0], v)
+
+
+def _phase_fix_loop(v, tol=1e-12):
+    """The per-vector phase fix, one entry at a time: the reference for the stacked one."""
+    for x in v:
+        if abs(x) > tol:
+            return v * (abs(x) / x)
+    return v.copy()
+
+
+def _completion_loop(v, tol=1e-9):
+    """Per-vector Gram-Schmidt with np.vdot and np.linalg.norm: the reference for the stacked one."""
+    d = v.size
+    cols = [v]
+    for j in [k for k in range(d) if k != int(np.argmax(np.abs(v)))]:
+        w = np.eye(d, dtype=complex)[j]
+        for c in cols:
+            w = w - np.vdot(c, w) * c
+        cols.append(_phase_fix_loop(w / np.linalg.norm(w)))
+    return np.column_stack(cols)
+
+
+def test_stacked_phase_fix_matches_lone_calls():
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    rows[1, 0] = 0.0  # zero leading entry
+    rows[2] = 0.0  # the zero vector stays as it is
+    rows[3, :2] = 1e-13  # entries at or below tol are skipped
+    stacked = fix_global_phase(rows)
+    assert np.array_equal(stacked[2], np.zeros(3))
+    for row, lone in zip(rows, stacked):
+        assert np.array_equal(fix_global_phase(row), lone) and np.array_equal(_phase_fix_loop(row), lone)
+    assert np.array_equal(fix_global_phase(rows.reshape(2, 3, 3)), stacked.reshape(2, 3, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_completion_matches_lone_calls_on_every_skip_index(d):
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    for k in range(2 * d):
+        rows[k, k % d] *= 10.0  # the entry most parallel to the row, skipped by Gram-Schmidt
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    stacked = orthonormal_completion(rows)
+    assert stacked.shape == (2 * d, d, d)
+    for row, lone in zip(rows, stacked):
+        assert np.array_equal(orthonormal_completion(row), lone) and np.array_equal(_completion_loop(row), lone)
+    with pytest.raises(ValueError, match="degenerate"):
+        orthonormal_completion(np.vstack([rows[:1], np.full(d, np.nan)]))
+
+
+def test_nan_fails_the_hermiticity_and_expectation_checks():
+    with pytest.raises(NumericalError, match="not Hermitian") as err:
+        eigvals_hermitian(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    assert err.value.index == (1,)
+    with pytest.raises(NumericalError, match="imaginary part"):
+        expectation(np.array([1.0, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]) * 1j)

@@ -9,7 +9,9 @@ import pytest
 from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
 from unambig import optimizer as opt
 from unambig import strategies as st
-from unambig.states import pair_with_overlap
+from unambig.linalg import orthonormal_completion
+from unambig.povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
+from unambig.states import StatePair, pair_with_overlap
 
 SQRT5 = math.sqrt(5.0)
 
@@ -360,11 +362,62 @@ def test_qutrit_pair_program_oracle_uses_corrected_region():
     assert res.value == pytest.approx(0.4, abs=2e-3)
 
 
+# symmetry-released cross-checks: the per-index qutrit coefficients searched without the symmetry
+
+def full_dimension_value_known_unknown(pair: StatePair, eta1: float, step: float = 0.01) -> float:
+    """Best average success probability over all 8 per-index qutrit coefficients.
+
+    Exact weights |<b_i|psi2>|^2 are computed for the concrete pair; the
+    objective is evaluated in closed form (no operator assembly).  The
+    per-index blocks have independent constraints and separable
+    objectives, so each 2-coefficient block is searched on its own
+    boundary-projected grid.
+    """
+    basis = orthonormal_completion(pair.psi1.vec)
+    c = np.array([abs(np.vdot(basis[:, i], pair.psi2.vec)) ** 2 for i in (1, 2)])
+    beta2 = abs(np.vdot(basis[:, 0], pair.psi2.vec)) ** 2
+    axis = opt._axis_grid(0.0, 1.0, step)
+    grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    grid = np.vstack([grid, np.stack([grid[:, 0], st.single_program_boundary(grid[:, 0])], axis=1)])
+    grid = grid[st.single_program_ok(grid[:, 0], grid[:, 1])]
+    best_pairs = [(eta1 * 0.5 * grid[:, 0] * ci + (1.0 - eta1) * beta2 * grid[:, 1] * ci).max() for ci in c]
+    lam3_part = (1.0 - eta1) * (c[0] + c[1]) ** 2  # all lam3 = 1
+    return float(sum(best_pairs) + lam3_part)
+
+
+def full_dimension_value_unknown_unknown(pair: StatePair, eta1: float, step: float = 0.2,
+                                         chunk: int = 2048) -> float:
+    """Best average success probability over all 6 per-index qutrit coefficients.
+
+    Feasibility is certified by eigenvalue checks of the assembled
+    inconclusive element (the per-index constraints alone are not
+    sufficient for this family).
+    """
+    in1, in2 = input_states(KnowledgeCase(Regime.A1, 3), pair)
+    stack1, stack2 = UNKNOWN_UNKNOWN_BLOCKS[3]
+    w1 = [float(np.vdot(in1, b1 @ in1).real) for b1 in stack1]
+    w2 = [float(np.vdot(in2, b2 @ in2).real) for b2 in stack2]
+    axis = opt._axis_grid(0.0, 1.0, step)
+    cand = np.stack([m.reshape(-1) for m in np.meshgrid(*([axis] * 6), indexing="ij")], axis=1)
+    ok = np.all([st.pair_program_ok(cand[:, i], cand[:, 3 + i]) for i in range(3)], axis=0)
+    ok &= st.totally_antisymmetric_ok(cand[:, :3].sum(axis=1), cand[:, 3:].sum(axis=1))
+    cand = cand[ok]
+    best = -np.inf
+    for start in range(0, cand.shape[0], chunk):
+        block = cand[start : start + chunk]
+        pi = np.tensordot(block[:, :3], stack1, axes=(1, 0)) + np.tensordot(block[:, 3:], stack2, axes=(1, 0))
+        feas = np.linalg.eigvalsh(np.eye(27)[None, :, :] - pi)[:, 0] >= -1e-9
+        if feas.any():
+            vals = eta1 * block[feas, :3] @ np.array(w1) + (1.0 - eta1) * block[feas, 3:] @ np.array(w2)
+            best = max(best, float(vals.max()))
+    return best
+
+
 def test_full_dimension_known_unknown_matches_symmetric():
     # releasing the per-index symmetry does not beat the symmetric optimum
     pair = pair_with_overlap(3, 0.55, 0.5, seed=31)
     for eta1 in (0.2, 0.5, 0.8):
-        full = opt.full_dimension_value_known_unknown(pair, eta1)
+        full = full_dimension_value_known_unknown(pair, eta1)
         sym = st.p1plus_opt(pair.beta, eta1)
         assert full <= sym + 1e-9
         assert full >= sym - 2e-3
@@ -374,7 +427,7 @@ def test_full_dimension_pair_program_gap_reported():
     # with the orientation known, unequal per-index coefficients may win;
     # the symmetric value is never beaten by less than -tol from above
     pair = pair_with_overlap(3, 0.4, 0.5, seed=32)
-    full = opt.full_dimension_value_unknown_unknown(pair, 0.5, step=0.25)
+    full = full_dimension_value_unknown_unknown(pair, 0.5, step=0.25)
     sym = st.success_probability(KnowledgeCase(Regime.A1, 3), 0.4, 0.5).p_analytic
     assert full >= sym - 2e-3
     print(f"unknown/unknown symmetric {sym:.4f} vs orientation-aware {full:.4f} (gap {full - sym:+.4f})")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from unambig.cases import Family, KnowledgeCase, Regime
-from unambig.linalg import expectation, kron, min_eigenvalue, orthonormal_completion
+from unambig.linalg import NumericalError, expectation, kron, min_eigenvalue, orthonormal_completion
 from unambig.povm import (
     LambdaParams,
+    PovmSet,
     build_for_case,
     build_known_known,
     build_known_unknown,
@@ -172,6 +173,23 @@ def test_validate_reports():
     assert not report.psd_ok[2] and report.psd_ok[0] and report.psd_ok[1]
     good = build_for_case(case, pair, LambdaParams.of(3 - np.sqrt(5), (3 - np.sqrt(5)) / 2, 1.0))
     assert validate(good).all_ok
+
+
+def test_validate_rejects_nan_elements():
+    # eigvalsh returns zeros for a NaN matrix, so the hermiticity check must fail first
+    pi = np.full((2, 2), np.nan)
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        validate(PovmSet(np.eye(2), pi, np.eye(2) - pi))
+
+
+@pytest.mark.parametrize("regime", [Regime.A1, Regime.A2, Regime.A4])  # one per family
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_input_states_match_lone_calls(regime, dim):
+    case = KnowledgeCase(regime, dim)
+    pairs = pair_with_overlap(dim, [0.0, 1 / np.sqrt(2), 1.0], [0.0, 1.0, 0.5], [33, 34, 35])
+    stacked = input_states(case, pairs)
+    for k, pair in enumerate(pairs):
+        assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, input_states(case, pair)))
 
 
 def _psd_case(regime, dim, beta=0.6):

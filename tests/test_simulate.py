@@ -313,3 +313,23 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
     with pytest.raises(NumericalError, match=r"^matrix is not Hermitian .* at \(beta, eta1\) = \(0\.8, 0\.9\)$") as err:
         sim.outcome_probabilities(case, pairs, lams)
     assert err.value.index == (2,)
+
+
+def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
+    case = KnowledgeCase(Regime.B2, 3)
+    pairs = [pair_with_overlap(3, 0.3, 0.4, seed=k) for k in range(2)]
+    lams = [st.success_probability(case, 0.3, 0.4).lam] * 2
+    real_validate = sim.validate
+
+    def nan_residual(stacked):
+        report = real_validate(stacked)
+        return dataclasses.replace(report, completeness_residual=np.array([0.0, np.nan]))
+
+    monkeypatch.setattr(sim, "validate", nan_residual)
+    with pytest.raises(sim.MeasurementError, match=r"^POVM completeness residual nan at \(beta, eta1\) = \(0\.3, 0\.4\)$"):
+        sim.outcome_probabilities(case, pairs, lams)
+    monkeypatch.setattr(sim, "validate", real_validate)
+    nan_values = lambda state, op: np.full(np.broadcast_shapes(state.shape[:-1], op.shape[:-2]), np.nan)
+    monkeypatch.setattr(sim, "expectation", nan_values)
+    with pytest.raises(sim.MeasurementError, match="outcome probabilities sum to"):
+        sim.outcome_probabilities(case, pairs, lams)

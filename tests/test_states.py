@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from unambig import states
+from unambig.linalg import NumericalError, fix_global_phase
 from unambig.states import (
     PureState,
+    StatePair,
     basis_state,
     haar_random_state,
     orthogonal_complement_qubit,
@@ -141,3 +144,94 @@ def test_pair_rejects_bad_inputs():
         pair_with_overlap(2, 1.5, 0.5, seed=0)
     with pytest.raises(ValueError, match="eta1"):
         pair_with_overlap(2, 0.5, 1.5, seed=0)
+
+
+def test_nan_fails_the_state_checks():
+    with pytest.raises(ValueError, match="normalized"):
+        PureState(np.array([np.nan, 0.0]))
+    a, b = basis_state(2, 0), basis_state(2, 1)
+    with pytest.raises(NumericalError, match="stored beta nan"):
+        StatePair(a, b, float("nan"), 0.5)
+    with pytest.raises(ValueError, match="eta1"):
+        StatePair(a, b, 0.0, float("nan"))
+
+
+class _ParallelOnce(np.random.Generator):
+    """Repeats its first normal draw once, so a pair's first direction is psi1's own and is redrawn."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = []
+
+    def standard_normal(self, *args, **kwargs):
+        draw = self.draws[0].copy() if len(self.draws) == 1 else super().standard_normal(*args, **kwargs)
+        self.draws.append(draw)
+        return draw
+
+
+def _pair_loop(dim, beta, seed):
+    """One pair drawn and built vector by vector with np.linalg.norm and np.vdot: the reference."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi1 = fix_global_phase(z / np.linalg.norm(z))
+    if beta >= 1.0:
+        return psi1, psi1
+    while True:
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        w = z - np.vdot(psi1, z) * psi1
+        if np.linalg.norm(w) > 1e-6:
+            break
+    phase = np.exp(2j * np.pi * rng.uniform())
+    psi2 = fix_global_phase(phase * beta * psi1 + np.sqrt(1.0 - beta * beta) * (w / np.linalg.norm(w)))
+    return psi1, psi2 / np.linalg.norm(psi2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_pairs_match_lone_calls(dim):
+    # each point keeps its own generator and draw order, so the stack is bitwise its lone calls
+    points = [(beta, eta1) for beta in (0.0, 1 / np.sqrt(2), 1.0) for eta1 in (0.0, 1.0)] + [(0.4, 0.3)]
+    seeds = [3, np.random.SeedSequence(4, spawn_key=(2, 0)), [5, 6], 7, np.random.SeedSequence(8), [9], 10]
+    betas, etas = np.array(points).T
+    stacked = pair_with_overlap(dim, betas, etas, seeds)
+    assert len(stacked) == len(points)
+    for pair, (beta, eta1), seed in zip(stacked, points, seeds):
+        lone = pair_with_overlap(dim, beta, eta1, seed)
+        assert np.array_equal(pair.psi1.vec, lone.psi1.vec) and np.array_equal(pair.psi2.vec, lone.psi2.vec)
+        assert (pair.beta, pair.eta1) == (lone.beta, lone.eta1) == (beta, eta1)
+        assert np.array_equal(pair.psi1.vec, haar_random_state(dim, seed).vec)  # one Haar definition
+        reference = _pair_loop(dim, beta, seed)
+        assert np.array_equal(pair.psi1.vec, reference[0]) and np.array_equal(pair.psi2.vec, reference[1])
+        assert not pair.psi1.vec.flags.writeable
+    assert pair_with_overlap(dim, [], [], []) == []
+
+
+def test_rejected_direction_is_redrawn_from_its_own_generator():
+    stubs = [_ParallelOnce(11), _ParallelOnce(11)]
+    stacked = pair_with_overlap(3, [0.5, 0.2], [0.5, 0.5], [12, stubs[0]])[1]
+    lone = pair_with_overlap(3, 0.2, 0.5, stubs[1])
+    assert all(len(stub.draws) == 3 for stub in stubs)  # psi1, the rejected direction, its redraw
+    assert np.array_equal(stacked.psi2.vec, lone.psi2.vec)
+    assert abs(overlap(lone.psi1, lone.psi2) - 0.2) <= 1e-12
+
+
+def test_stacked_pair_inputs_must_match():
+    with pytest.raises(ValueError, match="one seed per point"):
+        pair_with_overlap(2, [0.1, 0.2], [0.5, 0.5], [1])
+    with pytest.raises(ValueError, match="one seed per point"):
+        pair_with_overlap(2, [0.1, 0.2], [0.5], [1, 2])
+    with pytest.raises(ValueError, match="beta must lie in"):
+        pair_with_overlap(2, [0.1, np.nan], [0.5, 0.5], [1, 2])
+    with pytest.raises(ValueError, match="eta1 must lie in"):
+        pair_with_overlap(2, [0.1, 0.2], [0.5, 1.5], [1, 2])
+
+
+def test_stacked_adapted_bases_match_lone_calls():
+    pairs = pair_with_overlap(3, [0.0, 0.3, 1 / np.sqrt(2), 0.95], [0.5] * 4, [13, 14, 15, 16])
+    psi1 = [basis_state(3, 0)] + [p.psi1 for p in pairs]
+    psi2 = [basis_state(3, 1)] + [p.psi2 for p in pairs]  # beta = 0 exactly: no phase alignment
+    v1, v2 = np.array([a.vec for a in psi1]), np.array([b.vec for b in psi2])
+    stacked = states._adapted_basis(v1, v2)
+    for k, (a, b) in enumerate(zip(psi1, psi2)):
+        assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, qutrit_adapted_basis(a, b)))
+    with pytest.raises(ValueError, match="parallel"):
+        states._adapted_basis(v1, np.vstack([v2[:-1], v1[-1]]))
