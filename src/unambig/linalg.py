@@ -128,7 +128,7 @@ def fix_global_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Works row by row on an ``(..., d)`` stack; a row with no such entry
     is returned unchanged.
     """
-    v = np.array(v, dtype=complex)  # a copy, rotated in place
+    v = np.array(v, dtype=complex, order="C")  # a copy whose rows are views, rotated in place
     rows = v.reshape(-1, v.shape[-1])
     mags = modulus(rows)
     big = mags > tol

@@ -202,6 +202,7 @@ def test_stacked_phase_fix_matches_lone_calls():
     for row, lone in zip(rows, stacked):
         assert np.array_equal(fix_global_phase(row), lone) and np.array_equal(_phase_fix_loop(row), lone)
     assert np.array_equal(fix_global_phase(rows.reshape(2, 3, 3)), stacked.reshape(2, 3, 3))
+    assert np.array_equal(fix_global_phase(np.asfortranarray(rows.reshape(2, 3, 3))), stacked.reshape(2, 3, 3))
 
 
 @pytest.mark.parametrize("d", [2, 3])
