@@ -50,6 +50,22 @@ duplicate cell changes neither the maximum, the tie filters nor the
 lexicographically smallest pick.  Infeasible cells score ``-inf``.
 Every family's feasibility predicate reads only the first two
 coefficients, so it is evaluated on the ``(l0, l1)`` axes and broadcast.
+
+Coordinates from index 2 on (the known/unknown ``l3``) are free: neither
+the feasibility predicate nor the boundary projection reads them, and
+every case objective is nondecreasing in them at each adversary row and
+at the tie point.  The coefficient of ``l3`` is ``f^2 (1 - eta1)`` in
+``_known_unknown_p`` and ``f (1 - eta1)`` in ``_bracket``, with
+``f = 1 - beta^2``, both nonnegative on the unit box; rounded ``+`` and
+``*`` by a nonnegative number are monotone, so the computed values are
+nondecreasing too.  Along a free axis the top worst case and the top
+mean therefore sit at its upper end (the same vertex argument as the
+adversary's), and each pass scores only the two ends of a free axis,
+in the grid and the boundary block alike.  The pick keeps the same
+leading coordinates; along the free axis it is the lower end when the
+whole axis ties within ``_TIE_TOL``, otherwise the upper end.  A full
+axis would pick its smallest tied value instead, which differs only
+where the axis moves the objective by less than ``_TIE_TOL``.
 ``verify_case`` keys its solves by the problem's inputs
 (``_problem_inputs``) and stacks the distinct keys of a case in one
 solve.
@@ -114,6 +130,11 @@ class MaximinProblem:
     read the inputs of the points ``block.rows``.  The worst case is the
     minimum over ``adversary`` (the box vertices for the case problems,
     or any grid).
+
+    Coordinates from index 2 on must be free: ``feasible`` and
+    ``boundary`` do not read them, and the objective is nondecreasing in
+    each of them at every adversary row and at ``tie_point``.
+    ``solve_maximin`` scores only the two ends of their windows.
     """
 
     n_params: int
@@ -241,7 +262,10 @@ def _select(problem: MaximinProblem, blocks: list[Block], n: int):
 
 
 def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[SolveResult]:
-    """Grid search with tenfold local refinement down to ``resolution``, by ``_chunks``; one result per stacked point."""
+    """Grid search with tenfold local refinement down to ``resolution``, by ``_chunks``; one result per stacked point.
+
+    A free coordinate (index 2 on, see ``MaximinProblem``) is scored at the two ends of its window only.
+    """
     if not 0 < resolution <= 1e-2:
         raise ValueError(f"resolution must lie in (0, 1e-2], got {resolution}")
     k, n = problem.n_params, problem.points
@@ -252,6 +276,7 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[Sol
     while True:
         found, lam, worst, mean = np.zeros(n, dtype=bool), np.zeros((n, k)), np.zeros(n), np.zeros(n)
         lengths = np.maximum(1, np.rint((hi - lo) / step).astype(int)) + 1
+        lengths[:, 2:] = np.minimum(lengths[:, 2:], 2)  # a free coordinate's best is at an end of its axis
         for rows in _chunks(lengths):
             grid = _block([_axes(lo[rows, i], hi[rows, i], lengths[rows, i]) for i in range(k)], rows)
             blocks = [grid]
@@ -454,12 +479,15 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
         oracle = np.array([r.value for r in results])[solution]
     else:  # the A2/B2 brackets are judged on the actual success probability of their decision
         oracle = _known_unknown_p(*lam[solution].T, points[:, 0], points[:, 1])
-    # the check depends only on the pair's overlap and the solution; each pair is drawn once
+    # the check depends only on the pair's overlap and the solution; the distinct pairs are drawn in one call
     pair_beta = np.minimum(solved[:, 0], 0.99) if case.family is Family.KNOWN_KNOWN else np.zeros(len(solved))
     checks = np.column_stack([pair_beta, lam])
-    pair = functools.cache(lambda beta: pair_with_overlap(case.dim, beta, 0.5, seed=0))
-    for beta, *lambda_star in checks[_first_rows(checks)[0]].tolist():
-        _check_solution_psd(case, pair(beta), tuple(lambda_star))
+    checks = checks[_first_rows(checks)[0]]
+    distinct, pair_of = _first_rows(checks[:, :1])
+    overlaps = checks[distinct, 0]
+    pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=[0] * len(overlaps))
+    for k, (_, *lambda_star) in zip(pair_of.tolist(), checks.tolist()):
+        _check_solution_psd(case, pairs[k], tuple(lambda_star))
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
     dev = np.abs(closed - oracle)
     worst = (0.0, (0.0, 0.0))  # the first largest deviation, or the first NaN; none when all are 0

@@ -71,6 +71,76 @@ def test_vertex_adversary_matches_dense_grid(regime, dim):
             assert res.value == res_dense.value
 
 
+FREE_AXIS = (Regime.A2, Regime.A3, Regime.B2, Regime.B3)  # the three-coefficient case problems
+
+
+def _free_axis_problem_and_blocks(regime, dim, third):
+    """A case problem stacked over edge and seeded random points, with its 11-point grid block
+    and boundary block, the third axis holding ``third``."""
+    edges = [(beta, eta1) for beta in EDGE_BETAS for eta1 in (0.0, 1.0)]
+    points = np.vstack([edges, np.random.default_rng(12).random((10, 2))])
+    problem = opt.case_problem(KnowledgeCase(regime, dim), beta=points[:, 0], eta1=points[:, 1])
+    axis = np.tile(opt._axis_grid(0.0, 1.0, 0.1), (len(points), 1))
+    grid = opt._block([axis, axis, np.tile(third, (len(points), 1))], slice(0, len(points)))
+    boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], grid.rows)
+    return problem, [grid, boundary]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", FREE_AXIS, ids=lambda r: r.value)
+def test_objectives_are_nondecreasing_along_the_free_axis(regime, dim):
+    # the premise of scoring only the ends of the third axis: the worst case and the
+    # tie-break value never decrease along it, exactly, in the grid and the boundary block
+    problem, blocks = _free_axis_problem_and_blocks(regime, dim, opt._axis_grid(0.0, 1.0, 0.1))
+    for block in blocks:
+        assert block.shape[3] == 11
+        for values in opt._evaluate(problem, block):
+            assert np.all(np.diff(np.broadcast_to(values, block.shape), axis=3) >= 0)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", FREE_AXIS, ids=lambda r: r.value)
+def test_select_over_the_free_axis_ends_matches_the_full_axis(regime, dim):
+    axis = opt._axis_grid(0.0, 1.0, 0.1)
+    full, ends = (_free_axis_problem_and_blocks(regime, dim, third) for third in (axis, axis[[0, -1]]))
+    picks = [opt._select(problem, blocks, blocks[0].shape[0]) for problem, blocks in (full, ends)]
+    for a, b in zip(*picks):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_free_axis_near_tie_picks_the_upper_end(dim):
+    # where the third coefficient moves the objective by less than _TIE_TOL, a full axis
+    # picked its smallest tied value (0.1, value 0.4999999999996); its upper end scores higher
+    res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.A3, dim), beta=0.0, eta1=1 - 1e-12))[0]
+    assert res.lambda_star[2] == 1.0
+    assert res.value >= 0.4999999999996
+
+
+@pytest.mark.parametrize("regime", (Regime.A3, Regime.A4, Regime.B4), ids=lambda r: r.value)
+def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
+    # the distinct pair overlaps of a case are drawn once each, in first-occurrence
+    # order, and each pair is bitwise the pair of its own lone call
+    calls, checked = [], []
+    real_pairs = opt.pair_with_overlap
+
+    def record_pairs(dim, beta, eta1, seed):
+        calls.append(np.asarray(beta).tolist())
+        return real_pairs(dim, beta, eta1, seed)
+
+    monkeypatch.setattr(opt, "pair_with_overlap", record_pairs)
+    monkeypatch.setattr(opt, "_check_solution_psd", lambda case, pair, lambda_star: checked.append(pair))
+    betas = (0.3, 0.995, 0.0, 0.3, 1.0)
+    opt.verify_case(KnowledgeCase(regime, 3), betas=betas, etas=(0.2, 0.7))
+    expected = [0.3, 0.99, 0.0] if regime is not Regime.A3 else [0.0]
+    assert calls == [expected]
+    assert {pair.beta for pair in checked} == set(expected)
+    for pair in checked:
+        lone = real_pairs(3, pair.beta, 0.5, seed=0)
+        assert pair.psi1.vec.tobytes() == lone.psi1.vec.tobytes()
+        assert pair.psi2.vec.tobytes() == lone.psi2.vec.tobytes()
+
+
 def test_block_len_and_feasibility_mask_are_per_candidate_cell():
     problem = opt.case_problem(KnowledgeCase(Regime.A3, 2), beta=[0.3, 0.6], eta1=[0.5, 0.5])
     block = opt._block([np.tile(opt._axis_grid(0.0, 1.0, 0.1), (2, 1))] * 3, slice(0, 2))
