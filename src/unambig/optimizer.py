@@ -66,6 +66,24 @@ leading coordinates; along the free axis it is the lower end when the
 whole axis ties within ``_TIE_TOL``, otherwise the upper end.  A full
 axis would pick its smallest tied value instead, which differs only
 where the axis moves the objective by less than ``_TIE_TOL``.
+
+With a boundary projection, coordinate 1 is scored the same way.  Every
+family's feasible values of coordinate 1 at each ``l0`` form a down-set
+(each constraint's left side is nonincreasing in it) topped by
+``boundary(l0)`` up to the predicate's slack, and every case objective
+is nondecreasing in it: its coefficient is ``(1 - eta1) f`` up to a
+positive factor, or ``(1 - eta1) beta^2`` (times ``f`` outside the
+bracket), where computed ``_bracket`` values may dip by an ulp.  So the
+boundary block's cell of each ``l0`` column scores at least every
+feasible grid cell of that column, within ``_TIE_TOL``, and the grid
+block scores only the two ends of the coordinate-1 window.  The lower
+end keeps the lexicographic pick where the objective is flat in
+coordinate 1 (``eta1 = 1``, ``beta = 1``, or A3 at ``beta = 0``); the
+upper end keeps ``(1, 1)`` where the slack lets coordinate 1 rise above
+the computed projection.  A full axis would pick a lower grid cell that
+ties the top within ``_TIE_TOL``, such as one an ulp below the
+projection.
+
 ``verify_case`` keys its solves by the problem's inputs
 (``_problem_inputs``) and stacks the distinct keys of a case in one
 solve.
@@ -133,8 +151,12 @@ class MaximinProblem:
 
     Coordinates from index 2 on must be free: ``feasible`` and
     ``boundary`` do not read them, and the objective is nondecreasing in
-    each of them at every adversary row and at ``tie_point``.
-    ``solve_maximin`` scores only the two ends of their windows.
+    each of them at every adversary row and at ``tie_point``.  With a
+    ``boundary``, coordinate 1 must be bounded by it: at each value of
+    coordinate 0 its feasible values form a down-set topped by
+    ``boundary`` (up to the predicate's slack), and the objective is
+    nondecreasing in it in the same way.  ``solve_maximin`` scores only
+    the two ends of those coordinates' windows.
     """
 
     n_params: int
@@ -264,7 +286,8 @@ def _select(problem: MaximinProblem, blocks: list[Block], n: int):
 def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[SolveResult]:
     """Grid search with tenfold local refinement down to ``resolution``, by ``_chunks``; one result per stacked point.
 
-    A free coordinate (index 2 on, see ``MaximinProblem``) is scored at the two ends of its window only.
+    A free coordinate (index 2 on), and coordinate 1 when the problem has a ``boundary`` (see
+    ``MaximinProblem``), is scored at the two ends of its window only.
     """
     if not 0 < resolution <= 1e-2:
         raise ValueError(f"resolution must lie in (0, 1e-2], got {resolution}")
@@ -276,7 +299,9 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[Sol
     while True:
         found, lam, worst, mean = np.zeros(n, dtype=bool), np.zeros((n, k)), np.zeros(n), np.zeros(n)
         lengths = np.maximum(1, np.rint((hi - lo) / step).astype(int)) + 1
-        lengths[:, 2:] = np.minimum(lengths[:, 2:], 2)  # a free coordinate's best is at an end of its axis
+        # a free coordinate's best is at an end of its axis; coordinate 1's, at the boundary block
+        free = 1 if problem.boundary is not None else 2
+        lengths[:, free:] = np.minimum(lengths[:, free:], 2)
         for rows in _chunks(lengths):
             grid = _block([_axes(lo[rows, i], hi[rows, i], lengths[rows, i]) for i in range(k)], rows)
             blocks = [grid]

@@ -102,7 +102,9 @@ def direct_boundary(l1: np.ndarray, beta) -> np.ndarray:
     """l2 on the boundary of ``direct_ok`` at overlap ``beta``: the nearer of its two bounds."""
     b2 = beta * beta
     from_sum = np.where(b2 > 0.0, (1.0 - l1) / np.maximum(b2, 1e-300), np.inf)
-    from_det = (1.0 - l1) / np.maximum(1.0 - (1.0 - b2) * l1, 1e-15)
+    den = 1.0 - (1.0 - b2) * l1
+    # den == 0 only at b2 == 0 (after rounding) and l1 == 1, where the bound reads 0 >= 0 for every l2
+    from_det = np.divide(1.0 - l1, den, out=np.ones(np.shape(den)), where=den != 0.0)
     return np.clip(np.minimum(from_sum, from_det), 0.0, 1.0)
 
 

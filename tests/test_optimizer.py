@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
-from unambig import optimizer as opt
+from unambig import cli, optimizer as opt
 from unambig import strategies as st
 from unambig.linalg import orthonormal_completion
 from unambig.povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
@@ -72,18 +72,24 @@ def test_vertex_adversary_matches_dense_grid(regime, dim):
 
 
 FREE_AXIS = (Regime.A2, Regime.A3, Regime.B2, Regime.B3)  # the three-coefficient case problems
+FREE_AXIS_EDGES = [(beta, eta1) for beta in EDGE_BETAS for eta1 in (0.0, 1.0)]
+SECOND_AXIS_EDGES = [(beta, eta1) for beta in (0.0, 1e-9, 1 / math.sqrt(2), 1 - 1e-12, 1.0) for eta1 in (0.0, 0.5, 1.0)]
+
+
+def _axis_problem_and_blocks(regime, dim, edges, seed, index, values):
+    """A case problem stacked over ``edges`` and ten seeded random points, with its 11-point grid
+    block, coordinate ``index`` holding ``values``, and the boundary block of that grid."""
+    points = np.vstack([edges, np.random.default_rng(seed).random((10, 2))])
+    problem = opt.case_problem(KnowledgeCase(regime, dim), beta=points[:, 0], eta1=points[:, 1])
+    cols = [np.tile(opt._axis_grid(0.0, 1.0, 0.1), (len(points), 1))] * problem.n_params
+    cols[index] = np.tile(values, (len(points), 1))
+    grid = opt._block(cols, slice(0, len(points)))
+    boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], grid.rows)
+    return problem, [grid, boundary]
 
 
 def _free_axis_problem_and_blocks(regime, dim, third):
-    """A case problem stacked over edge and seeded random points, with its 11-point grid block
-    and boundary block, the third axis holding ``third``."""
-    edges = [(beta, eta1) for beta in EDGE_BETAS for eta1 in (0.0, 1.0)]
-    points = np.vstack([edges, np.random.default_rng(12).random((10, 2))])
-    problem = opt.case_problem(KnowledgeCase(regime, dim), beta=points[:, 0], eta1=points[:, 1])
-    axis = np.tile(opt._axis_grid(0.0, 1.0, 0.1), (len(points), 1))
-    grid = opt._block([axis, axis, np.tile(third, (len(points), 1))], slice(0, len(points)))
-    boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], grid.rows)
-    return problem, [grid, boundary]
+    return _axis_problem_and_blocks(regime, dim, FREE_AXIS_EDGES, 12, 2, third)
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -115,6 +121,87 @@ def test_free_axis_near_tie_picks_the_upper_end(dim):
     res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.A3, dim), beta=0.0, eta1=1 - 1e-12))[0]
     assert res.lambda_star[2] == 1.0
     assert res.value >= 0.4999999999996
+
+
+def _second_axis_problem_and_blocks(regime, dim, second):
+    return _axis_problem_and_blocks(regime, dim, SECOND_AXIS_EDGES, 13, 1, second)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_second_axis_is_a_down_set_topped_by_the_boundary(regime, dim):
+    # the premises of scoring only the ends of the second axis next to the boundary block:
+    # feasibility is a down-set along it, every boundary cell is feasible, and the worst case
+    # and the tie-break value never decrease along it beyond rounding (_bracket dips by an ulp)
+    problem, (grid, boundary) = _second_axis_problem_and_blocks(regime, dim, opt._axis_grid(0.0, 1.0, 0.1))
+    assert grid.shape[2] == 11
+    mask = np.asarray(problem.feasible(grid))
+    assert np.all(np.diff(mask.astype(int), axis=2) <= 0)
+    assert np.all(problem.feasible(boundary))
+    for values in opt._evaluate(problem, grid):
+        assert np.all(np.diff(np.broadcast_to(values, grid.shape), axis=2) >= -opt._TIE_TOL)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_select_over_the_second_axis_ends_matches_the_full_axis(regime, dim):
+    axis = opt._axis_grid(0.0, 1.0, 0.1)
+    full, ends = (_second_axis_problem_and_blocks(regime, dim, second) for second in (axis, axis[[0, -1]]))
+    picks = [opt._select(problem, blocks, blocks[0].shape[0]) for problem, blocks in (full, ends)]
+    (_, lam_full, worst_full, _), (_, lam_ends, worst_ends, _) = picks
+    # one near tie: at (beta, eta1) = (1 - 1e-12, 0) the A3/A4 objectives are about 2e-12 l2, so a
+    # full axis picked its smallest value within _TIE_TOL of the top (0.5); the ends pick the top end
+    differ = np.flatnonzero(np.any(lam_full != lam_ends, axis=1))
+    near_tie = [SECOND_AXIS_EDGES.index((1 - 1e-12, 0.0))] if regime in (Regime.A3, Regime.A4) else []
+    assert differ.tolist() == near_tie
+    assert lam_full[differ, 1].tolist() == [0.5] * len(differ) and lam_ends[differ, 1].tolist() == [1.0] * len(differ)
+    assert np.all(worst_full[differ] < worst_ends[differ]) and np.all(worst_ends[differ] <= worst_full[differ] + opt._TIE_TOL)
+    same = np.ones(len(lam_full), dtype=bool)
+    same[differ] = False
+    for a, b in zip(*picks):
+        np.testing.assert_array_equal(a[same], b[same])
+
+
+def test_second_axis_near_ties_pick_the_boundary_or_the_upper_end():
+    # A4 dim 2 at a verify grid point: a full second axis picked the grid cell one ulp below
+    # the boundary projection, l2 = 0.0593824228028504; the two ends and the projection pick
+    # the projection itself, at a bitwise equal value
+    ax = opt._axis_grid(0.0, 1.0, 0.05)
+    res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.A4, 2), beta=ax[8], eta1=ax[17]))[0]
+    assert res.lambda_star == (0.99, float(st.direct_boundary(0.99, ax[8])))
+    assert res.lambda_star[1] == 0.05938242280285041
+    assert res.value == 0.7143421852731591
+    # where the objective is about 2e-12 l2, a full axis picked l2 = 0.5 (value about 1e-12);
+    # the upper end scores about 2e-12
+    for regime, dim in itertools.product((Regime.A3, Regime.A4), (2, 3)):
+        res = opt.solve_maximin(opt.case_problem(KnowledgeCase(regime, dim), beta=1 - 1e-12, eta1=0.0))[0]
+        assert res.lambda_star[:2] == (0.0, 1.0)
+        assert res.value > 1.99e-12
+
+
+# sha256 over (lambda_star, value, certificate bytes) of every solve of `verify --case all`
+# at `--dim 2 --grid 0.05`, `--dim 3 --grid 0.1` and `--dim 2 --grid 0.1 --resolution 5e-4`
+REFERENCE_SOLVES = (2224, "7814f18e951164faf5b9508bdc77614dc4b40397b2075d8ed268c9e558e5deb1")
+
+
+def test_reference_solves_are_frozen(capsys, monkeypatch):
+    digest, count, real_solve = hashlib.sha256(), 0, opt.solve_maximin
+
+    def record_solve(problem, resolution=1e-3):
+        nonlocal count
+        results = real_solve(problem, resolution)
+        for r in results:
+            digest.update(repr((r.lambda_star, r.value)).encode())
+            digest.update(b"-" if r.certificate is None else r.certificate.tobytes())
+        count += len(results)
+        return results
+
+    monkeypatch.setattr(opt, "solve_maximin", record_solve)
+    for argv in (("--dim", "2", "--grid", "0.05"), ("--dim", "3", "--grid", "0.1"),
+                 ("--dim", "2", "--grid", "0.1", "--resolution", "5e-4")):
+        assert cli.main(["verify", "--case", "all", *argv]) == 0
+    capsys.readouterr()
+    assert (count, digest.hexdigest()) == REFERENCE_SOLVES
 
 
 @pytest.mark.parametrize("regime", (Regime.A3, Regime.A4, Regime.B4), ids=lambda r: r.value)

@@ -35,6 +35,21 @@ def test_decision_ignores_inputs_its_regime_lacks(regime, dim, beta, eta1, other
     assert st.success_probability(case, *changed).lam == st.success_probability(case, beta, eta1).lam
 
 
+@pytest.mark.parametrize("beta", (0.0, 0.5))
+def test_direct_boundary_at_a_vanishing_denominator(beta):
+    # 1 - (1 - beta^2) l1 vanishes at beta = 0, l1 = 1, where every l2 is feasible; a floor
+    # on it used to give 0 there and 0.111 one ulp below; the division is now exact
+    l1 = np.array([1.0, 1.0 - 2.0**-53])
+    b2 = beta * beta
+    bound = st.direct_boundary(l1, beta)
+    if beta == 0.0:
+        assert bound.tolist() == [1.0, 1.0]
+    else:
+        assert bound.tolist() == [0.0, min((1.0 - l1[1]) / b2, (1.0 - l1[1]) / (1.0 - (1.0 - b2) * l1[1]))]
+    assert np.all(st.direct_ok(l1, bound, beta))
+    assert st.direct_boundary(l1, np.full((2, 1), beta)).tolist() == [bound.tolist()] * 2
+
+
 def test_feasible_rejections():
     assert not st.feasible(KnowledgeCase(Regime.A4, 2), LambdaParams.of(1.0, 1.0), beta=0.5)
     assert not st.feasible(KnowledgeCase(Regime.A1, 2), LambdaParams.of(1.0, 1.0))
