@@ -35,9 +35,9 @@ independent parameter points (``case_problem`` takes arrays of ``beta``
 and ``eta1``; a scalar call is P = 1), and candidates are never
 materialized as rows.  Each pass splits the points into chunks of
 consecutive rows, as many as fit ``_BLOCK_CELLS`` cells (a memory cap)
-padded to the chunk's longest axes, and at least one; per chunk it
-evaluates three broadcast ``Block``s, with coordinate i along axis 1 + i
-and a trailing adversary axis:
+of the grid and boundary blocks padded to the chunk's longest axes, and
+at least one; per chunk it evaluates three broadcast ``Block``s, with
+coordinate i along axis 1 + i and a trailing adversary axis:
 
 * the product grid of the per-coefficient axes;
 * the boundary block: the second coordinate set to the boundary
@@ -302,7 +302,10 @@ def solve_maximin(problem: MaximinProblem, resolution: float = 1e-3) -> list[Sol
         # a free coordinate's best is at an end of its axis; coordinate 1's, at the boundary block
         free = 1 if problem.boundary is not None else 2
         lengths[:, free:] = np.minimum(lengths[:, free:], 2)
-        for rows in _chunks(lengths):
+        cells = lengths.copy()  # per point, the axes of the cells a chunk scores: the grid block's,
+        if problem.boundary is not None:
+            cells[:, 1] += 1  # plus the boundary block's one value of coordinate 1 per column
+        for rows in _chunks(cells):
             grid = _block([_axes(lo[rows, i], hi[rows, i], lengths[rows, i]) for i in range(k)], rows)
             blocks = [grid]
             if problem.boundary is not None:

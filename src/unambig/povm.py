@@ -321,6 +321,20 @@ def build_for_case(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
     return build_known_known(psi1, pair.psi2 if lone else [p.psi2 for p in pairs], lam)
 
 
+def distinct_measurements(case: KnowledgeCase, lams: Sequence[LambdaParams]) -> np.ndarray:
+    """Each point's index among the distinct POVMs ``build_for_case`` gives a stack, numbered in order of first use.
+
+    An unknown/unknown POVM reads only its coefficients (a programmable
+    discriminator: the pair enters as program input, not as design), so
+    points with equal ``LambdaParams.flat`` share one.  The other
+    families read the pair, so every point has its own.
+    """
+    if case.family is not Family.UNKNOWN_UNKNOWN:
+        return np.arange(len(lams))
+    keys: dict[tuple[float, ...], int] = {}
+    return np.array([keys.setdefault(lam.flat, len(keys)) for lam in lams], dtype=int)
+
+
 def success_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParams) -> tuple[float, float]:
     """(p1, p2): probabilities of correctly identifying each preparation."""
     povm = build_for_case(case, pair, lam)

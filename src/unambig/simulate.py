@@ -12,18 +12,29 @@ Randomness comes from the Philox counter-based generator.  Shots are
 processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
 the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
 run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
-any longer run with the same seed.
+any longer run with the same seed.  ``run`` builds one generator and
+moves it to the start of each later batch's stream by setting its
+counter.
 
-``estimate_surface`` walks its grid in row order, in chunks of at most
-``STACK_POINTS`` points and ``STACK_CELLS`` complex cells per stacked
-POVM element, which bounds the chunk's memory.  For a chunk it takes
-all decisions in one ``success_probability`` call and draws every pair
-in one ``pair_with_overlap`` call (each point on its own
+``estimate_surface`` walks its grid in row order, in chunks of
+consecutive points: at most ``STACK_POINTS`` points, and at most
+``STACK_CELLS`` complex cells per stacked POVM element, which bounds the
+chunk's memory.  The cell cap counts the chunk's distinct measurements
+(``povm.distinct_measurements``): an unknown/unknown POVM reads only its
+coefficients, so points with equal coefficients share one, and every
+other point has its own.  It takes the decisions of the next
+``STACK_POINTS`` points in one ``success_probability`` call, and the
+chunk ends before the first measurement over the cap; the decisions
+beyond it carry over to the next chunk.  For a chunk it draws every
+pair in one ``pair_with_overlap`` call (each point on its own
 ``SeedSequence`` child), then makes one stacked
-``outcome_probabilities`` call: one POVM build, one validation and one
-Born-rule pass for all its points.  Each point is then sampled by its
-own ``run`` call, which is handed the point's probabilities.  The rows
-are bitwise those of building and sampling one point at a time.
+``outcome_probabilities`` call: one build and one validation per
+distinct measurement, and one Born-rule pass that runs each distinct
+element against the inputs of all the points that use it (zero inputs
+pad the shorter lists).  Each point
+is then sampled by its own ``run`` call, which is handed the point's
+probabilities.  The rows are bitwise those of building and sampling one
+point at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import LambdaParams, build_for_case, input_states, validate
+from .povm import LambdaParams, _stacked, build_for_case, distinct_measurements, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -83,55 +94,82 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StateP
     """(2, 3) Born probabilities: rows = prepared state, cols = outcome (1, 2, inconclusive).
 
     For a stack of P pairs with one ``LambdaParams`` each the result is
-    ``(P, 2, 3)``, from one stacked build, validation and Born-rule pass.
-    A failed check names the first failing point's (beta, eta1) in stack
-    order.
+    ``(P, 2, 3)``, from one stacked build and validation of the stack's
+    distinct measurements (``povm.distinct_measurements``) and one
+    Born-rule pass.  A failed check names the first point, in stack
+    order, that uses a failing measurement.
     """
-    lone = isinstance(pair, StatePair)
-    pairs = [pair] if lone else list(pair)
+    (pairs, lams), lone = _stacked((pair, StatePair), (lam, LambdaParams))
+    inverse = distinct_measurements(case, lams)
+    counts = np.bincount(inverse)
+    # (measurement, slot) -> point: each measurement's points in stack order, its first use in slot 0
+    order = np.argsort(inverse, kind="stable")
+    slot = np.empty_like(inverse)
+    slot[order] = np.arange(len(pairs)) - np.repeat(np.cumsum(counts) - counts, counts)
+    point = np.zeros((len(counts), counts.max()), dtype=int)
+    point[inverse, slot] = np.arange(len(pairs))
 
     def at(k: int) -> str:
         return f"at (beta, eta1) = ({pairs[k].beta}, {pairs[k].eta1})"
 
-    povm = build_for_case(case, pair, lam)
+    if lone:  # a lone POVM stays 2-D, as its own validate call reports it
+        povm = build_for_case(case, pair, lam)
+    else:
+        povm = build_for_case(case, [pairs[k] for k in point[:, 0]], [lams[k] for k in point[:, 0]])
     try:
         report = validate(povm)
-        ins = np.stack(input_states(case, pair), axis=-2)  # (..., 2, n)
-        # (..., 2, 3): one Born-rule pass per element over both inputs of every point
-        probs = np.stack([expectation(ins, el[..., None, :, :]) for el in povm.elements], axis=-1)
+        ins = np.stack(input_states(case, pairs), axis=-2)  # (P, 2, n)
+        grouped = np.zeros(point.shape + ins.shape[1:], dtype=complex)  # zero states pad the slots
+        grouped[inverse, slot] = ins
+        # one Born-rule pass per element: each distinct element against the inputs of all its points
+        probs = np.stack([expectation(grouped, el.reshape((-1, 1, 1) + el.shape[-2:])) for el in povm.elements],
+                         axis=-1)
     except NumericalError as exc:
         if not (lone or exc.index):
             raise
-        raise type(exc)(f"{exc} {at(0 if lone else exc.index[0])}", exc.index) from exc
-    mins = np.reshape(report.min_eigenvalues, (3, -1))  # (element, point)
-    bad = ~np.reshape(report.psd_ok, (3, -1)).all(axis=0)
+        where = tuple(exc.index or ())
+        # validate locates a measurement (its first point is in slot 0); the Born rule, a (measurement, slot, input)
+        k = int(point[where[0], where[1] if len(where) > 2 else 0]) if where else 0
+        index = (k,) + where[2:]
+        raise type(exc)(f"{exc} {at(k)}", index[1:] if lone else index) from exc
+    probs = probs[inverse, slot]
+    mins = np.reshape(report.min_eigenvalues, (3, -1))[:, inverse]  # (element, point)
+    bad = ~np.reshape(report.psd_ok, (3, -1))[:, inverse].all(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
         raise MeasurementError(
             f"POVM is not positive semidefinite {at(k)}: min eigenvalues {tuple(mins[:, k].tolist())}"
         )
-    residual = np.reshape(report.completeness_residual, -1)
+    residual = np.reshape(report.completeness_residual, -1)[inverse]
     bad = ~(residual <= _PROB_SUM_TOL)  # NaN fails
     if bad.any():
         k = int(np.argmax(bad))
         raise MeasurementError(f"POVM completeness residual {residual[k]:.3e} {at(k)}")
     probs = np.clip(probs, 0.0, None)
     sums = probs.sum(axis=-1)
-    bad = ~(np.abs(sums - 1.0) <= _PROB_SUM_TOL).reshape(-1, 2).all(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= _PROB_SUM_TOL).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise MeasurementError(f"outcome probabilities sum to {sums.reshape(-1, 2)[k]} {at(k)}, expected 1")
-    return probs / sums[..., None]
+        raise MeasurementError(f"outcome probabilities sum to {sums[k]} {at(k)}, expected 1")
+    probs = probs / sums[..., None]
+    return probs[0] if lone else probs
 
 
-def _run_batch(seed: int, batch_index: int, n: int, eta1: float, probs: np.ndarray) -> np.ndarray:
-    """Counts (identified-1, identified-2, inconclusive, error) of one batch of ``n`` shots."""
-    # counter = batch_index * 2^128 is the state of Philox(key=seed).jumped(batch_index), built in one step
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=batch_index << 128))
+def _run_batch(rng: np.random.Generator, n: int, eta1: float, probs: np.ndarray) -> np.ndarray:
+    """Counts (identified-1, identified-2, inconclusive, error) of one batch of ``n`` shots drawn from ``rng``."""
     n_prep1 = rng.binomial(n, eta1)
     id1, wrong2, inc1 = rng.multinomial(n_prep1, probs[0])  # state 1 prepared: outcome 2 is an error
     wrong1, id2, inc2 = rng.multinomial(n - n_prep1, probs[1])  # state 2 prepared: outcome 1 is an error
     return np.array([id1, id2, inc1 + inc2, wrong1 + wrong2], dtype=np.int64)
+
+
+def _jump_to(bits: np.random.Philox, batch_index: int) -> None:
+    """Reset ``bits`` to the start of ``Philox(key=<its key>).jumped(batch_index)``: counter ``batch_index * 2^128``."""
+    state = bits.state
+    state["state"]["counter"] = np.array([0, 0, batch_index, 0], dtype=np.uint64)
+    state["buffer_pos"] = len(state["buffer"])  # an empty buffer
+    state["has_uint32"] = 0
+    bits.state = state
 
 
 def run(config: SimConfig) -> SimReport:
@@ -139,10 +177,14 @@ def run(config: SimConfig) -> SimReport:
     probs = config.probs
     if probs is None:
         probs = outcome_probabilities(config.case, config.pair, config.lam)
+    bits = np.random.Philox(key=config.seed)  # one generator per run: batch 0 draws from it as built
+    rng = np.random.Generator(bits)
     counts = np.zeros(4, dtype=np.int64)
     for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS):
+        if b:
+            _jump_to(bits, b)
         n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
-        counts += _run_batch(config.seed, b, n, config.pair.eta1, probs)
+        counts += _run_batch(rng, n, config.pair.eta1, probs)
     n1, n2, n0, nerr = (int(x) for x in counts)
     p_hat = (n1 + n2) / config.shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
@@ -182,16 +224,22 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     each.
     """
     points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
-    size = max(1, min(STACK_POINTS, STACK_CELLS // case.register_dim**2))
-    rows = []
-    for start in range(0, len(points), size):
-        chunk = points[start : start + size]
-        betas, etas = np.array(chunk).T
-        decisions = strategies.success_probability(case, betas, etas)
-        seeds = [_point_seeds(seed, start + k) for k in range(len(chunk))]
-        pairs = pair_with_overlap(case.dim, betas, etas, [pair_seed for pair_seed, _ in seeds])
+    betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
+    cap = max(1, STACK_CELLS // case.register_dim**2)  # distinct measurements per chunk
+    rows, decided = [], []  # decided: the decisions of the next points, at most STACK_POINTS
+    while len(rows) < len(points):
+        start = len(rows)
+        ahead = slice(start + len(decided), start + STACK_POINTS)
+        decided += strategies.success_probability(case, betas[ahead], etas[ahead])
+        # numbered in order of first use, so the chunk ends before the first measurement over the cap
+        over = np.flatnonzero(distinct_measurements(case, [res.lam for res in decided]) >= cap)
+        size = int(over[0]) if over.size else len(decided)
+        decisions, decided = decided[:size], decided[size:]
+        chunk = slice(start, start + len(decisions))
+        seeds = [_point_seeds(seed, k) for k in range(chunk.start, chunk.stop)]
+        pairs = pair_with_overlap(case.dim, betas[chunk], etas[chunk], [pair_seed for pair_seed, _ in seeds])
         probs = outcome_probabilities(case, pairs, [res.lam for res in decisions])
-        for (beta, eta1), res, pair, (_, key), p in zip(chunk, decisions, pairs, seeds, probs):
+        for (beta, eta1), res, pair, (_, key), p in zip(points[chunk], decisions, pairs, seeds, probs):
             report = run(SimConfig(case, pair, res.lam, shots_per_point, key, probs=p))
             rows.append(SurfaceRow(beta, eta1, report.estimated_success, res.p_analytic, report.stderr))
     return rows

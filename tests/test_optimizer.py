@@ -286,6 +286,28 @@ def test_stacked_solves_match_single_points(regime, dim, monkeypatch):
     assert opt.solve_maximin(opt.case_problem(case, beta=[], eta1=[])) == []
 
 
+@pytest.mark.parametrize("regime", (Regime.A1, Regime.A3, Regime.A4), ids=lambda r: r.value)
+def test_chunks_count_the_boundary_block_in_the_cell_cap(monkeypatch, regime):
+    # a chunk of several points scores at most _BLOCK_CELLS cells of its grid and boundary blocks
+    case = KnowledgeCase(regime, 2)
+    points = _stack_points(regime)
+    problem = opt.case_problem(case, beta=points[:, 0], eta1=points[:, 1])
+    assert problem.boundary is not None
+    single = _fields(opt.solve_maximin(problem))
+    scored, real = [], opt._select
+
+    def record(problem, blocks, n):
+        scored.append((n, len(blocks[0]) + len(blocks[1])))
+        return real(problem, blocks, n)
+
+    cap = 40 * 33
+    monkeypatch.setattr(opt, "_select", record)
+    monkeypatch.setattr(opt, "_BLOCK_CELLS", cap)
+    assert _fields(opt.solve_maximin(problem)) == single
+    assert any(n > 1 for n, _ in scored)
+    assert all(cells <= cap for n, cells in scored if n > 1)
+
+
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
 def test_problem_ignores_inputs_it_does_not_take(regime, dim):

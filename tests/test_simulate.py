@@ -50,7 +50,12 @@ def test_runs_are_prefixes_of_one_batch_stream():
     cfg = _config(Regime.A1, 2, 0.3, 0.7, (k + 2) * sim.BATCH_SHOTS + 17, seed=4)
     probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
     sizes = [sim.BATCH_SHOTS] * (k + 2) + [17]
-    batches = [sim._run_batch(cfg.seed, b, n, cfg.pair.eta1, probs) for b, n in enumerate(sizes)]
+    bits = np.random.Philox(key=cfg.seed)  # one generator, reset to each batch's stream as run resets it
+    rng = np.random.Generator(bits)
+    batches = []
+    for b, n in enumerate(sizes):
+        sim._jump_to(bits, b)
+        batches.append(sim._run_batch(rng, n, cfg.pair.eta1, probs))
     for b, n in enumerate(sizes):
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
         n_prep1 = rng.binomial(n, cfg.pair.eta1)
@@ -333,3 +338,111 @@ def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
     monkeypatch.setattr(sim, "expectation", nan_values)
     with pytest.raises(sim.MeasurementError, match="outcome probabilities sum to"):
         sim.outcome_probabilities(case, pairs, lams)
+
+
+# sha256 of repr(rows) on a grid of many chunks, recorded when each unknown/unknown chunk held 5 points
+_GOLDEN_ROWS_ACROSS_CHUNKS = {
+    "a1": "c4ee55cdca70a7e6886ffad28a1a4f38211ef2e3ffc67dc6f1d0582394d53f1f",
+    "b1": "f8349425d2f977d4a2691d2a8643b78b80e8cf694fe992d705dde0ebd8ce9802",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_GOLDEN_ROWS_ACROSS_CHUNKS))
+def test_estimate_surface_rows_golden_across_chunks(regime):
+    etas = tuple(k / 20 for k in range(21))
+    rows = sim.estimate_surface(KnowledgeCase(Regime(regime), 3), (0.0, 0.3, 0.6, 0.9), etas, 2000, 2025)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _GOLDEN_ROWS_ACROSS_CHUNKS[regime]
+
+
+def _record_validated(monkeypatch):
+    # the POVM stacks estimate_surface validates, and the points of each chunk
+    stacks, chunks = [], []
+    real_validate, real_probs = sim.validate, sim.outcome_probabilities
+
+    def recording_validate(stacked):
+        stacks.append(stacked)
+        return real_validate(stacked)
+
+    def recording_probs(case, pairs, lams):
+        chunks.append(len(pairs))
+        return real_probs(case, pairs, lams)
+
+    monkeypatch.setattr(sim, "validate", recording_validate)
+    monkeypatch.setattr(sim, "outcome_probabilities", recording_probs)
+    return stacks, chunks
+
+
+@pytest.mark.parametrize("regime,stacked", [(Regime.B1, [1, 1]), (Regime.A1, [2, 1])])
+def test_unknown_unknown_validates_each_distinct_measurement_once(monkeypatch, regime, stacked):
+    # B1's coefficients are one vector; A1's in dim 3 take one value for eta1 <= 1/2 and
+    # another above, so the first 64-point chunk validates two POVMs and the second one
+    stacks, chunks = _record_validated(monkeypatch)
+    case = KnowledgeCase(regime, 3)
+    betas, etas = (0.0, 0.3, 0.6, 0.9), tuple(k / 20 for k in range(21))
+    sim.estimate_surface(case, betas, etas, 100, seed=17)
+    assert chunks == [64, 20] and [len(s.pi1) for s in stacks] == stacked
+    lams = [st.success_probability(case, beta, eta1).lam for eta1 in etas for beta in betas]
+    distinct = [lam for start in (0, 64) for lam in dict.fromkeys(lams[start : start + 64])]
+    assert np.array_equal(np.concatenate([s.pi1 for s in stacks]), povm.build_unknown_unknown(3, distinct).pi1)
+
+
+def test_distinct_measurements_keep_each_chunk_within_the_cell_cap(monkeypatch):
+    # 64 distinct coefficient vectors on the qutrit simplex, one per eta1 value: chunks are
+    # cut by the cap on stacked cells (5 measurements), not by points
+    real = st.success_probability
+
+    def simplex_decisions(case, betas, etas):
+        return [dataclasses.replace(res, lam=LambdaParams.of((eta1,) * 3, (1.0 - eta1,) * 3))
+                for eta1, res in zip(etas.tolist(), real(case, betas, etas))]
+
+    monkeypatch.setattr(sim.strategies, "success_probability", simplex_decisions)
+    stacks, chunks = _record_validated(monkeypatch)
+    etas = tuple(k / 63 for k in range(64))
+    rows = sim.estimate_surface(KnowledgeCase(Regime.A1, 3), (0.2, 0.7), etas, 100, seed=18)
+    cap = sim.STACK_CELLS // 27**2
+    assert len(rows) == sum(chunks) == 128 and all(row.p_hat >= 0.0 for row in rows)
+    assert [len(s.pi1) for s in stacks] == [cap] * (64 // cap) + [64 % cap]
+    assert chunks == [2 * len(s.pi1) for s in stacks]
+    assert all(s.pi1.size <= sim.STACK_CELLS for s in stacks)
+
+
+def test_shared_measurement_failures_name_its_first_point(monkeypatch):
+    # points 2 and 4 share one measurement and points 0, 1 and 3 another; a check that fails
+    # on the shared measurement names the first point, in stack order, that uses it
+    case = KnowledgeCase(Regime.A1, 3)
+    points = [(0.1, 0.4), (0.3, 0.2), (0.6, 0.3), (0.8, 0.4), (0.2, 0.3)]
+    pairs = [pair_with_overlap(3, beta, eta1, seed=k) for k, (beta, eta1) in enumerate(points)]
+    good = st.success_probability(case, 0.5, 0.4).lam
+    bad = LambdaParams.of((1.0,) * 3, (1.0,) * 3)
+    assert povm.distinct_measurements(case, [good, good, bad, good, bad]).tolist() == [0, 0, 1, 0, 1]
+    mins = validate(povm.build_unknown_unknown(3, bad)).min_eigenvalues
+    with pytest.raises(sim.MeasurementError) as err:
+        sim.outcome_probabilities(case, pairs, [good, good, bad, good, bad])
+    assert str(err.value) == f"POVM is not positive semidefinite at (beta, eta1) = (0.6, 0.3): min eigenvalues {mins}"
+    other = st.success_probability(case, 0.5, 0.7).lam
+    lams = [good, good, other, good, other]
+    real_build, real_expectation = sim.build_for_case, sim.expectation
+
+    def skewed(case, pairs, lams):
+        built = real_build(case, pairs, lams)
+        assert len(built.pi1) == 2
+        pi1 = built.pi1.copy()
+        pi1[1] += 1e-6j * np.eye(built.dim)
+        return PovmSet(pi1, built.pi2, built.pi0)
+
+    monkeypatch.setattr(sim, "build_for_case", skewed)
+    with pytest.raises(NumericalError, match=r"^matrix is not Hermitian .* at \(beta, eta1\) = \(0\.6, 0\.3\)$") as err:
+        sim.outcome_probabilities(case, pairs, lams)
+    assert err.value.index == (2,)
+    monkeypatch.setattr(sim, "build_for_case", real_build)
+
+    def failing(state, op):  # the Born rule fails for the second point of the second measurement
+        raise NumericalError("expectation failed", (1, 1, 0))
+
+    monkeypatch.setattr(sim, "expectation", failing)
+    with pytest.raises(NumericalError, match=r"^expectation failed at \(beta, eta1\) = \(0\.2, 0\.3\)$") as err:
+        sim.outcome_probabilities(case, pairs, lams)
+    assert err.value.index == (4, 0)
+    monkeypatch.setattr(sim, "expectation", real_expectation)
+    assert np.array_equal(sim.outcome_probabilities(case, pairs, lams),
+                          [sim.outcome_probabilities(case, pair, lam) for pair, lam in zip(pairs, lams)])
