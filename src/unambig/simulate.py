@@ -12,9 +12,17 @@ Randomness comes from the Philox counter-based generator.  Shots are
 processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
 the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
 run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
-any longer run with the same seed.  ``run`` builds one generator and
-moves it to the start of each later batch's stream by setting its
-counter.
+any longer run with the same seed.  ``run`` builds one generator, on
+the key's two uint64 words rather than an entropy-drawing
+``SeedSequence``, and moves it to the start of each later batch's
+stream by setting its counter.
+
+``estimate_surface`` hashes every grid point's streams once, before its
+first chunk: point ``k``'s pair seed and sampler key are the words of
+the two children of ``SeedSequence(seed).spawn(...)[k]``, computed by
+numpy's ``SeedSequence`` hash over arrays of all the point indices
+(``_spawn_states``), so bitwise those of building each child.  The pair
+generators are built on those words.
 
 ``estimate_surface`` walks its grid in row order, in chunks of
 consecutive points: at most ``STACK_POINTS`` points, and at most
@@ -27,7 +35,7 @@ other point has its own.  It takes the decisions of the next
 chunk ends before the first measurement over the cap; the decisions
 beyond it carry over to the next chunk.  For a chunk it draws every
 pair in one ``pair_with_overlap`` call (each point on its own
-``SeedSequence`` child), then makes one stacked
+generator), then makes one stacked
 ``outcome_probabilities`` call: one build and one validation per
 distinct measurement, and one Born-rule pass that runs each distinct
 element against the inputs of all the points that use it (zero inputs
@@ -39,7 +47,9 @@ point at a time.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -172,12 +182,106 @@ def _jump_to(bits: np.random.Philox, batch_index: int) -> None:
     bits.state = state
 
 
+# numpy's SeedSequence: its pool of 32-bit words and its hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = (1 << 32) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's hash constants in turn, each with the next: ``(init, init * mult), ...`` mod 2^32."""
+    while True:
+        yield init, (init := init * mult & _MASK32)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    """SeedSequence's hash of a uint32 array on the next pair of constants (arrays wrap without a warning)."""
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ value >> 16
+
+
+def _spawn_states(seed: int, indices: np.ndarray, child: int, n_words: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i, child)).generate_state(n_words, np.uint64)`` for each ``i``: ``(P, n_words)``.
+
+    numpy's SeedSequence hash, run over uint32 arrays: the seed's words
+    (zero-padded to the pool, as a spawn key requires) are mixed once,
+    and only the spawn key's words ``(i, child)`` vary by point.  Each
+    index is one 32-bit word, so an index of 2^32 or more is rejected.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
+        raise ValueError("point indices must lie in [0, 2**32)")
+    n_seed = max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
+    entropy = np.array([(seed >> 32 * k) & _MASK32 for k in range(n_seed)], dtype=np.uint32)[:, None]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    spawn_key = [indices.astype(np.uint32), np.full(indices.shape, child, dtype=np.uint32)]
+    for word in [*entropy[_POOL_SIZE:], *spawn_key]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[k % _POOL_SIZE], consts) for k in range(2 * n_words)], axis=-1)
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+@functools.cache
+def _given_state() -> type:
+    """``GivenState(words)``: a seed sequence whose ``generate_state`` returns its uint64 ``words``.
+
+    A generator built on it is bitwise the one built on the sequence
+    whose words these are.  Made on first use: importing
+    ``numpy.random.bit_generator`` loads ``numpy.random``, which
+    ``import unambig.cli`` leaves out.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if np.dtype(dtype) != np.uint64 or n_words != len(self.words):
+                raise ValueError(f"holds {len(self.words)} uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return GivenState
+
+
+def _philox(key: int) -> np.random.Philox:
+    """``Philox(key=key)``, built on the key's two uint64 words: bitwise the same, but it draws no OS entropy."""
+    key = operator.index(key)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {key}")
+    return np.random.Philox(_given_state()(np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)))
+
+
 def run(config: SimConfig) -> SimReport:
-    """Simulate the experiment; deterministic for a fixed seed."""
+    """Simulate the experiment; deterministic for a fixed seed.
+
+    The seed is the Philox key, in [0, 2^128): batch ``b`` draws from
+    ``Philox(key=seed).jumped(b)``, in the order ``_run_batch`` fixes.
+    """
     probs = config.probs
     if probs is None:
         probs = outcome_probabilities(config.case, config.pair, config.lam)
-    bits = np.random.Philox(key=config.seed)  # one generator per run: batch 0 draws from it as built
+    bits = _philox(config.seed)  # one generator per run: batch 0 draws from it as built
     rng = np.random.Generator(bits)
     counts = np.zeros(4, dtype=np.int64)
     for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS):
@@ -189,19 +293,6 @@ def run(config: SimConfig) -> SimReport:
     p_hat = (n1 + n2) / config.shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
     return SimReport(counts=(n1, n2, n0, nerr), estimated_success=p_hat, stderr=stderr)
-
-
-def _point_seeds(seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
-    """Grid point ``index``'s pair seed and sampler key.
-
-    Both are children of ``SeedSequence(seed).spawn(...)[index]``, built
-    directly in O(1) as ``spawn`` defines them: its first child seeds the
-    state pair, its second gives the Philox key, so no two (seed, index)
-    share a stream.
-    """
-    pair_seq = np.random.SeedSequence(seed, spawn_key=(index, 0))
-    sampler_seq = np.random.SeedSequence(seed, spawn_key=(index, 1))
-    return pair_seq, int(sampler_seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -219,13 +310,17 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
 
     The decision sees only what the case allows; the simulated world uses
     the full (beta, eta1) point.  Pairs are generated deterministically
-    from the seed, one independent stream per grid point.  Points are set
-    up in chunks (see the module docstring) and sampled one ``run`` call
-    each.
+    from the seed, one independent stream per grid point, all hashed in
+    one pass.  Points are set up in chunks (see the module docstring)
+    and sampled one ``run`` call each.
     """
     points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
     betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
     cap = max(1, STACK_CELLS // case.register_dim**2)  # distinct measurements per chunk
+    # point k's children of SeedSequence(seed).spawn(...)[k]: the first seeds its pair, the second is its key
+    pair_words = _spawn_states(seed, np.arange(len(points)), 0, 4)
+    keys = _spawn_states(seed, np.arange(len(points)), 1, 1)[:, 0].tolist()
+    GivenState = _given_state()
     rows, decided = [], []  # decided: the decisions of the next points, at most STACK_POINTS
     while len(rows) < len(points):
         start = len(rows)
@@ -236,10 +331,9 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
         size = int(over[0]) if over.size else len(decided)
         decisions, decided = decided[:size], decided[size:]
         chunk = slice(start, start + len(decisions))
-        seeds = [_point_seeds(seed, k) for k in range(chunk.start, chunk.stop)]
-        pairs = pair_with_overlap(case.dim, betas[chunk], etas[chunk], [pair_seed for pair_seed, _ in seeds])
+        pairs = pair_with_overlap(case.dim, betas[chunk], etas[chunk], [GivenState(w) for w in pair_words[chunk]])
         probs = outcome_probabilities(case, pairs, [res.lam for res in decisions])
-        for (beta, eta1), res, pair, (_, key), p in zip(points[chunk], decisions, pairs, seeds, probs):
+        for (beta, eta1), res, pair, key, p in zip(points[chunk], decisions, pairs, keys[chunk], probs):
             report = run(SimConfig(case, pair, res.lam, shots_per_point, key, probs=p))
             rows.append(SurfaceRow(beta, eta1, report.estimated_success, res.p_analytic, report.stderr))
     return rows

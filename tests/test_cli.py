@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,8 +335,20 @@ def test_simulate_nan_probabilities_exit_3(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", (
     ("--beta", "0.3", "--eta1", "0.5", "--shots", "0"),
     ("--beta", "1.5", "--eta1", "0.5"),
+    ("--beta", "0.3", "--eta1", "0.5", "--seed", "-1"),
+    ("--beta", "0.3", "--eta1", "0.5", "--seed", str(2**128)),
 ))
 def test_simulate_bad_arguments_stay_usage_errors(argv, capsys):
     code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 14 ms to import; the CLI loads it only when it draws
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys, unambig.cli; print('numpy.random' in sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -157,18 +157,82 @@ def test_estimate_surface_identical_states_column():
 
 def test_point_seeds_do_not_collide_across_seeds():
     # under the former seed * 1_000_003 + index these two grid points shared streams
-    pair_a, key_a = sim._point_seeds(0, 1_000_003)
-    pair_b, key_b = sim._point_seeds(1, 0)
+    pair_a, pair_b = (sim._spawn_states(seed, [index], 0, 4)[0] for seed, index in ((0, 1_000_003), (1, 0)))
+    (key_a,), (key_b,) = (sim._spawn_states(seed, [index], 1, 1)[0] for seed, index in ((0, 1_000_003), (1, 0)))
     assert key_a != key_b
-    vec_a = pair_with_overlap(3, 0.4, 0.5, seed=pair_a).psi1.vec
-    vec_b = pair_with_overlap(3, 0.4, 0.5, seed=pair_b).psi1.vec
+    vec_a = pair_with_overlap(3, 0.4, 0.5, seed=sim._given_state()(pair_a)).psi1.vec
+    vec_b = pair_with_overlap(3, 0.4, 0.5, seed=sim._given_state()(pair_b)).psi1.vec
     assert not np.array_equal(vec_a, vec_b)
     # each point's seeds are the children of SeedSequence(seed).spawn
     child = np.random.SeedSequence(1).spawn(3)[2]
-    pair_seq, key = sim._point_seeds(1, 2)
+    pair_words, key_words = sim._spawn_states(1, [2], 0, 4)[0], sim._spawn_states(1, [2], 1, 1)[0]
     pair_child, key_child = child.spawn(2)
-    assert np.array_equal(pair_seq.generate_state(4), pair_child.generate_state(4))
-    assert key == int(key_child.generate_state(1, np.uint64)[0])
+    assert pair_words.dtype == key_words.dtype == np.uint64
+    assert np.array_equal(pair_words, pair_child.generate_state(4, np.uint64))
+    assert np.array_equal(key_words, key_child.generate_state(1, np.uint64))
+
+
+# 2**130 + 7 has five 32-bit words, one more than the SeedSequence pool
+_HASH_SEEDS = (0, 47, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+
+
+@pytest.mark.parametrize("seed", _HASH_SEEDS)
+def test_spawn_states_are_the_seed_sequence_words(seed):
+    # the first point, both sides of a chunk edge, and the last point of a 3360-point surface
+    indices = np.array([0, 63, 64, 3359])
+    for child, n_words in ((0, 4), (1, 1)):
+        words = sim._spawn_states(seed, indices, child, n_words)
+        expected = [np.random.SeedSequence(seed, spawn_key=(int(i), child)).generate_state(n_words, np.uint64)
+                    for i in indices]
+        assert words.dtype == np.uint64 and words.shape == (len(indices), n_words)
+        assert np.array_equal(words, expected)
+
+
+@pytest.mark.parametrize("seed", _HASH_SEEDS)
+def test_generators_on_spawn_states_draw_as_the_seed_sequence(seed):
+    # PCG64 seeded on a point's words draws and ends as on its SeedSequence, Philox on a key as Philox(key=key)
+    pcg_words = sim._spawn_states(seed, [3359], 0, 4)[0]
+    pcg = (np.random.PCG64(sim._given_state()(pcg_words)),
+           np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3359, 0))))
+    key = seed % 2**128
+    philox = (sim._philox(key), np.random.Philox(key=key))
+    for ours, theirs in (pcg, philox):
+        np.testing.assert_equal(ours.state, theirs.state)
+        ours_rng, theirs_rng = np.random.Generator(ours), np.random.Generator(theirs)
+        assert np.array_equal(ours_rng.standard_normal(7), theirs_rng.standard_normal(7))
+        assert np.array_equal(ours_rng.integers(0, 2**63, 5), theirs_rng.integers(0, 2**63, 5))
+        assert ours.random_raw() == theirs.random_raw()
+        np.testing.assert_equal(ours.state, theirs.state)
+
+
+def test_spawn_states_reject_what_they_cannot_hash():
+    # an index of 2**32 would take two spawn-key words; SeedSequence rejects a negative seed
+    last = sim._spawn_states(5, [2**32 - 1], 1, 1)[0]
+    assert np.array_equal(last, np.random.SeedSequence(5, spawn_key=(2**32 - 1, 1)).generate_state(1, np.uint64))
+    with pytest.raises(ValueError, match="indices"):
+        sim._spawn_states(5, [0, 2**32], 1, 1)
+    with pytest.raises(ValueError, match="indices"):
+        sim._spawn_states(5, [-1], 1, 1)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1, spawn_key=(0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        sim._spawn_states(-1, [0], 0, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.estimate_surface(KnowledgeCase(Regime.A1, 2), (0.5,), (0.5,), 100, seed=-1)
+
+
+@pytest.mark.parametrize("seed", (-1, 2**128))
+def test_run_rejects_seeds_outside_the_philox_key_range(seed):
+    cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=0)
+    with pytest.raises(ValueError, match=r"2\*\*128"):
+        sim.run(dataclasses.replace(cfg, seed=seed))
+
+
+def test_run_takes_the_largest_philox_key():
+    cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=2**128 - 1)
+    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    assert sim.run(cfg).counts == tuple(sim._run_batch(rng, cfg.shots, cfg.pair.eta1, probs).tolist())
 
 
 def test_config_probs_are_used_and_shape_checked():
