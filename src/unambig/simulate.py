@@ -251,8 +251,6 @@ def _given_state() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class GivenState(ISeedSequence):
-        __slots__ = ("words",)
-
         def __init__(self, words: np.ndarray) -> None:
             self.words = words
 
