@@ -60,10 +60,10 @@ def _eval_point(case: KnowledgeCase, beta, eta1) -> tuple[float, float]:
     beta_eval = float(beta) if beta is not None else 0.0
     if eta1 is not None:
         return beta_eval, float(eta1)
-    res0, res1 = strategies.success_probability(case, [beta_eval] * 2, [0.0, 1.0])
-    if res0.p_analytic < res1.p_analytic - 1e-15:
+    p0, p1 = strategies.success_probability(case, [beta_eval] * 2, [0.0, 1.0]).p_analytic
+    if p0 < p1 - 1e-15:
         return beta_eval, 0.0
-    if res1.p_analytic < res0.p_analytic - 1e-15:
+    if p1 < p0 - 1e-15:
         return beta_eval, 1.0
     return beta_eval, 0.5
 

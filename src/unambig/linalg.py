@@ -163,3 +163,15 @@ def orthonormal_completion(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             raise ValueError("failed to complete basis (input vector degenerate?)")
         cols.append(fix_global_phase(w / n[:, None]))
     return np.stack(cols, axis=-1).reshape(v.shape + (d,))
+
+
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows where each distinct key first occurs, and each row's index among those rows.
+
+    Row order comes from the mask, not from sorting indices: a process's first integer sort maps
+    about 0.3 MB more of numpy into a verify run's peak RSS (as ``np.unique`` without indices
+    would by importing ``numpy.ma``)."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[first] = True
+    return mask, (np.cumsum(mask) - 1)[first[inverse]]

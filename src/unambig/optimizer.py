@@ -107,6 +107,7 @@ from typing import Callable
 import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
+from .linalg import _first_rows
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -468,18 +469,6 @@ def _check_solution_psd(case: KnowledgeCase, pair: StatePair, lambda_star: tuple
         raise AssertionError(
             f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
         )
-
-
-def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the rows where each distinct key first occurs, and each row's index among those rows.
-
-    Row order comes from the mask, not from sorting indices: a process's first integer sort maps
-    about 0.3 MB more of numpy into a verify run's peak RSS (as ``np.unique`` without indices
-    would by importing ``numpy.ma``)."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    mask = np.zeros(len(keys), dtype=bool)
-    mask[first] = True
-    return mask, (np.cumsum(mask) - 1)[first[inverse]]
 
 
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,

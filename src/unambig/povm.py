@@ -14,24 +14,26 @@ Register layout (row-major tensor order, leftmost most significant):
 * known/known: direct measurement on the single prepared system.
 
 Stacks: every builder, ``build_for_case``, ``input_states`` and
-``validate`` also take a sequence of P pairs (or states) with one
-``LambdaParams`` each and then work on ``(P, n, n)`` elements.  A lone
-input is a stack of one that loses its stack axis at the end, so both go
-through the same arithmetic and every stacked element, eigenvalue and
-residual is bitwise that of its own lone call.  The bases (Gram-Schmidt
+``validate`` also take a sequence of P pairs (or states) and a ``(P, n)``
+float array of coefficients, one ``LambdaParams.flat`` row per point,
+and then work on ``(P, n, n)`` elements.  A lone input is a stack of one
+that loses its stack axis at the end, so both go through the same
+arithmetic and every stacked element, eigenvalue and residual is bitwise
+that of its own lone call.  The bases (Gram-Schmidt
 or the qutrit adapted basis), the known/known directions and the
 register inputs are built on ``(P, d)`` arrays of the states too.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cases import Family, KnowledgeCase
-from .linalg import eigvals_hermitian, expectation, kron, orthonormal_completion, projector
+from .linalg import _first_rows, eigvals_hermitian, expectation, kron, orthonormal_completion, projector
 from .states import PureState, StatePair, _adapted_basis, _qubit_complement, overlap
 
 COMPLETENESS_TOL = 1e-10
@@ -42,7 +44,7 @@ _PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 def _stacked(*inputs: tuple[object, type]) -> tuple[list[list], bool]:
-    """Each (value, kind) as a list: a lone ``kind`` is a stack of one.
+    """Each (value, kind) as a list, or an array as itself: a lone ``kind`` is a stack of one.
 
     Returns the lists and whether the inputs were lone; lone and stacked
     inputs may not be mixed, and stacks must share one nonzero length.
@@ -50,8 +52,8 @@ def _stacked(*inputs: tuple[object, type]) -> tuple[list[list], bool]:
     lone = [isinstance(value, kind) for value, kind in inputs]
     if all(lone):
         return [[value] for value, _ in inputs], True
-    stacks = [list(value) for value, _ in inputs]
-    if any(lone) or len({len(st) for st in stacks}) != 1 or not stacks[0]:
+    stacks = [value if isinstance(value, np.ndarray) else list(value) for value, _ in inputs]
+    if any(lone) or len({len(st) for st in stacks}) != 1 or not len(stacks[0]):
         raise ValueError("inputs must all be lone or all stacks of one nonzero length")
     return stacks, False
 
@@ -97,13 +99,48 @@ class LambdaParams:
         return out
 
 
-def _coefficients(lams: list[LambdaParams], name: str, n: int) -> np.ndarray:
-    """``(P, n)`` array of one coefficient field over a stack of LambdaParams (already nonnegative)."""
-    rows = [getattr(lam, name) for lam in lams]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"{name} must have {n} component(s), got {len(row)}")
-    return np.array(rows, dtype=float).reshape(-1, n)
+_BLOCKS = ("lam1", "lam2", "lam3")
+
+
+def _layout(family: Family, dim: int) -> tuple[int, ...]:
+    """Components of each coefficient block, ``lam1, lam2[, lam3]``, in ``LambdaParams.flat`` order."""
+    if family is Family.UNKNOWN_UNKNOWN:
+        return len(_PAIRS[dim]), len(_PAIRS[dim])
+    if family is Family.KNOWN_UNKNOWN:
+        return dim - 1, dim - 1, (dim - 1) ** 2
+    return 1, 1
+
+
+def _lambda_of(case: KnowledgeCase, row: np.ndarray) -> LambdaParams:
+    """The lone ``LambdaParams`` of one row of a case's coefficient stack."""
+    values = iter(row.tolist())
+    return LambdaParams(*(list(itertools.islice(values, n)) for n in _layout(case.family, case.dim)))
+
+
+def _coefficient_blocks(family: Family, dim: int, lam: LambdaParams | np.ndarray) -> list[np.ndarray]:
+    """The ``(P, n_i)`` blocks of a lone ``LambdaParams`` (P = 1) or of a ``(P, n)`` stack, checked against the layout.
+
+    The known families weigh orthogonal projectors, so their coefficients are also at most 1."""
+    layout = _layout(family, dim)
+    if isinstance(lam, LambdaParams):
+        for name, components, n in zip(_BLOCKS, (lam.lam1, lam.lam2, lam.lam3), layout):
+            if components is None:
+                raise ValueError(f"{family.value.replace('_', '/')} POVM requires {name}")
+            if len(components) != n:
+                raise ValueError(f"{name} must have {n} component(s), got {len(components)}")
+        if len(layout) < 3 and lam.lam3 is not None:
+            raise ValueError(f"{family.value.replace('_', '/')} POVM takes no lam3")
+        lam = [lam.flat]
+    stack = np.asarray(lam, dtype=float)
+    if stack.ndim != 2 or stack.shape[1] != sum(layout):
+        raise ValueError(f"coefficient stack must have {sum(layout)} component(s) per row, got shape {stack.shape}")
+    names = [name for name, n in zip(_BLOCKS, layout) for _ in range(n)]
+    top = np.inf if family is Family.UNKNOWN_UNKNOWN else 1.0 + 1e-12
+    for bad, rule in ((stack < 0.0, "be nonnegative"), (stack > top, "lie in [0, 1]")):
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(f"{names[col]} components must {rule}, got {stack[row, col]}")
+    return [stack[:, end - n : end] for n, end in zip(layout, itertools.accumulate(layout))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +203,7 @@ def _povm(pi1: np.ndarray, pi2: np.ndarray, lone: bool) -> PovmSet:
     return PovmSet(pi1[0], pi2[0], pi0[0]) if lone else PovmSet(pi1, pi2, pi0)
 
 
-def build_unknown_unknown(dim: int, lam: LambdaParams | Sequence[LambdaParams]) -> PovmSet:
+def build_unknown_unknown(dim: int, lam: LambdaParams | np.ndarray) -> PovmSet:
     """Discriminator for two classically unknown states, one copy of each.
 
     pi1 = sum_i lam1[i] * I_A (x) P^as_BC,i   (detects a B/C mismatch)
@@ -177,24 +214,19 @@ def build_unknown_unknown(dim: int, lam: LambdaParams | Sequence[LambdaParams]) 
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    (lams,), lone = _stacked((lam, LambdaParams))
-    n_pairs = len(_PAIRS[dim])
-    lam1 = _coefficients(lams, "lam1", n_pairs)
-    lam2 = _coefficients(lams, "lam2", n_pairs)
-    if any(x.lam3 is not None for x in lams):
-        raise ValueError("unknown/unknown POVM takes no lam3")
+    _, lone = _stacked((lam, LambdaParams))
+    lam1, lam2 = _coefficient_blocks(Family.UNKNOWN_UNKNOWN, dim, lam)
     block_bc, block_ab = UNKNOWN_UNKNOWN_BLOCKS[dim]
     d3 = dim**3
-    pi1 = np.zeros((len(lams), d3, d3), dtype=complex)
-    pi2 = np.zeros((len(lams), d3, d3), dtype=complex)
+    pi1 = np.zeros((len(lam1), d3, d3), dtype=complex)
+    pi2 = np.zeros((len(lam1), d3, d3), dtype=complex)
     for i, (bc, ab) in enumerate(zip(block_bc, block_ab)):
         pi1 += lam1[:, i, None, None] * bc
         pi2 += lam2[:, i, None, None] * ab
     return _povm(pi1, pi2, lone)
 
 
-def build_known_unknown(psi1: PureState | Sequence[PureState],
-                        lam: LambdaParams | Sequence[LambdaParams]) -> PovmSet:
+def build_known_unknown(psi1: PureState | Sequence[PureState], lam: LambdaParams | np.ndarray) -> PovmSet:
     """Discriminator for a known state vs. a single copy of an unknown one.
 
     With b0 = psi1 and b1..b_{d-1} completing the basis:
@@ -203,18 +235,10 @@ def build_known_unknown(psi1: PureState | Sequence[PureState],
     pi2 = sum_i lam2[i] * |b0 b_i><b0 b_i|
         + sum_{j,k>=1} lam3[jk] * |b_j b_k><b_j b_k|
     """
-    (states, lams), lone = _stacked((psi1, PureState), (lam, LambdaParams))
+    (states, _), lone = _stacked((psi1, PureState), (lam, LambdaParams))
     d = states[0].dim
     n_as = d - 1
-    lam1 = _coefficients(lams, "lam1", n_as)
-    lam2 = _coefficients(lams, "lam2", n_as)
-    if any(x.lam3 is None for x in lams):
-        raise ValueError("known/unknown POVM requires lam3")
-    lam3 = _coefficients(lams, "lam3", n_as * n_as)
-    for name, coeffs in (("lam1", lam1), ("lam2", lam2), ("lam3", lam3)):
-        over = coeffs[coeffs > 1.0 + 1e-12]
-        if over.size:
-            raise ValueError(f"{name} components must lie in [0, 1], got {over[0]}")
+    lam1, lam2, lam3 = _coefficient_blocks(Family.KNOWN_UNKNOWN, d, lam)
     bases = orthonormal_completion(np.array([state.vec for state in states]))  # (P, d, d), b_j = column j
     products = kron(bases, bases)  # column j*d + k is b_j (x) b_k
 
@@ -247,22 +271,17 @@ def _known_known_directions(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def build_known_known(psi1: PureState | Sequence[PureState], psi2: PureState | Sequence[PureState],
-                      lam: LambdaParams | Sequence[LambdaParams]) -> PovmSet:
+                      lam: LambdaParams | np.ndarray) -> PovmSet:
     """Direct measurement when both states are known.
 
     pi1 projects onto the direction orthogonal to psi2 (within the span of
     the pair for qutrits), pi2 onto the direction orthogonal to psi1.
     Parallel pairs are degenerate and rejected.
     """
-    (firsts, seconds, lams), lone = _stacked((psi1, PureState), (psi2, PureState), (lam, LambdaParams))
+    (firsts, seconds, _), lone = _stacked((psi1, PureState), (psi2, PureState), (lam, LambdaParams))
     if any(a.dim != b.dim for a, b in zip(firsts, seconds)):
         raise ValueError("psi1 and psi2 must have equal dimension")
-    lam1 = _coefficients(lams, "lam1", 1)
-    lam2 = _coefficients(lams, "lam2", 1)
-    if any(x.lam3 is not None for x in lams):
-        raise ValueError("known/known POVM takes no lam3")
-    if np.count_nonzero(lam1 > 1.0 + 1e-12) or np.count_nonzero(lam2 > 1.0 + 1e-12):
-        raise ValueError("lam components must lie in [0, 1]")
+    lam1, lam2 = _coefficient_blocks(Family.KNOWN_KNOWN, firsts[0].dim, lam)
     directions = _known_known_directions(np.array([a.vec for a in firsts]), np.array([b.vec for b in seconds]))
     pi1 = lam1[:, :, None] * projector(directions[:, 0])
     pi2 = lam2[:, :, None] * projector(directions[:, 1])
@@ -310,7 +329,7 @@ def input_states(case: KnowledgeCase, pair: StatePair | Sequence[StatePair]) -> 
 
 
 def build_for_case(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
-                   lam: LambdaParams | Sequence[LambdaParams]) -> PovmSet:
+                   lam: LambdaParams | np.ndarray) -> PovmSet:
     """Build the family-appropriate POVM for a case on a concrete pair, or on a stack of pairs."""
     (pairs, _), lone = _stacked((pair, StatePair), (lam, LambdaParams))
     if case.family is Family.UNKNOWN_UNKNOWN:
@@ -321,18 +340,17 @@ def build_for_case(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
     return build_known_known(psi1, pair.psi2 if lone else [p.psi2 for p in pairs], lam)
 
 
-def distinct_measurements(case: KnowledgeCase, lams: Sequence[LambdaParams]) -> np.ndarray:
-    """Each point's index among the distinct POVMs ``build_for_case`` gives a stack, numbered in order of first use.
+def distinct_measurements(case: KnowledgeCase, lams: np.ndarray) -> np.ndarray:
+    """Each point's index among the distinct POVMs of a ``(P, n)`` coefficient stack, numbered in order of first use.
 
     An unknown/unknown POVM reads only its coefficients (a programmable
     discriminator: the pair enters as program input, not as design), so
-    points with equal ``LambdaParams.flat`` share one.  The other
-    families read the pair, so every point has its own.
+    points with equal coefficient rows share one.  The other families
+    read the pair, so every point has its own.
     """
     if case.family is not Family.UNKNOWN_UNKNOWN:
         return np.arange(len(lams))
-    keys: dict[tuple[float, ...], int] = {}
-    return np.array([keys.setdefault(lam.flat, len(keys)) for lam in lams], dtype=int)
+    return _first_rows(lams)[1]
 
 
 def success_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParams) -> tuple[float, float]:

@@ -24,23 +24,22 @@ numpy's ``SeedSequence`` hash over arrays of all the point indices
 (``_spawn_states``), so bitwise those of building each child.  The pair
 generators are built on those words.
 
-``estimate_surface`` walks its grid in row order, in chunks of
-consecutive points: at most ``STACK_POINTS`` points, and at most
-``STACK_CELLS`` complex cells per stacked POVM element, which bounds the
-chunk's memory.  The cell cap counts the chunk's distinct measurements
+``estimate_surface`` decides the whole grid in one
+``success_probability`` call, which gives the ``(P, n)`` coefficient
+stack, and walks the grid in row order, in chunks of consecutive points:
+at most ``STACK_POINTS`` points, and at most ``STACK_CELLS`` complex
+cells per stacked POVM element, which bounds the chunk's memory.  The
+cell cap counts the chunk's distinct measurements
 (``povm.distinct_measurements``): an unknown/unknown POVM reads only its
 coefficients, so points with equal coefficients share one, and every
-other point has its own.  It takes the decisions of the next
-``STACK_POINTS`` points in one ``success_probability`` call, and the
-chunk ends before the first measurement over the cap; the decisions
-beyond it carry over to the next chunk.  For a chunk it draws every
-pair in one ``pair_with_overlap`` call (each point on its own
-generator), then makes one stacked
-``outcome_probabilities`` call: one build and one validation per
-distinct measurement, and one Born-rule pass that runs each distinct
-element against the inputs of all the points that use it (zero inputs
-pad the shorter lists).  Each point
-is then sampled by its own ``run`` call, which is handed the point's
+other point has its own.  A chunk ends before the first measurement over
+the cap.  For a chunk it draws every pair in one ``pair_with_overlap``
+call (each point on its own generator), then makes one stacked
+``outcome_probabilities`` call on the chunk's rows of the stack: one
+build and one validation per distinct measurement, and one Born-rule
+pass that runs each distinct element against the inputs of all the
+points that use it (zero inputs pad the shorter lists).  Each point is
+then sampled by its own ``run`` call, which is handed the point's
 probabilities.  The rows are bitwise those of building and sampling one
 point at a time.
 """
@@ -57,7 +56,7 @@ import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import LambdaParams, _stacked, build_for_case, distinct_measurements, input_states, validate
+from .povm import LambdaParams, _lambda_of, _stacked, build_for_case, distinct_measurements, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -100,17 +99,17 @@ class SimReport:
 
 
 def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
-                          lam: LambdaParams | Sequence[LambdaParams]) -> np.ndarray:
+                          lam: LambdaParams | np.ndarray) -> np.ndarray:
     """(2, 3) Born probabilities: rows = prepared state, cols = outcome (1, 2, inconclusive).
 
-    For a stack of P pairs with one ``LambdaParams`` each the result is
+    For a stack of P pairs and a ``(P, n)`` coefficient stack the result is
     ``(P, 2, 3)``, from one stacked build and validation of the stack's
     distinct measurements (``povm.distinct_measurements``) and one
     Born-rule pass.  A failed check names the first point, in stack
     order, that uses a failing measurement.
     """
-    (pairs, lams), lone = _stacked((pair, StatePair), (lam, LambdaParams))
-    inverse = distinct_measurements(case, lams)
+    (pairs, _), lone = _stacked((pair, StatePair), (lam, LambdaParams))
+    inverse = np.zeros(1, dtype=int) if lone else distinct_measurements(case, lam)
     counts = np.bincount(inverse)
     # (measurement, slot) -> point: each measurement's points in stack order, its first use in slot 0
     order = np.argsort(inverse, kind="stable")
@@ -125,7 +124,7 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StateP
     if lone:  # a lone POVM stays 2-D, as its own validate call reports it
         povm = build_for_case(case, pair, lam)
     else:
-        povm = build_for_case(case, [pairs[k] for k in point[:, 0]], [lams[k] for k in point[:, 0]])
+        povm = build_for_case(case, [pairs[k] for k in point[:, 0]], lam[point[:, 0]])
     try:
         report = validate(povm)
         ins = np.stack(input_states(case, pairs), axis=-2)  # (P, 2, n)
@@ -314,24 +313,24 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     """
     points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
     betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
+    decided = strategies.success_probability(case, betas, etas)
+    p_analytic = decided.p_analytic.tolist()
     cap = max(1, STACK_CELLS // case.register_dim**2)  # distinct measurements per chunk
     # point k's children of SeedSequence(seed).spawn(...)[k]: the first seeds its pair, the second is its key
     pair_words = _spawn_states(seed, np.arange(len(points)), 0, 4)
     keys = _spawn_states(seed, np.arange(len(points)), 1, 1)[:, 0].tolist()
     GivenState = _given_state()
-    rows, decided = [], []  # decided: the decisions of the next points, at most STACK_POINTS
+    rows = []
     while len(rows) < len(points):
         start = len(rows)
-        ahead = slice(start + len(decided), start + STACK_POINTS)
-        decided += strategies.success_probability(case, betas[ahead], etas[ahead])
         # numbered in order of first use, so the chunk ends before the first measurement over the cap
-        over = np.flatnonzero(distinct_measurements(case, [res.lam for res in decided]) >= cap)
-        size = int(over[0]) if over.size else len(decided)
-        decisions, decided = decided[:size], decided[size:]
-        chunk = slice(start, start + len(decisions))
+        ahead = decided.lam[start : start + STACK_POINTS]
+        over = np.flatnonzero(distinct_measurements(case, ahead) >= cap)
+        chunk = slice(start, start + (int(over[0]) if over.size else len(ahead)))
         pairs = pair_with_overlap(case.dim, betas[chunk], etas[chunk], [GivenState(w) for w in pair_words[chunk]])
-        probs = outcome_probabilities(case, pairs, [res.lam for res in decisions])
-        for (beta, eta1), res, pair, key, p in zip(points[chunk], decisions, pairs, keys[chunk], probs):
-            report = run(SimConfig(case, pair, res.lam, shots_per_point, key, probs=p))
-            rows.append(SurfaceRow(beta, eta1, report.estimated_success, res.p_analytic, report.stderr))
+        probs = outcome_probabilities(case, pairs, decided.lam[chunk])
+        for (beta, eta1), lam, p_exact, pair, key, p in zip(points[chunk], decided.lam[chunk], p_analytic[chunk],
+                                                             pairs, keys[chunk], probs):
+            report = run(SimConfig(case, pair, _lambda_of(case, lam), shots_per_point, key, probs=p))
+            rows.append(SurfaceRow(beta, eta1, report.estimated_success, p_exact, report.stderr))
     return rows

@@ -26,7 +26,9 @@ predicates on floats or numpy arrays, next to the projections onto their
 boundaries; ``feasible`` and the oracle in ``optimizer`` both use them.
 The surfaces take floats or broadcast arrays: ``np.where`` keeps, per
 cell, the branch its threshold selects, so each cell rounds exactly as
-that branch alone does.  The decision tables stay scalar.
+that branch alone does.  The decision tables work the same way on arrays
+of points, and a stacked decision is one ``(P, n)`` coefficient array,
+the form ``povm`` builds from.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
-from .povm import LambdaParams, build_unknown_unknown, validate
+from .povm import LambdaParams, _lambda_of, _layout, build_unknown_unknown, validate
 
 FEASIBILITY_SLACK = 1e-12
 SQRT5 = math.sqrt(5.0)
@@ -46,13 +48,13 @@ SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class StrategyResult:
-    """Chosen coefficients plus the success probability at one (beta, eta1) point."""
+    """Chosen coefficients plus the success probability at one (beta, eta1) point, or arrays over P points."""
 
     case: KnowledgeCase
-    lam: LambdaParams
-    branch: str
-    p_analytic: float
-    worst_case_value: float | None = None
+    lam: LambdaParams | np.ndarray
+    branch: str | np.ndarray
+    p_analytic: float | np.ndarray
+    worst_case_value: float | np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +121,17 @@ def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = Non
     required there and rejected elsewhere.
     """
     fam = case.family
-    if fam is Family.KNOWN_KNOWN:
-        if beta is None:
-            raise ValueError("known/known feasibility requires beta")
-        if len(lam.lam1) != 1 or len(lam.lam2) != 1 or lam.lam3 is not None:
-            return False
-        return _in_box(lam.flat) and bool(direct_ok(lam.lam1[0], lam.lam2[0], beta))
-    if beta is not None:
+    if fam is Family.KNOWN_KNOWN and beta is None:
+        raise ValueError("known/known feasibility requires beta")
+    if fam is not Family.KNOWN_KNOWN and beta is not None:
         raise ValueError(f"feasibility for {case} does not depend on beta")
-    if fam is Family.KNOWN_UNKNOWN:
-        n = case.dim - 1
-        if len(lam.lam1) != n or len(lam.lam2) != n or lam.lam3 is None or len(lam.lam3) != n * n:
-            return False
-        if not _in_box(lam.flat):
-            return False
-        return all(single_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
-    # unknown/unknown
-    n = 1 if case.dim == 2 else 3
-    if len(lam.lam1) != n or len(lam.lam2) != n or lam.lam3 is not None:
+    if tuple(len(x) for x in (lam.lam1, lam.lam2, lam.lam3) if x is not None) != _layout(fam, case.dim):
         return False
+    if fam is Family.KNOWN_KNOWN:
+        return _in_box(lam.flat) and bool(direct_ok(lam.lam1[0], lam.lam2[0], beta))
+    if fam is Family.KNOWN_UNKNOWN:
+        return _in_box(lam.flat) and all(single_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
+    # unknown/unknown
     per_index = per_index_pair_program_constraints(lam)
     if case.dim == 2 or not per_index:
         return per_index
@@ -163,75 +157,77 @@ def per_index_pair_program_constraints(lam: LambdaParams, slack: float = FEASIBI
 # ---------------------------------------------------------------------------
 # closed-form decision tables (qubits; shared by qutrits where valid)
 # ---------------------------------------------------------------------------
+# Each takes arrays of the inputs its regime knows.  Every branch is evaluated at every point (off
+# its range too, where ``_decisions`` ignores floating-point errors), and the thresholds pick per
+# point: bitwise the branch alone.
 
-def _clamp01(x: float) -> float:
-    # branch formulas are exact on [0, 1]; rounding can stray by ~1e-15
-    return min(1.0, max(0.0, x))
-
-
-def _a1_decision(eta1: float) -> tuple[float, float, str]:
-    if eta1 <= 0.2:
-        return 0.0, 1.0, "eta1<=1/5"
-    if eta1 <= 0.8:
-        l1 = _clamp01((2.0 / 3.0) * (2.0 - math.sqrt((1.0 - eta1) / eta1)))
-        l2 = _clamp01((2.0 / 3.0) * (2.0 - math.sqrt(eta1 / (1.0 - eta1))))
-        return l1, l2, "1/5<eta1<=4/5"
-    return 1.0, 0.0, "eta1>4/5"
+def _clamp01(x):
+    # branch formulas are exact on [0, 1]; rounding can stray by ~1e-15.  As min(1, max(0, x)),
+    # -0.0 and NaN give 0.0 (np.clip would keep them)
+    return np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
 
 
-def _a2_decision(eta1: float) -> tuple[float, float, float, str]:
-    if eta1 <= 0.5:
-        return 0.0, 1.0, 1.0, "eta1<=1/2"
-    if eta1 <= 0.8:
-        l1 = _clamp01(2.0 * (1.0 - math.sqrt((1.0 - eta1) / eta1)))
-        l2 = _clamp01(2.0 - math.sqrt(eta1 / (1.0 - eta1)))
-        return l1, l2, 1.0, "1/2<eta1<=4/5"
-    return 1.0, 0.0, 1.0, "eta1>4/5"
+def _branches(conds, *branches):
+    """Per point, the columns ``(l1, l2[, l3], label)`` of the first branch whose condition holds, else the last."""
+    picked = branches[-1]
+    for cond, branch in zip(conds[::-1], branches[-2::-1]):
+        picked = tuple(np.where(cond, value, other) for value, other in zip(branch, picked))
+    return picked
 
 
-def _a3_decision(beta: float, eta1: float) -> tuple[float, float, float, str]:
+def _a1_decision(eta1):
+    l1 = _clamp01((2.0 / 3.0) * (2.0 - np.sqrt((1.0 - eta1) / eta1)))
+    l2 = _clamp01((2.0 / 3.0) * (2.0 - np.sqrt(eta1 / (1.0 - eta1))))
+    return _branches([eta1 <= 0.2, eta1 <= 0.8],
+                     (0.0, 1.0, "eta1<=1/5"), (l1, l2, "1/5<eta1<=4/5"), (1.0, 0.0, "eta1>4/5"))
+
+
+def _a2_decision(eta1):
+    l1 = _clamp01(2.0 * (1.0 - np.sqrt((1.0 - eta1) / eta1)))
+    l2 = _clamp01(2.0 - np.sqrt(eta1 / (1.0 - eta1)))
+    return _branches([eta1 <= 0.5, eta1 <= 0.8],
+                     (0.0, 1.0, 1.0, "eta1<=1/2"), (l1, l2, 1.0, "1/2<eta1<=4/5"), (1.0, 0.0, 1.0, "eta1>4/5"))
+
+
+def _a3_decision(beta, eta1):
     b2 = beta * beta
     t1, t2 = b2 / (1.0 + b2), 4.0 * b2 / (1.0 + 4.0 * b2)
-    if eta1 <= t1:
-        return 0.0, 1.0, 1.0, "eta1<=beta^2/(1+beta^2)"
-    if eta1 <= t2:
-        l1 = _clamp01(2.0 * (1.0 - beta * math.sqrt((1.0 - eta1) / eta1)))
-        l2 = _clamp01(2.0 - math.sqrt(eta1 / (1.0 - eta1)) / beta)
-        return l1, l2, 1.0, "between"
-    return 1.0, 0.0, 1.0, "eta1>4beta^2/(1+4beta^2)"
+    l1 = _clamp01(2.0 * (1.0 - beta * np.sqrt((1.0 - eta1) / eta1)))
+    l2 = _clamp01(2.0 - np.sqrt(eta1 / (1.0 - eta1)) / beta)
+    return _branches([eta1 <= t1, eta1 <= t2], (0.0, 1.0, 1.0, "eta1<=beta^2/(1+beta^2)"),
+                     (l1, l2, 1.0, "between"), (1.0, 0.0, 1.0, "eta1>4beta^2/(1+4beta^2)"))
 
 
-def _a4_decision(beta: float, eta1: float) -> tuple[float, float, str]:
+def _a4_decision(beta, eta1):
     b2 = beta * beta
     t1, t2 = b2 / (1.0 + b2), 1.0 / (1.0 + b2)
-    if eta1 <= t1:
-        return 0.0, 1.0, "eta1<=beta^2/(1+beta^2)"
-    if eta1 <= t2:
-        s1 = beta * math.sqrt((1.0 - eta1) / eta1) if beta > 0.0 else 0.0
-        s2 = beta * math.sqrt(eta1 / (1.0 - eta1)) if beta > 0.0 and eta1 < 1.0 else 0.0
-        l1 = _clamp01((1.0 - s1) / (1.0 - b2))
-        l2 = _clamp01((1.0 - s2) / (1.0 - b2))
-        return l1, l2, "between"
-    return 1.0, 0.0, "eta1>1/(1+beta^2)"
+    s1 = np.where(beta > 0.0, beta * np.sqrt((1.0 - eta1) / eta1), 0.0)
+    s2 = np.where((beta > 0.0) & (eta1 < 1.0), beta * np.sqrt(eta1 / (1.0 - eta1)), 0.0)
+    l1 = _clamp01((1.0 - s1) / (1.0 - b2))
+    l2 = _clamp01((1.0 - s2) / (1.0 - b2))
+    return _branches([eta1 <= t1, eta1 <= t2], (0.0, 1.0, "eta1<=beta^2/(1+beta^2)"),
+                     (l1, l2, "between"), (1.0, 0.0, "eta1>1/(1+beta^2)"))
 
 
-def _b3_decision(beta: float) -> tuple[float, float, float, str]:
-    if beta <= SQRT_HALF:
-        return 1.0, 0.0, 1.0, "beta<=sqrt(1/2)"
+def _b3_decision(beta):
     b2 = beta * beta
-    l1 = _clamp01(b2 + 2.0 - math.sqrt(b2 * b2 + 4.0 * b2))
-    l2 = _clamp01(1.5 - math.sqrt(0.25 + 1.0 / b2))
-    return l1, l2, 1.0, "beta>sqrt(1/2)"
+    l1 = _clamp01(b2 + 2.0 - np.sqrt(b2 * b2 + 4.0 * b2))
+    l2 = _clamp01(1.5 - np.sqrt(0.25 + 1.0 / b2))
+    return _branches([beta <= SQRT_HALF], (1.0, 0.0, 1.0, "beta<=sqrt(1/2)"), (l1, l2, 1.0, "beta>sqrt(1/2)"))
 
 
 B2_LAM = (3.0 - SQRT5, 0.5 * (3.0 - SQRT5), 1.0)
 
-
-def _a1_qutrit_decision(eta1: float) -> tuple[float, float, str]:
-    # corrected region lam1 + lam2 <= 1: linear objective, corner optimum
-    if eta1 <= 0.5:
-        return 0.0, 1.0, "eta1<=1/2"
-    return 1.0, 0.0, "eta1>1/2"
+_DECISIONS = {
+    Regime.A1: _a1_decision, Regime.A2: _a2_decision, Regime.A3: _a3_decision, Regime.A4: _a4_decision,
+    Regime.B1: lambda: (2.0 / 3.0, 2.0 / 3.0, "equalizer"), Regime.B2: lambda: (*B2_LAM, "equalizer"),
+    Regime.B3: _b3_decision, Regime.B4: lambda beta: (1.0 / (1.0 + beta),) * 2 + ("equalizer",),
+}
+# the corrected qutrit region lam1 + lam2 <= 1 changes A1 and B1: A1's linear objective has a corner optimum
+_QUTRIT_DECISIONS = {
+    Regime.A1: lambda eta1: _branches([eta1 <= 0.5], (0.0, 1.0, "eta1<=1/2"), (1.0, 0.0, "eta1>1/2")),
+    Regime.B1: lambda: (0.5, 0.5, "equalizer"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -363,45 +359,41 @@ def case_surface(case: KnowledgeCase):
 # decisions and evaluation
 # ---------------------------------------------------------------------------
 
-def symmetric_lambda(case: KnowledgeCase, coeffs) -> LambdaParams:
-    """Per-index coefficients from one value per block, ``(l1, l2[, l3])``.
+def symmetric_lambda(case: KnowledgeCase, coeffs) -> LambdaParams | np.ndarray:
+    """Per-index coefficients from one value per block, ``(l1, l2[, l3])``, or the ``(P, n)`` stack of ``(P, k)``.
 
     Every antisymmetric index of a block gets the same value: one index
     for qubits; three (unknown/unknown) or two (known/unknown) for
     qutrits, with the known/unknown ``lam3`` block repeated over its
     (dim-1)^2 entries.  Known/known has a single index in either dim.
     """
-    l1, l2, *l3 = coeffs
-    if case.family is Family.KNOWN_KNOWN:
-        return LambdaParams.of(l1, l2)
-    if case.family is Family.UNKNOWN_UNKNOWN:
-        n = 1 if case.dim == 2 else 3
-        return LambdaParams.of((l1,) * n, (l2,) * n)
-    n = case.dim - 1
-    return LambdaParams.of((l1,) * n, (l2,) * n, (l3[0],) * (n * n))
+    lam = np.repeat(np.asarray(coeffs, dtype=float), _layout(case.family, case.dim), axis=-1)
+    return _lambda_of(case, lam) if lam.ndim == 1 else lam
 
 
-def _decide(case: KnowledgeCase, beta: float | None, eta1: float | None) -> tuple[LambdaParams, str]:
-    r = case.regime
-    if r is Regime.A1:
-        *coeffs, br = _a1_decision(eta1) if case.dim == 2 else _a1_qutrit_decision(eta1)
-    elif r is Regime.B1:
-        l = 2.0 / 3.0 if case.dim == 2 else 0.5
-        coeffs, br = (l, l), "equalizer"
-    elif r is Regime.A2:
-        *coeffs, br = _a2_decision(eta1)
-    elif r is Regime.A3:
-        *coeffs, br = _a3_decision(beta, eta1)
-    elif r is Regime.B2:
-        coeffs, br = B2_LAM, "equalizer"
-    elif r is Regime.B3:
-        *coeffs, br = _b3_decision(beta)
-    elif r is Regime.A4:
-        *coeffs, br = _a4_decision(beta, eta1)
-    else:  # B4
-        l = 1.0 / (1.0 + beta)
-        coeffs, br = (l, l), "equalizer"
-    return symmetric_lambda(case, coeffs), br
+def _points(beta, eta1) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both inputs as equal-length 1-d float arrays with entries in [0, 1], and whether both were scalars."""
+    lone = np.ndim(beta) == np.ndim(eta1) == 0
+    betas, etas = np.array(beta, dtype=float, ndmin=1), np.array(eta1, dtype=float, ndmin=1)
+    if betas.ndim != 1 or betas.shape != etas.shape:
+        raise ValueError(f"beta and eta1 must be scalars or equal-length 1-d arrays, got {betas.shape}, {etas.shape}")
+    for name, given, values in (("beta", beta, betas), ("eta1", eta1, etas)):
+        bad = ~((0.0 <= values) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {given if lone else values[bad.argmax()]}")
+    return betas, etas, lone
+
+
+def _decisions(case: KnowledgeCase, betas: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(P, k)`` block values and ``(P,)`` branches of the case's decision, from the inputs its regime knows."""
+    decide = (case.dim == 3 and _QUTRIT_DECISIONS.get(case.regime)) or _DECISIONS[case.regime]
+    known = [x for x, knows in ((betas, case.regime.knows_beta), (etas, case.regime.knows_eta1)) if knows]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the branches not taken
+        *blocks, branch = decide(*known)
+    stack = np.empty(betas.shape + (len(blocks),))
+    for i, block in enumerate(blocks):
+        stack[:, i] = block
+    return stack, np.broadcast_to(branch, betas.shape)
 
 
 def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float | None = None) -> LambdaParams:
@@ -413,22 +405,16 @@ def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float |
     needs = case.decision_inputs
     given = {name for name, value in (("beta", beta), ("eta1", eta1)) if value is not None}
     if given != needs:
-        missing = sorted(needs - given)
-        forbidden = sorted(given - needs)
-        parts = []
-        if missing:
-            parts.append(f"missing required input(s): {', '.join(missing)}")
-        if forbidden:
-            parts.append(f"case must not receive: {', '.join(forbidden)}")
+        parts = [f"{label}: {', '.join(sorted(names))}" for label, names in
+                 (("missing required input(s)", needs - given), ("case must not receive", given - needs)) if names]
         raise ValueError(f"{case}: " + "; ".join(parts))
-    if beta is not None and not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if eta1 is not None and not 0.0 <= eta1 <= 1.0:
-        raise ValueError(f"eta1 must lie in [0, 1], got {eta1}")
-    return _decide(case, beta, eta1)[0]
+    # the decision reads only the inputs checked above; 0.0 stands in for the others
+    betas, etas, lone = _points(0.0 if beta is None else beta, 0.0 if eta1 is None else eta1)
+    blocks, _ = _decisions(case, betas, etas)
+    return symmetric_lambda(case, blocks[0] if lone else blocks)
 
 
-def success_probability(case: KnowledgeCase, beta, eta1) -> StrategyResult | list[StrategyResult]:
+def success_probability(case: KnowledgeCase, beta, eta1) -> StrategyResult:
     """Success probability of the case's optimal strategy at a (beta, eta1) point.
 
     Both parameters are always accepted: surfaces depend on the true pair
@@ -437,30 +423,23 @@ def success_probability(case: KnowledgeCase, beta, eta1) -> StrategyResult | lis
     B3, which reports its realized value ``p1plus_actual`` rather than its
     worst case.
 
-    For equal-length 1-d arrays of P points the surfaces are evaluated once
-    and the result is a list of P results, each equal to its lone call.
+    For equal-length 1-d arrays of P points the fields are arrays: ``lam``
+    the ``(P, n)`` coefficient stack, and ``(P,)`` for the others.  A lone
+    point is a stack of one that loses its axis, bitwise equal to its row.
     """
-    lone = np.ndim(beta) == np.ndim(eta1) == 0
-    betas, etas = np.array(beta, dtype=float, ndmin=1), np.array(eta1, dtype=float, ndmin=1)
-    if betas.ndim != 1 or betas.shape != etas.shape:
-        raise ValueError(f"beta and eta1 must be scalars or equal-length 1-d arrays, got {betas.shape}, {etas.shape}")
-    for name, given, values in (("beta", beta, betas), ("eta1", eta1, etas)):
-        bad = ~((0.0 <= values) & (values <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name} must lie in [0, 1], got {given if lone else values[bad.argmax()]}")
+    betas, etas, lone = _points(beta, eta1)
+    blocks, branch = _decisions(case, betas, etas)
     r = case.regime
     surface = case_surface(case)(betas, etas)
     p = p1plus_actual(betas, etas) if r is Regime.B3 else surface
-
-    results = []
-    for b, e, p_k, surface_k in zip(betas.tolist(), etas.tolist(), p.tolist(), surface.tolist()):
-        lam, branch = _decide(case, b if r.knows_beta else None, e if r.knows_eta1 else None)
-        worst: float | None = None
-        if r is Regime.A2:
-            worst = 0.5 * lam.lam1[0] * e + lam.lam2[0] * (1.0 - e)
-        elif r is Regime.B2:
-            worst = 0.5 * B2_LAM[0]
-        elif r in (Regime.B1, Regime.B3, Regime.B4):
-            worst = surface_k  # constant in the prior, hence the guaranteed value
-        results.append(StrategyResult(case=case, lam=lam, branch=branch, p_analytic=p_k, worst_case_value=worst))
-    return results[0] if lone else results
+    worst = None
+    if r is Regime.A2:
+        worst = 0.5 * blocks[:, 0] * etas + blocks[:, 1] * (1.0 - etas)
+    elif r is Regime.B2:
+        worst = np.full(betas.shape, 0.5 * B2_LAM[0])
+    elif r in (Regime.B1, Regime.B3, Regime.B4):
+        worst = surface  # constant in the prior, hence the guaranteed value
+    if lone:
+        blocks, branch, p, worst = blocks[0], str(branch[0]), float(p[0]), None if worst is None else float(worst[0])
+    return StrategyResult(case=case, lam=symmetric_lambda(case, blocks), branch=branch, p_analytic=p,
+                          worst_case_value=worst)

@@ -151,7 +151,7 @@ def test_criterion_3_povm_structural_suite():
         # one stacked build and validation per pair; test_stacked_measurements_match_single_points
         # pins every stacked element to its lone build
         for pair in pairs:
-            povm = build_for_case(case, [pair] * len(lams), lams)
+            povm = build_for_case(case, [pair] * len(lams), np.array([lam.flat for lam in lams]))
             rep = validate(povm)
             assert np.all(rep.completeness_residual <= 1e-10)
             in1, in2 = input_states(case, pair)

@@ -261,6 +261,7 @@ def test_stacked_measurements_match_single_points(regime, dim):
     points = _stack_points(dim)
     pairs = [pair_with_overlap(dim, beta, eta1, seed=[k, 5]) for k, (beta, eta1) in enumerate(points)]
     lams = [st.success_probability(case, beta, eta1).lam for beta, eta1 in points]
+    stack = np.array([lam.flat for lam in lams])
     singles = []
     for pair, lam in zip(pairs, lams):
         single = build_for_case(case, pair, lam)
@@ -270,9 +271,9 @@ def test_stacked_measurements_match_single_points(regime, dim):
     for size in (1, 3, 7, len(points)):
         for start in range(0, len(points), size):
             chunk = slice(start, start + size)
-            stacked = build_for_case(case, pairs[chunk], lams[chunk])
+            stacked = build_for_case(case, pairs[chunk], stack[chunk])
             report = validate(stacked)
-            probs = sim.outcome_probabilities(case, pairs[chunk], lams[chunk])
+            probs = sim.outcome_probabilities(case, pairs[chunk], stack[chunk])
             ins = input_states(case, pairs[chunk])
             assert stacked.pi1.shape[0] == probs.shape[0] == len(singles[chunk])
             for k, (single, single_report, single_probs, single_ins) in enumerate(singles[chunk]):
@@ -333,14 +334,30 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
         assert np.array_equal(config.probs, sim.outcome_probabilities(config.case, config.pair, config.lam))
 
 
+def test_estimate_surface_decides_each_surface_in_one_call(monkeypatch):
+    # A1/dim3 on this grid is set up in two chunks, of 64 and 20 points
+    calls = []
+    real = st.success_probability
+
+    def counted(case, betas, etas):
+        calls.append(len(betas))
+        return real(case, betas, etas)
+
+    monkeypatch.setattr(sim.strategies, "success_probability", counted)
+    stacks, chunks = _record_validated(monkeypatch)
+    sim.estimate_surface(KnowledgeCase(Regime.A1, 3), (0.0, 0.3, 0.6, 0.9), tuple(k / 20 for k in range(21)), 100, 17)
+    assert calls == [84] and chunks == [64, 20]
+
+
 def _infeasible_at(monkeypatch, bad_points):
-    # estimate_surface takes the decisions of a chunk in one call, with arrays of its points
+    # estimate_surface takes the decisions of the whole grid in one call, with arrays of its points
     real = st.success_probability
 
     def decisions(case, betas, etas):
-        points = zip(betas.tolist(), etas.tolist())
-        return [dataclasses.replace(res, lam=LambdaParams.of(1.0, 1.0)) if point in bad_points else res
-                for point, res in zip(points, real(case, betas, etas))]
+        res = real(case, betas, etas)
+        lam = res.lam.copy()
+        lam[[point in bad_points for point in zip(betas.tolist(), etas.tolist())]] = LambdaParams.of(1.0, 1.0).flat
+        return dataclasses.replace(res, lam=lam)
 
     monkeypatch.setattr(sim.strategies, "success_probability", decisions)
 
@@ -358,7 +375,7 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
     points = [(0.1, 0.4), (0.6, 0.3), (0.8, 0.9)]
     pairs = [pair_with_overlap(3, beta, eta1, seed=k) for k, (beta, eta1) in enumerate(points)]
-    lams = [st.success_probability(case, beta, eta1).lam for beta, eta1 in points]
+    lams = st.success_probability(case, *np.transpose(points)).lam
     real_validate, real_build = sim.validate, sim.build_for_case
 
     def leaky(stacked):
@@ -387,7 +404,7 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
 def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
     pairs = [pair_with_overlap(3, 0.3, 0.4, seed=k) for k in range(2)]
-    lams = [st.success_probability(case, 0.3, 0.4).lam] * 2
+    lams = np.array([st.success_probability(case, 0.3, 0.4).lam.flat] * 2)
     real_validate = sim.validate
 
     def nan_residual(stacked):
@@ -446,7 +463,7 @@ def test_unknown_unknown_validates_each_distinct_measurement_once(monkeypatch, r
     sim.estimate_surface(case, betas, etas, 100, seed=17)
     assert chunks == [64, 20] and [len(s.pi1) for s in stacks] == stacked
     lams = [st.success_probability(case, beta, eta1).lam for eta1 in etas for beta in betas]
-    distinct = [lam for start in (0, 64) for lam in dict.fromkeys(lams[start : start + 64])]
+    distinct = np.array([lam.flat for start in (0, 64) for lam in dict.fromkeys(lams[start : start + 64])])
     assert np.array_equal(np.concatenate([s.pi1 for s in stacks]), povm.build_unknown_unknown(3, distinct).pi1)
 
 
@@ -456,8 +473,8 @@ def test_distinct_measurements_keep_each_chunk_within_the_cell_cap(monkeypatch):
     real = st.success_probability
 
     def simplex_decisions(case, betas, etas):
-        return [dataclasses.replace(res, lam=LambdaParams.of((eta1,) * 3, (1.0 - eta1,) * 3))
-                for eta1, res in zip(etas.tolist(), real(case, betas, etas))]
+        lam = np.array([LambdaParams.of((eta1,) * 3, (1.0 - eta1,) * 3).flat for eta1 in etas.tolist()])
+        return dataclasses.replace(real(case, betas, etas), lam=lam)
 
     monkeypatch.setattr(sim.strategies, "success_probability", simplex_decisions)
     stacks, chunks = _record_validated(monkeypatch)
@@ -478,13 +495,15 @@ def test_shared_measurement_failures_name_its_first_point(monkeypatch):
     pairs = [pair_with_overlap(3, beta, eta1, seed=k) for k, (beta, eta1) in enumerate(points)]
     good = st.success_probability(case, 0.5, 0.4).lam
     bad = LambdaParams.of((1.0,) * 3, (1.0,) * 3)
-    assert povm.distinct_measurements(case, [good, good, bad, good, bad]).tolist() == [0, 0, 1, 0, 1]
+    lams = np.array([lam.flat for lam in (good, good, bad, good, bad)])
+    assert povm.distinct_measurements(case, lams).tolist() == [0, 0, 1, 0, 1]
     mins = validate(povm.build_unknown_unknown(3, bad)).min_eigenvalues
     with pytest.raises(sim.MeasurementError) as err:
-        sim.outcome_probabilities(case, pairs, [good, good, bad, good, bad])
+        sim.outcome_probabilities(case, pairs, lams)
     assert str(err.value) == f"POVM is not positive semidefinite at (beta, eta1) = (0.6, 0.3): min eigenvalues {mins}"
     other = st.success_probability(case, 0.5, 0.7).lam
-    lams = [good, good, other, good, other]
+    lone = (good, good, other, good, other)
+    lams = np.array([lam.flat for lam in lone])
     real_build, real_expectation = sim.build_for_case, sim.expectation
 
     def skewed(case, pairs, lams):
@@ -509,4 +528,4 @@ def test_shared_measurement_failures_name_its_first_point(monkeypatch):
     assert err.value.index == (4, 0)
     monkeypatch.setattr(sim, "expectation", real_expectation)
     assert np.array_equal(sim.outcome_probabilities(case, pairs, lams),
-                          [sim.outcome_probabilities(case, pair, lam) for pair, lam in zip(pairs, lams)])
+                          [sim.outcome_probabilities(case, pair, lam) for pair, lam in zip(pairs, lone)])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
+from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig.povm import LambdaParams, success_probabilities
 from unambig.states import pair_with_overlap
-from unambig import strategies as st
+from unambig import simulate as sim, strategies as st
 
 
 QUBIT_CASES = [KnowledgeCase(r, 2) for r in ALL_REGIMES]
@@ -303,10 +303,25 @@ def test_success_probability_on_arrays_equals_per_point_calls(case):
     stacked = st.success_probability(case, betas, etas)
     singles = [st.success_probability(case, b, e) for b, e in zip(betas.tolist(), etas.tolist())]
     assert hashlib.sha256(repr(singles).encode()).hexdigest() == _RESULT_DIGESTS[str(case)]
-    assert stacked == singles
-    for res in stacked:
-        assert type(res.p_analytic) is float
-        assert res.worst_case_value is None or type(res.worst_case_value) is float
+    _assert_rows_are_lone_calls(stacked, singles)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_rows_are_lone_calls(stacked, singles):
+    # every field of every row of a stacked result is bitwise its lone call, which has scalar fields
+    assert stacked.lam.shape == (len(singles), len(singles[0].lam.flat)) and stacked.branch.shape == (len(singles),)
+    assert (stacked.worst_case_value is None) == (singles[0].worst_case_value is None)
+    for k, res in enumerate(singles):
+        assert res.case == stacked.case and type(res.lam) is LambdaParams and type(res.branch) is str
+        assert _bits(stacked.lam[k]) == _bits(res.lam.flat)
+        assert stacked.branch[k] == res.branch
+        assert type(res.p_analytic) is float and _bits(stacked.p_analytic[k]) == _bits(res.p_analytic)
+        if res.worst_case_value is not None:
+            assert type(res.worst_case_value) is float
+            assert _bits(stacked.worst_case_value[k]) == _bits(res.worst_case_value)
 
 
 def test_success_probability_arrays_reject_bad_entries():
@@ -317,3 +332,21 @@ def test_success_probability_arrays_reject_bad_entries():
         st.success_probability(case, np.array([0.2, 0.4]), np.array([-0.25, 0.5]))
     with pytest.raises(ValueError, match="equal-length"):
         st.success_probability(case, np.array([0.2, 0.4]), np.array([0.1, 0.2, 0.3]))
+
+
+@pytest.mark.parametrize("case", [KnowledgeCase(r, d) for r in ALL_REGIMES for d in (2, 3)],
+                         ids=lambda c: str(c))
+def test_stacked_decisions_match_lone_calls_and_the_povm_route(case):
+    # seeded draws plus the edges beta in {0, 1/sqrt(2), 1} (both roundings of 1/sqrt(2)) and eta1 in {0, 1}
+    rng = np.random.default_rng([case.dim, ALL_REGIMES.index(case.regime), 7])
+    edges = [(beta, eta1) for beta in (0.0, 1 / math.sqrt(2), st.SQRT_HALF, 1.0) for eta1 in (0.0, 1.0)]
+    points = np.concatenate([edges, rng.uniform(0.0, 1.0, size=(40, 2))])
+    if case.family is Family.KNOWN_KNOWN:  # a parallel pair has no unambiguous measurement
+        points[:, 0] = np.minimum(points[:, 0], 0.99)
+    betas, etas = points.T
+    stacked = st.success_probability(case, betas, etas)
+    _assert_rows_are_lone_calls(stacked, [st.success_probability(case, b, e) for b, e in points.tolist()])
+    pairs = pair_with_overlap(case.dim, betas, etas, seed=list(range(len(points))))
+    probs = sim.outcome_probabilities(case, pairs, stacked.lam)
+    p_povm = etas * probs[:, 0, 0] + (1.0 - etas) * probs[:, 1, 1]
+    assert np.abs(p_povm - stacked.p_analytic).max() <= 1e-10
