@@ -86,7 +86,8 @@ projection.
 
 ``verify_case`` keys its solves by the problem's inputs
 (``_problem_inputs``) and stacks the distinct keys of a case in one
-solve.
+solve, and the measurement checks of its distinct solutions in one
+build.
 
 For qutrits the per-index symmetry of the closed-form strategies is
 exploited: all index-1 coefficients equal, all index-2 coefficients
@@ -460,15 +461,24 @@ class VerifyReport:
         return self.max_deviation <= tol
 
 
-def _check_solution_psd(case: KnowledgeCase, pair: StatePair, lambda_star: tuple[float, ...]) -> None:
-    """Cross-module check: the solved coefficients assemble into PSD elements."""
-    from .povm import build_for_case, validate
+def _check_solutions_psd(case: KnowledgeCase, pairs: list[StatePair], lambda_stars: np.ndarray) -> None:
+    """Cross-module check: each row of the ``(P, k)`` solved coefficients assembles into PSD elements on its pair.
 
-    report = validate(build_for_case(case, pair, strategies.symmetric_lambda(case, lambda_star)))
-    if not all(report.psd_ok):
-        raise AssertionError(
-            f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
-        )
+    The P measurements are built as one stack and validated one by one, in
+    row order, so the first failing row is the one reported; each stacked
+    element is bitwise its lone build.  An empty stack builds nothing.
+    """
+    from .povm import PovmSet, build_for_case, validate
+
+    if not len(lambda_stars):
+        return
+    stack = build_for_case(case, pairs, strategies.symmetric_lambda(case, lambda_stars))
+    for elements in zip(*stack.elements):
+        report = validate(PovmSet(*elements))
+        if not all(report.psd_ok):
+            raise AssertionError(
+                f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
+            )
 
 
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,
@@ -477,8 +487,11 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
 
     The problem is solved once per distinct value of its inputs
     (``_problem_inputs``), at the first grid point with that value, in one
-    stacked solve; each distinct solution is checked to assemble into a
-    measurement.  ``betas``/``etas`` override the default square grid;
+    stacked solve.  Each distinct solution is checked to assemble into a
+    measurement: all of a case's checks are built in one stacked
+    ``build_for_case`` call and validated one measurement at a time, in
+    order, so a failure names the first failing solution; an empty grid
+    builds nothing.  ``betas``/``etas`` override the default square grid;
     ``perturb`` shifts the closed form (negative-control hook for the
     CLI's verify command).
     """
@@ -503,8 +516,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     distinct, pair_of = _first_rows(checks[:, :1])
     overlaps = checks[distinct, 0]
     pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=[0] * len(overlaps))
-    for k, (_, *lambda_star) in zip(pair_of.tolist(), checks.tolist()):
-        _check_solution_psd(case, pairs[k], tuple(lambda_star))
+    _check_solutions_psd(case, [pairs[k] for k in pair_of.tolist()], checks[:, 1:])
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
     dev = np.abs(closed - oracle)
     worst = (0.0, (0.0, 0.0))  # the first largest deviation, or the first NaN; none when all are 0

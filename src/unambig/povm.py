@@ -62,7 +62,7 @@ def _as_components(value, name: str) -> tuple[float, ...]:
     """A scalar as one component, a sequence as its components; each a nonnegative float."""
     out = (float(value),) if np.isscalar(value) else tuple(map(float, value))
     for x in out:
-        if x < 0.0:
+        if not x >= 0.0:  # NaN fails too
             raise ValueError(f"{name} components must be nonnegative, got {x}")
     return out
 
@@ -136,7 +136,7 @@ def _coefficient_blocks(family: Family, dim: int, lam: LambdaParams | np.ndarray
         raise ValueError(f"coefficient stack must have {sum(layout)} component(s) per row, got shape {stack.shape}")
     names = [name for name, n in zip(_BLOCKS, layout) for _ in range(n)]
     top = np.inf if family is Family.UNKNOWN_UNKNOWN else 1.0 + 1e-12
-    for bad, rule in ((stack < 0.0, "be nonnegative"), (stack > top, "lie in [0, 1]")):
+    for bad, rule in ((~(stack >= 0.0), "be nonnegative"), (stack > top, "lie in [0, 1]")):
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise ValueError(f"{names[col]} components must {rule}, got {stack[row, col]}")

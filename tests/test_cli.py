@@ -270,10 +270,25 @@ def test_internal_check_failure_exits_3(monkeypatch, capsys):
     def broken_check(*_args):
         raise AssertionError("oracle solution is not a measurement")
 
-    monkeypatch.setattr(optimizer, "_check_solution_psd", broken_check)
+    monkeypatch.setattr(optimizer, "_check_solutions_psd", broken_check)
     code, out, err = run_cli(capsys, "verify", "--case", "b1", "--dim", "2", "--grid", "0.5")
     assert code == 3 and out == ""
     assert err == "internal error: oracle solution is not a measurement\n"
+
+
+def test_failed_measurement_check_exits_3(monkeypatch, capsys):
+    real = povm.validate
+
+    def negative_eigenvalue(povm_set):
+        report = real(povm_set)
+        return dataclasses.replace(report, psd_ok=report.psd_ok[:2] + (False,),
+                                   min_eigenvalues=report.min_eigenvalues[:2] + (-0.25,))
+
+    monkeypatch.setattr(povm, "validate", negative_eigenvalue)
+    code, out, err = run_cli(capsys, "verify", "--case", "a4", "--dim", "3", "--grid", "0.5")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: oracle solution for a4/dim3 is not a measurement: min eigenvalues (")
+    assert err.endswith(", -0.25)\n")
 
 
 def test_simulate_measurement_failure_exits_3(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
-from unambig import cli, optimizer as opt
+from unambig import cli, optimizer as opt, povm
 from unambig import strategies as st
 from unambig.linalg import orthonormal_completion
 from unambig.povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
@@ -216,7 +216,7 @@ def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
         return real_pairs(dim, beta, eta1, seed)
 
     monkeypatch.setattr(opt, "pair_with_overlap", record_pairs)
-    monkeypatch.setattr(opt, "_check_solution_psd", lambda case, pair, lambda_star: checked.append(pair))
+    monkeypatch.setattr(opt, "_check_solutions_psd", lambda case, pairs, lambda_stars: checked.extend(pairs))
     betas = (0.3, 0.995, 0.0, 0.3, 1.0)
     opt.verify_case(KnowledgeCase(regime, 3), betas=betas, etas=(0.2, 0.7))
     expected = [0.3, 0.99, 0.0] if regime is not Regime.A3 else [0.0]
@@ -226,6 +226,54 @@ def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
         lone = real_pairs(3, pair.beta, 0.5, seed=0)
         assert pair.psi1.vec.tobytes() == lone.psi1.vec.tobytes()
         assert pair.psi2.vec.tobytes() == lone.psi2.vec.tobytes()
+
+
+@pytest.mark.parametrize("case", [KnowledgeCase(r, d) for r in ALL_REGIMES for d in (2, 3)], ids=str)
+def test_solution_checks_are_one_stacked_build_per_case(case, monkeypatch):
+    builds, checks, validated = [], [], []
+    real_build, real_check, real_validate = povm.build_for_case, opt._check_solutions_psd, povm.validate
+
+    def record_check(case, pairs, lambda_stars):
+        checks.append((list(pairs), np.array(lambda_stars)))
+        return real_check(case, pairs, lambda_stars)
+
+    monkeypatch.setattr(povm, "build_for_case", lambda *args: builds.append(args) or real_build(*args))
+    monkeypatch.setattr(opt, "_check_solutions_psd", record_check)
+    monkeypatch.setattr(povm, "validate", lambda povm_set: validated.append(povm_set) or real_validate(povm_set))
+    opt.verify_case(case, betas=[], etas=[0.5])  # an empty grid has nothing to check: no build at all
+    assert builds == []
+    opt.verify_case(case, betas=(0.0, 0.4, 1.0), etas=(0.0, 0.3, 1.0))
+    (_, unchecked), (pairs, lambda_stars) = checks
+    assert unchecked.size == 0
+    assert len(builds) == 1 and len(pairs) == len(lambda_stars) == len(validated) > 0
+    # each validated measurement is a lone POVM, bitwise the lone build of its solution on its pair
+    for pair, lambda_star, measurement in zip(pairs, lambda_stars.tolist(), validated):
+        lone = real_build(case, pair, st.symmetric_lambda(case, tuple(lambda_star)))
+        assert all(el.shape == (lone.dim, lone.dim) for el in measurement.elements)
+        assert [el.tobytes() for el in measurement.elements] == [el.tobytes() for el in lone.elements]
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_failed_solution_check_names_the_first_failing_solution(k, monkeypatch):
+    # validate reports a negative pi0 eigenvalue, -1 - i, for its i-th call from the k-th on
+    case = KnowledgeCase(Regime.A4, 3)  # three distinct checks, one per beta
+    reports = []
+    real_validate = povm.validate
+
+    def fail_from_k(measurement, *args):
+        reports.append(real_validate(measurement, *args))
+        i = len(reports) - 1
+        if i < k:
+            return reports[i]
+        return dataclasses.replace(reports[i], psd_ok=reports[i].psd_ok[:2] + (False,),
+                                   min_eigenvalues=reports[i].min_eigenvalues[:2] + (-1.0 - i,))
+
+    monkeypatch.setattr(povm, "validate", fail_from_k)
+    with pytest.raises(AssertionError) as info:
+        opt.verify_case(case, betas=(0.0, 0.4, 0.8), etas=(0.5,))
+    assert len(reports) == k + 1  # validation stops at the first failing solution
+    expected = reports[k].min_eigenvalues[:2] + (-1.0 - k,)
+    assert str(info.value) == f"oracle solution for {case} is not a measurement: min eigenvalues {expected}"
 
 
 def test_block_len_and_feasibility_mask_are_per_candidate_cell():

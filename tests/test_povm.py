@@ -67,6 +67,22 @@ def test_builders_reject_bad_coefficients():
         build_known_known(pair.psi1, pair.psi2, LambdaParams.of(0.5, 0.5))
 
 
+def test_nan_coefficients_are_a_usage_error_naming_the_component():
+    # NaN compares False with 0, so an unguarded check let it through to validate's NumericalError
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"^lam1 components must be nonnegative, got nan$"):
+        LambdaParams.of(nan, 0.5)
+    with pytest.raises(ValueError, match=r"^lam3 components must be nonnegative, got nan$"):
+        LambdaParams.of(0.5, 0.5, (0.1, 0.2, nan, 0.3))
+    pair = pair_with_overlap(2, 0.3, 0.5, seed=0)
+    for regime, lam, name in ((Regime.A1, [[0.5, 0.5], [0.5, nan]], "lam2"),  # one per family
+                              (Regime.A2, [[0.5, 0.5, 0.5], [nan, 0.5, 0.5]], "lam1"),
+                              (Regime.A4, [[0.5, 0.5], [0.5, nan]], "lam2")):
+        with pytest.raises(ValueError, match=rf"^{name} components must be nonnegative, got nan$") as info:
+            build_for_case(KnowledgeCase(regime, 2), [pair, pair], np.array(lam))
+        assert not isinstance(info.value, NumericalError)
+
+
 @pytest.mark.parametrize("regime", [Regime.A1, Regime.A2, Regime.A4])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_no_error_condition(regime, dim):

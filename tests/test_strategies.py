@@ -336,6 +336,17 @@ def test_success_probability_arrays_reject_bad_entries():
 
 @pytest.mark.parametrize("case", [KnowledgeCase(r, d) for r in ALL_REGIMES for d in (2, 3)],
                          ids=lambda c: str(c))
+def test_decision_coefficients_are_finite(case):
+    # the builders reject NaN coefficients as a usage error, so the decisions must never produce one;
+    # a 0.005 grid (eta1 in {0, 1} included) plus the beta edges 1e-12, 1/sqrt(2) and 1 - 1e-12
+    axis = np.concatenate([np.linspace(0.0, 1.0, 201), [1e-12, 1 / math.sqrt(2), st.SQRT_HALF, 1 - 1e-12]])
+    eta_grid, beta_grid = np.meshgrid(axis, axis, indexing="ij")
+    lam = st.success_probability(case, beta_grid.ravel(), eta_grid.ravel()).lam
+    assert lam.shape == (beta_grid.size, lam.shape[1]) and np.isfinite(lam).all()
+
+
+@pytest.mark.parametrize("case", [KnowledgeCase(r, d) for r in ALL_REGIMES for d in (2, 3)],
+                         ids=lambda c: str(c))
 def test_stacked_decisions_match_lone_calls_and_the_povm_route(case):
     # seeded draws plus the edges beta in {0, 1/sqrt(2), 1} (both roundings of 1/sqrt(2)) and eta1 in {0, 1}
     rng = np.random.default_rng([case.dim, ALL_REGIMES.index(case.regime), 7])
