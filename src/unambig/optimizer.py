@@ -115,6 +115,7 @@ from . import strategies
 ADVERSARY_STEP = 0.01
 _TIE_TOL = 1e-12
 _BLOCK_CELLS = 1 << 16
+_CHECK_CELLS = 1 << 12  # _check_solutions_psd's stacks: at most this many complex cells per element
 
 
 class Block:
@@ -464,21 +465,26 @@ class VerifyReport:
 def _check_solutions_psd(case: KnowledgeCase, pairs: list[StatePair], lambda_stars: np.ndarray) -> None:
     """Cross-module check: each row of the ``(P, k)`` solved coefficients assembles into PSD elements on its pair.
 
-    The P measurements are built as one stack and validated one by one, in
-    row order, so the first failing row is the one reported; each stacked
-    element is bitwise its lone build.  An empty stack builds nothing.
+    The P measurements are built in stacks of consecutive rows, as many as
+    fit ``_CHECK_CELLS`` complex cells per element (a memory cap) and at
+    least one, and validated one by one, in row order, so the first failing
+    row is the one reported; each stacked element is bitwise its lone
+    build.  An empty stack builds nothing.
     """
     from .povm import PovmSet, build_for_case, validate
 
     if not len(lambda_stars):
         return
-    stack = build_for_case(case, pairs, strategies.symmetric_lambda(case, lambda_stars))
-    for elements in zip(*stack.elements):
-        report = validate(PovmSet(*elements))
-        if not all(report.psd_ok):
-            raise AssertionError(
-                f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
-            )
+    lams = strategies.symmetric_lambda(case, lambda_stars)
+    rows = max(1, _CHECK_CELLS // case.register_dim**2)
+    for start in range(0, len(lams), rows):
+        stack = build_for_case(case, pairs[start : start + rows], lams[start : start + rows])
+        for elements in zip(*stack.elements):
+            report = validate(PovmSet(*elements))
+            if not all(report.psd_ok):
+                raise AssertionError(
+                    f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
+                )
 
 
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,
@@ -488,10 +494,11 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     The problem is solved once per distinct value of its inputs
     (``_problem_inputs``), at the first grid point with that value, in one
     stacked solve.  Each distinct solution is checked to assemble into a
-    measurement: all of a case's checks are built in one stacked
-    ``build_for_case`` call and validated one measurement at a time, in
-    order, so a failure names the first failing solution; an empty grid
-    builds nothing.  ``betas``/``etas`` override the default square grid;
+    measurement: a case's checks are built in stacked ``build_for_case``
+    calls of consecutive rows under a cell cap (one call on the oracle
+    workload's grids) and validated one measurement at a time, in order,
+    so a failure names the first failing solution; an empty grid builds
+    nothing.  ``betas``/``etas`` override the default square grid;
     ``perturb`` shifts the closed form (negative-control hook for the
     CLI's verify command).
     """

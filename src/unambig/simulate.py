@@ -13,9 +13,10 @@ processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
 the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
 run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
 any longer run with the same seed.  ``run`` builds one generator, on
-the key's two uint64 words rather than an entropy-drawing
-``SeedSequence``, and moves it to the start of each later batch's
-stream by setting its counter.
+the key's two uint64 words and a zero counter array rather than an
+entropy-drawing ``SeedSequence``, and moves it to the start of each
+later batch's stream by setting its counter.  It sums the batches'
+counts as built-in ints.
 
 ``estimate_surface`` hashes every grid point's streams once, before its
 first chunk: point ``k``'s pair seed and sampler key are the words of
@@ -40,6 +41,8 @@ build and one validation per distinct measurement, and one Born-rule
 pass that runs each distinct element against the inputs of all the
 points that use it (zero inputs pad the shorter lists).  Each point is
 then sampled by its own ``run`` call, which is handed the point's
+probabilities; its config's ``LambdaParams`` is shared by all the points
+with the same coefficient row (bytewise), as ``run`` reads only the
 probabilities.  The rows are bitwise those of building and sampling one
 point at a time.
 """
@@ -164,12 +167,12 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StateP
     return probs[0] if lone else probs
 
 
-def _run_batch(rng: np.random.Generator, n: int, eta1: float, probs: np.ndarray) -> np.ndarray:
-    """Counts (identified-1, identified-2, inconclusive, error) of one batch of ``n`` shots drawn from ``rng``."""
+def _run_batch(rng: np.random.Generator, n: int, eta1: float, probs: np.ndarray) -> tuple[int, int, int, int]:
+    """Counts (identified-1, identified-2, inconclusive, error), as ints, of one batch of ``n`` shots from ``rng``."""
     n_prep1 = rng.binomial(n, eta1)
-    id1, wrong2, inc1 = rng.multinomial(n_prep1, probs[0])  # state 1 prepared: outcome 2 is an error
-    wrong1, id2, inc2 = rng.multinomial(n - n_prep1, probs[1])  # state 2 prepared: outcome 1 is an error
-    return np.array([id1, id2, inc1 + inc2, wrong1 + wrong2], dtype=np.int64)
+    id1, wrong2, inc1 = rng.multinomial(n_prep1, probs[0]).tolist()  # state 1 prepared: outcome 2 is an error
+    wrong1, id2, inc2 = rng.multinomial(n - n_prep1, probs[1]).tolist()  # state 2 prepared: outcome 1 is an error
+    return id1, id2, inc1 + inc2, wrong1 + wrong2
 
 
 def _jump_to(bits: np.random.Philox, batch_index: int) -> None:
@@ -261,12 +264,16 @@ def _given_state() -> type:
     return GivenState
 
 
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default counter; an array skips numpy's int-to-words loop
+
+
 def _philox(key: int) -> np.random.Philox:
     """``Philox(key=key)``, built on the key's two uint64 words: bitwise the same, but it draws no OS entropy."""
     key = operator.index(key)
     if not 0 <= key < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {key}")
-    return np.random.Philox(_given_state()(np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)))
+    words = np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)
+    return np.random.Philox(_given_state()(words), counter=_ZERO_COUNTER)
 
 
 def run(config: SimConfig) -> SimReport:
@@ -280,16 +287,15 @@ def run(config: SimConfig) -> SimReport:
         probs = outcome_probabilities(config.case, config.pair, config.lam)
     bits = _philox(config.seed)  # one generator per run: batch 0 draws from it as built
     rng = np.random.Generator(bits)
-    counts = np.zeros(4, dtype=np.int64)
+    counts = (0, 0, 0, 0)  # built-in ints, summed batch by batch
     for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS):
         if b:
             _jump_to(bits, b)
         n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
-        counts += _run_batch(rng, n, config.pair.eta1, probs)
-    n1, n2, n0, nerr = (int(x) for x in counts)
-    p_hat = (n1 + n2) / config.shots
+        counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.pair.eta1, probs)))
+    p_hat = (counts[0] + counts[1]) / config.shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
-    return SimReport(counts=(n1, n2, n0, nerr), estimated_success=p_hat, stderr=stderr)
+    return SimReport(counts=counts, estimated_success=p_hat, stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -320,6 +326,7 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     pair_words = _spawn_states(seed, np.arange(len(points)), 0, 4)
     keys = _spawn_states(seed, np.arange(len(points)), 1, 1)[:, 0].tolist()
     GivenState = _given_state()
+    shared = {}  # one LambdaParams per distinct coefficient row, keyed on the row's bytes
     rows = []
     while len(rows) < len(points):
         start = len(rows)
@@ -331,6 +338,9 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
         probs = outcome_probabilities(case, pairs, decided.lam[chunk])
         for (beta, eta1), lam, p_exact, pair, key, p in zip(points[chunk], decided.lam[chunk], p_analytic[chunk],
                                                              pairs, keys[chunk], probs):
-            report = run(SimConfig(case, pair, _lambda_of(case, lam), shots_per_point, key, probs=p))
+            lam_key = lam.tobytes()
+            if lam_key not in shared:
+                shared[lam_key] = _lambda_of(case, lam)
+            report = run(SimConfig(case, pair, shared[lam_key], shots_per_point, key, probs=p))
             rows.append(SurfaceRow(beta, eta1, report.estimated_success, p_exact, report.stderr))
     return rows

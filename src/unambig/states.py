@@ -7,7 +7,10 @@ Stacks: ``pair_with_overlap`` takes 1-d arrays of points with one seed
 each and draws, orthogonalises, phase-fixes and checks all their states
 as ``(P, d)`` arrays; the adapted qutrit basis and the qubit complement
 work on such arrays too.  A lone input is a stack of one, so every row
-is bitwise that of its own lone call.
+is bitwise that of its own lone call.  A pair's relative phase is one
+standard uniform double, ``Generator.random()``: bitwise the draw of
+``uniform()`` (``0.0 + 1.0 * next_double``), without its argument
+handling.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair | list[StatePair]
     bitwise the pair of its own lone call.  Each point draws from its own
     generator in a fixed order: psi1's real then imaginary parts; if
     beta < 1, the direction's real then imaginary parts (redrawn while
-    too close to psi1), then the phase.
+    too close to psi1), then the phase, one standard uniform double.
     """
     lone = np.ndim(beta) == 0 and np.ndim(eta1) == 0
     betas = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -209,7 +212,7 @@ def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair | list[StatePair]
     mixed = np.flatnonzero(betas < 1.0)
     mixed_rngs = [rngs[k] for k in mixed]
     w = _directions(psi1[mixed], mixed_rngs)
-    phase = np.exp(2j * np.pi * np.array([rng.uniform() for rng in mixed_rngs]))
+    phase = np.exp(2j * np.pi * np.array([rng.random() for rng in mixed_rngs]))  # bitwise rng.uniform()
     mixed_betas = betas[mixed]
     vec2 = fix_global_phase((phase * mixed_betas)[:, None] * psi1[mixed]
                             + np.sqrt(1.0 - mixed_betas * mixed_betas)[:, None] * w)

@@ -226,6 +226,14 @@ def test_simulate_json_and_determinism(tmp_path, capsys):
     assert abs(record["estimated_success"] - record["p_analytic"]) <= 4 * sigma
 
 
+def test_simulate_stdout_is_pinned(capsys):
+    # 16 batches summed as ints: the sha256 of stdout recorded when run summed numpy int64 counts
+    code, out, _ = run_cli(capsys, "simulate", "--case", "b2", "--dim", "3", "--beta", "0.4", "--eta1", "0.3",
+                           "--shots", "1000000", "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "2f7f005f4856b394b9757a9a7dcdde3cda1fcdae8366d73cdf9f48fe1b50ca69"
+
+
 def test_simulate_requires_world_parameters(capsys):
     code, _, err = run_cli(capsys, "simulate", "--case", "b2", "--dim", "2", "--beta", "0.4")
     assert code == 2

@@ -276,6 +276,46 @@ def test_failed_solution_check_names_the_first_failing_solution(k, monkeypatch):
     assert str(info.value) == f"oracle solution for {case} is not a measurement: min eigenvalues {expected}"
 
 
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_capped_solution_checks_keep_row_order_and_elements(k, monkeypatch):
+    # a cap of two measurements builds A4/dim3's three checks in runs of 2 and 1: the validated
+    # elements are bitwise those of the one-stack build, and a failure names the first failing row
+    case = KnowledgeCase(Regime.A4, 3)
+    grid = {"betas": (0.0, 0.4, 0.8), "etas": (0.5,)}
+    real_build, real_validate = povm.build_for_case, povm.validate
+    builds, validated = [], []
+
+    def record_build(case, pairs, lams):
+        builds.append(len(pairs))
+        return real_build(case, pairs, lams)
+
+    def record_validate(measurement):
+        validated.append([el.tobytes() for el in measurement.elements])
+        return real_validate(measurement)
+
+    monkeypatch.setattr(povm, "build_for_case", record_build)
+    monkeypatch.setattr(povm, "validate", record_validate)
+    opt.verify_case(case, **grid)
+    one_stack, builds[:], validated[:] = validated[:], [], []
+    monkeypatch.setattr(opt, "_CHECK_CELLS", 3 * case.register_dim**2 - 1)
+    opt.verify_case(case, **grid)
+    assert builds == [2, 1] and validated == one_stack
+
+    def fail_from_k(measurement):
+        report = record_validate(measurement)
+        i = len(validated) - 1
+        if i < k:
+            return report
+        return dataclasses.replace(report, psd_ok=report.psd_ok[:2] + (False,),
+                                   min_eigenvalues=report.min_eigenvalues[:2] + (-1.0 - i,))
+
+    builds[:], validated[:] = [], []
+    monkeypatch.setattr(povm, "validate", fail_from_k)
+    with pytest.raises(AssertionError, match=rf"min eigenvalues \(.*, {-1.0 - k}\)$"):
+        opt.verify_case(case, **grid)
+    assert len(validated) == k + 1 and builds == [2, 1][: 1 + k // 2]
+
+
 def test_block_len_and_feasibility_mask_are_per_candidate_cell():
     problem = opt.case_problem(KnowledgeCase(Regime.A3, 2), beta=[0.3, 0.6], eta1=[0.5, 0.5])
     block = opt._block([np.tile(opt._axis_grid(0.0, 1.0, 0.1), (2, 1))] * 3, slice(0, 2))

@@ -60,7 +60,7 @@ def test_runs_are_prefixes_of_one_batch_stream():
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
         n_prep1 = rng.binomial(n, cfg.pair.eta1)
         prep1, prep2 = rng.multinomial(n_prep1, probs[0]), rng.multinomial(n - n_prep1, probs[1])
-        assert batches[b].tolist() == [prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]]
+        assert list(batches[b]) == [prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]]
     assert sim.run(cfg).counts == tuple(np.sum(batches, axis=0))
     short = sim.run(dataclasses.replace(cfg, shots=k * sim.BATCH_SHOTS))
     assert short.counts == tuple(np.sum(batches[:k], axis=0))
@@ -232,7 +232,28 @@ def test_run_takes_the_largest_philox_key():
     cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=2**128 - 1)
     probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    assert sim.run(cfg).counts == tuple(sim._run_batch(rng, cfg.shots, cfg.pair.eta1, probs).tolist())
+    assert sim.run(cfg).counts == tuple(list(sim._run_batch(rng, cfg.shots, cfg.pair.eta1, probs)))
+
+
+@pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
+def test_philox_on_the_zero_counter_is_philox_on_its_key(key):
+    # _philox hands Philox its zero counter as a uint64 array; each generator gets its own copy
+    ours, theirs = sim._philox(key), np.random.Philox(key=key)
+    np.testing.assert_equal(ours.state, theirs.state)
+    assert np.array_equal(np.random.Generator(ours).random(9), np.random.Generator(theirs).random(9))
+    np.testing.assert_equal(ours.state, theirs.state)
+    assert not sim._ZERO_COUNTER.any()
+
+
+def test_counts_are_builtin_ints(monkeypatch):
+    single = _config(Regime.A2, 3, 0.4, 0.6, 1000, seed=9)
+    for cfg in (single, dataclasses.replace(single, shots=2 * sim.BATCH_SHOTS + 5)):
+        assert [type(n) for n in sim.run(cfg).counts] == [int] * 4
+    reports = []
+    real = sim.run
+    monkeypatch.setattr(sim, "run", lambda config: reports.append(real(config)) or reports[-1])
+    sim.estimate_surface(KnowledgeCase(Regime.B1, 3), (0.0, 0.5), (0.3, 1.0), 500, seed=9)
+    assert len(reports) == 4 and all(type(n) is int for report in reports for n in report.counts)
 
 
 def test_config_probs_are_used_and_shape_checked():
@@ -332,6 +353,24 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
     assert [(c.pair.beta, c.pair.eta1) for c in configs] == [(r.beta, r.eta1) for r in rows] == grid
     for config in configs:
         assert np.array_equal(config.probs, sim.outcome_probabilities(config.case, config.pair, config.lam))
+
+
+@pytest.mark.parametrize("regime", (Regime.A1, Regime.A2), ids=lambda r: r.value)
+def test_estimate_surface_shares_one_lambda_params_per_distinct_row(regime, monkeypatch):
+    # run reads only each point's probs, so points with equal coefficient rows share one LambdaParams
+    case = KnowledgeCase(regime, 3)
+    made, configs = [], []
+    real_lambda_of, real_run = sim._lambda_of, sim.run
+    monkeypatch.setattr(sim, "_lambda_of", lambda case, row: made.append(row.tobytes()) or real_lambda_of(case, row))
+    monkeypatch.setattr(sim, "run", lambda config: configs.append(config) or real_run(config))
+    sim.estimate_surface(case, np.linspace(0.0, 0.99, 12), np.linspace(0.0, 1.0, 7), 200, seed=4)
+    betas, etas = np.array([(c.pair.beta, c.pair.eta1) for c in configs]).T
+    rows = st.success_probability(case, betas, etas).lam
+    first = {}
+    for config, row in zip(configs, rows):
+        assert config.lam == povm._lambda_of(case, row)
+        assert config.lam is first.setdefault(row.tobytes(), config.lam)
+    assert sorted(made) == sorted(first) and len(made) < len(configs)
 
 
 def test_estimate_surface_decides_each_surface_in_one_call(monkeypatch):

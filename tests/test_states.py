@@ -235,3 +235,16 @@ def test_stacked_adapted_bases_match_lone_calls():
         assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, qutrit_adapted_basis(a, b)))
     with pytest.raises(ValueError, match="parallel"):
         states._adapted_basis(v1, np.vstack([v2[:-1], v1[-1]]))
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**63 + 11, [3359, 0]))
+def test_random_is_the_double_of_uniform(seed):
+    # pair_with_overlap draws its phase with random(): the double of uniform()'s 0.0 + 1.0 * next_double,
+    # at the same stream position, whatever the Gaussian draws before it and the draw after it
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(500):
+        assert np.array_equal(ours.standard_normal((2, 3)), theirs.standard_normal((2, 3)))
+        phase, reference = ours.random(), theirs.uniform()
+        assert type(phase) is type(reference) is float and phase.hex() == reference.hex()
+    assert ours.standard_normal() == theirs.standard_normal()
+    assert ours.bit_generator.state == theirs.bit_generator.state
