@@ -473,8 +473,6 @@ def _check_solutions_psd(case: KnowledgeCase, pairs: list[StatePair], lambda_sta
     """
     from .povm import PovmSet, build_for_case, validate
 
-    if not len(lambda_stars):
-        return
     lams = strategies.symmetric_lambda(case, lambda_stars)
     rows = max(1, _CHECK_CELLS // case.register_dim**2)
     for start in range(0, len(lams), rows):
