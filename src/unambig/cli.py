@@ -1,11 +1,11 @@
 """Command-line front end: solve, verify, sweep, simulate.
 
 Exit codes: 0 success, 1 verification/ordering failure, 2 usage error
-(bad arguments), 3 internal error (a numerical self-check of the program
-failed: an oracle solution or a simulated POVM that is not a
-measurement, a non-Hermitian operator, an expectation value with an
-imaginary part, or a state pair whose overlap differs from its stored
-beta).
+(bad arguments, or an unwritable ``--out``), 3 internal error (a
+numerical self-check of the program failed: an oracle solution or a
+simulated POVM that is not a measurement, a non-Hermitian operator, an
+expectation value with an imaginary part, or a state pair whose overlap
+differs from its stored beta).
 All outputs are deterministic: JSON uses a fixed field order and CSV is
 emitted with '.' decimals, ',' separators, LF line endings, and 12
 significant digits, so identical invocations are byte-identical.
@@ -189,7 +189,11 @@ def cmd_simulate(args) -> int:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="\n") as fh:
+        try:
+            fh = open(args.out, "w", newline="\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

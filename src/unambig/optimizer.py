@@ -48,8 +48,9 @@ Refinement windows clipped at the box edges differ in length from point
 to point; shorter axes are padded by repeating their last value, and a
 duplicate cell changes neither the maximum, the tie filters nor the
 lexicographically smallest pick.  Infeasible cells score ``-inf``.
-Every family's feasibility predicate reads only the first two
-coefficients, so it is evaluated on the ``(l0, l1)`` axes and broadcast.
+Every feasibility predicate, the case's ``strategies.REGIONS`` entry,
+reads only the first two coefficients, so it is evaluated on the
+``(l0, l1)`` axes and broadcast.
 
 Coordinates from index 2 on (the known/unknown ``l3``) are free: neither
 the feasibility predicate nor the boundary projection reads them, and
@@ -94,7 +95,7 @@ exploited: all index-1 coefficients equal, all index-2 coefficients
 equal, the extra known/unknown block equal.  Under that reduction the
 known/unknown objectives coincide with the qubit ones; the
 unknown/unknown family uses the corrected simplex constraint (see
-``strategies``).
+``strategies.REGIONS``).
 """
 
 from __future__ import annotations
@@ -405,10 +406,12 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     hidden inputs as ``(M, a)`` rows, the tie point the ``ADVERSARY_STEP``
     grid's mean point over them, and with nothing hidden there is neither.
     The family chooses only the objective (its success probability, or the
-    ``_bracket`` for known/unknown with ``beta`` hidden), the feasibility
-    predicate and the boundary projection.  ``verify_case`` compares the
-    solved value with the closed form, except for the brackets, whose
-    actual success probability it re-evaluates at the solved coefficients.
+    ``_bracket`` for known/unknown with ``beta`` hidden); the feasibility
+    predicate and the boundary projection are the case's
+    ``strategies.REGIONS`` entry, the one ``feasible`` reads.
+    ``verify_case`` compares the solved value with the closed form, except
+    for the brackets, whose actual success probability it re-evaluates at
+    the solved coefficients.
     """
     inputs = _problem_inputs(case)
     hidden = tuple(name for name in ("beta", "eta1") if name not in inputs)
@@ -421,32 +424,20 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     # one value per point, shaped to broadcast against a (P, n_0, ..., n_{k-1}, M) block
     fixed = {name: np.broadcast_to(v, shape).reshape((-1,) + (1,) * (k + 1)) for name, v in zip(inputs, values)}
     at = lambda block: {name: v[block.rows] for name, v in fixed.items()}  # the block's points
-    if case.family is Family.UNKNOWN_UNKNOWN:
-        p = _unknown_unknown_p
-        if case.dim == 2:
-            feas = lambda block: strategies.pair_program_ok(*block.coords[:2])
-            bound = lambda block: strategies.pair_program_boundary(block.coords[0])
-        else:  # corrected region, equal per-index coefficients
-            feas = lambda block: strategies.totally_antisymmetric_ok(3.0 * block.coords[0], 3.0 * block.coords[1])
-            bound = lambda block: strategies.pair_program_boundary_qutrit(block.coords[0])
-    elif case.family is Family.KNOWN_UNKNOWN:
-        p = _bracket if "beta" in hidden else _known_unknown_p
-        feas = lambda block: strategies.single_program_ok(*block.coords[:2])
-        bound = lambda block: strategies.single_program_boundary(block.coords[0])
-    else:
-        p = _known_known_p
-        feas = lambda block: strategies.direct_ok(*block.coords[:2], at(block)["beta"])
-        bound = lambda block: strategies.direct_boundary(block.coords[0], at(block)["beta"])
+    p = _bracket if "beta" in hidden else {  # beta is hidden only from the known/unknown A2/B2 brackets
+        Family.UNKNOWN_UNKNOWN: _unknown_unknown_p, Family.KNOWN_UNKNOWN: _known_unknown_p, Family.KNOWN_KNOWN: _known_known_p,
+    }[case.family]
+    ok, boundary = strategies.REGIONS[case.family, case.dim]
     mean = dict(zip(("beta", "eta1"), _grid_mean_point()))
     return MaximinProblem(
         k,
         # the objective fills each hidden input from its adversary column
         lambda block, adv: p(*block.coords, **at(block), **{name: adv[:, i] for i, name in enumerate(hidden)}),
         # the predicate reads the (l0, l1) axes, broadcast to the block
-        lambda block: np.broadcast_to(feas(block), block.shape),
+        lambda block: np.broadcast_to(ok(*block.coords[:2], at(block).get("beta")), block.shape),
         adversary=np.array(list(itertools.product((0.0, 1.0), repeat=len(hidden)))) if hidden else None,
         tie_point=np.array([[mean[name] for name in hidden]]) if hidden else None,
-        boundary=bound,
+        boundary=lambda block: boundary(block.coords[0], at(block).get("beta")),
         points=math.prod(shape),
     )
 

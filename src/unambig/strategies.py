@@ -21,9 +21,9 @@ Success probabilities are closed forms in both dims: the qutrit
 known/unknown and known/known families reduce to the qubit expressions.
 The tests check them against POVM expectations on concrete pairs.
 
-Each family's positivity inequalities are written once, below, as
-predicates on floats or numpy arrays, next to the projections onto their
-boundaries; ``feasible`` and the oracle in ``optimizer`` both use them.
+Each family's positivity inequalities are written once, below, as array
+predicates next to the projections onto their boundaries; ``REGIONS``
+picks them per case, and ``feasible`` and the ``optimizer`` oracle read it.
 The surfaces take floats or broadcast arrays: ``np.where`` keeps, per
 cell, the branch its threshold selects, so each cell rounds exactly as
 that branch alone does.  The decision tables work the same way on arrays
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
-from .povm import LambdaParams, _lambda_of, _layout, build_unknown_unknown, validate
+from .povm import LambdaParams, _lambda_of, _layout
 
 FEASIBILITY_SLACK = 1e-12
 SQRT5 = math.sqrt(5.0)
@@ -110,44 +110,53 @@ def direct_boundary(l1: np.ndarray, beta) -> np.ndarray:
     return np.clip(np.minimum(from_sum, from_det), 0.0, 1.0)
 
 
-def _in_box(values, slack: float = FEASIBILITY_SLACK) -> bool:
-    return all(-slack <= v <= 1.0 + slack for v in values)
+# The positivity region of each (family, dim): a predicate on one antisymmetric index's (l1, l2) and the
+# projection of l1 onto l2 at its boundary.  Only known/known reads beta; the others ignore it.
+REGIONS = {
+    (Family.UNKNOWN_UNKNOWN, 2): (lambda l1, l2, beta: pair_program_ok(l1, l2), lambda l1, beta: pair_program_boundary(l1)),
+    # corrected region, equal per-index coefficients: the simplex in the index sums
+    (Family.UNKNOWN_UNKNOWN, 3): (lambda l1, l2, beta: totally_antisymmetric_ok(3.0 * l1, 3.0 * l2),
+                                  lambda l1, beta: pair_program_boundary_qutrit(l1)),
+    **{(Family.KNOWN_UNKNOWN, dim): (lambda l1, l2, beta: single_program_ok(l1, l2),
+                                     lambda l1, beta: single_program_boundary(l1)) for dim in (2, 3)},
+    **{(Family.KNOWN_KNOWN, dim): (direct_ok, direct_boundary) for dim in (2, 3)},
+}
 
 
 def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = None) -> bool:
-    """True iff the coefficients yield PSD measurement elements for this case.
+    """True iff the coefficients yield PSD measurement elements for this case: its ``REGIONS`` predicate.
 
     The known/known constraints involve the overlap, so ``beta`` is
-    required there and rejected elsewhere.
+    required there and rejected elsewhere.  Qutrit unknown/unknown rows
+    that meet the per-index bounds without being equal per index raise.
     """
     fam = case.family
     if fam is Family.KNOWN_KNOWN and beta is None:
         raise ValueError("known/known feasibility requires beta")
     if fam is not Family.KNOWN_KNOWN and beta is not None:
         raise ValueError(f"feasibility for {case} does not depend on beta")
+    if beta is not None and not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if tuple(len(x) for x in (lam.lam1, lam.lam2, lam.lam3) if x is not None) != _layout(fam, case.dim):
         return False
-    if fam is Family.KNOWN_KNOWN:
-        return _in_box(lam.flat) and bool(direct_ok(lam.lam1[0], lam.lam2[0], beta))
-    if fam is Family.KNOWN_UNKNOWN:
-        return _in_box(lam.flat) and all(single_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
-    # unknown/unknown
-    per_index = per_index_pair_program_constraints(lam)
-    if case.dim == 2 or not per_index:
-        return per_index
-    # corrected qutrit region: equal per-index coefficients reduce to a
-    # simplex; anything else needs the eigenvalue check
-    if len(set(lam.lam1)) == 1 and len(set(lam.lam2)) == 1:
-        return totally_antisymmetric_ok(sum(lam.lam1), sum(lam.lam2))
-    report = validate(build_unknown_unknown(3, lam))
-    return all(report.psd_ok)
+    flat, l1, l2 = np.array(lam.flat), np.array(lam.lam1), np.array(lam.lam2)
+    if not np.all((-FEASIBILITY_SLACK <= flat) & (flat <= 1.0 + FEASIBILITY_SLACK)):
+        return False
+    if case.dim == 3 and fam is Family.UNKNOWN_UNKNOWN:
+        # necessary for every row; the simplex implies them in the unit box, not in the slack above it
+        if not per_index_pair_program_constraints(lam):
+            return False
+        if np.any(l1 != l1[0]) or np.any(l2 != l2[0]):
+            raise ValueError(f"{case}: no closed-form region for per-index coefficients that are not all equal")
+    ok, _ = REGIONS[fam, case.dim]
+    return bool(np.all(ok(l1, l2, beta)))
 
 
 def per_index_pair_program_constraints(lam: LambdaParams, slack: float = FEASIBILITY_SLACK) -> bool:
     """The naive per-index generalization of the qubit inequalities to qutrits.
 
-    Kept for reference: necessary but not sufficient (see module
-    docstring); ``feasible`` applies the corrected region instead.
+    Necessary but not sufficient (see module docstring): ``feasible``
+    holds qutrit rows to it before applying the corrected region.
     """
     return all(v >= -slack for v in lam.flat) and all(
         pair_program_ok(a, b, slack) for a, b in zip(lam.lam1, lam.lam2)

@@ -16,6 +16,7 @@ from unambig.linalg import expectation, min_eigenvalue
 from unambig.povm import (
     LambdaParams,
     build_for_case,
+    build_unknown_unknown,
     input_states,
     success_probabilities,
     validate,
@@ -79,6 +80,16 @@ def test_criterion_2_specific_values():
               f"B2 coefficients recovered to {max(abs(g - w) for g, w in zip(res.lambda_star, target)):.1e}")
 
 
+def _feasible_or_psd(case: KnowledgeCase, lam: LambdaParams, **kwargs) -> bool:
+    """``st.feasible``, or the eigenvalue check where it has no closed form (unequal qutrit unknown/unknown rows)."""
+    try:
+        return st.feasible(case, lam, **kwargs)
+    except ValueError:
+        if (case.family, case.dim) != (Family.UNKNOWN_UNKNOWN, 3):
+            raise
+        return all(validate(build_unknown_unknown(3, lam)).psd_ok)
+
+
 def _feasible_samples(case: KnowledgeCase, rng, beta: float, n: int = 20):
     out = []
     while len(out) < n:
@@ -95,7 +106,7 @@ def _feasible_samples(case: KnowledgeCase, rng, beta: float, n: int = 20):
         else:
             lam = LambdaParams.of(rng.uniform(0, 1), rng.uniform(0, 1))
         kwargs = {"beta": beta} if case.family is Family.KNOWN_KNOWN else {}
-        if st.feasible(case, lam, **kwargs):
+        if _feasible_or_psd(case, lam, **kwargs):
             out.append(lam)
     return out
 

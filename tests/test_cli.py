@@ -247,6 +247,18 @@ def test_unknown_case(capsys):
         assert err.startswith("error: unknown case 'c9' (expected one of ['a1', ")
 
 
+@pytest.mark.parametrize("argv, missing, reason", (
+    (("sweep", "--surface", "p2_opt", "--grid", "0.5"), "missing/x.csv", "No such file or directory"),
+    (("solve", "--case", "a1", "--eta1", "0.3"), "", "Is a directory"),
+))
+def test_unwritable_out_is_a_usage_error(argv, missing, reason, tmp_path, capsys):
+    # a missing directory or a directory as the file: one error line naming the path, no traceback
+    out = str(tmp_path / missing) if missing else str(tmp_path)
+    code, stdout, err = run_cli(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot write --out {out}: {reason}\n"
+
+
 REGIME_CHOICES = "['a1', 'a2', 'a3', 'a4', 'b1', 'b2', 'b3', 'b4']"
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
+from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig import cli, optimizer as opt, povm
 from unambig import strategies as st
 from unambig.linalg import orthonormal_completion
@@ -121,6 +121,25 @@ def test_free_axis_near_tie_picks_the_upper_end(dim):
     res = opt.solve_maximin(opt.case_problem(KnowledgeCase(Regime.A3, dim), beta=0.0, eta1=1 - 1e-12))[0]
     assert res.lambda_star[2] == 1.0
     assert res.value >= 0.4999999999996
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
+def test_case_problem_and_feasible_read_one_region(regime, dim):
+    # the oracle's predicate is strategies.feasible's region, cell by cell, on a 0.05 (l1, l2)
+    # grid and its boundary projection at the beta edges and seeded betas (the free l3 at 1)
+    case = KnowledgeCase(regime, dim)
+    betas = np.concatenate([[0.0, 1 / math.sqrt(2), 1.0], np.random.default_rng(31).random(3)])
+    problem = opt.case_problem(case, beta=betas, eta1=np.full(len(betas), 0.5))
+    axis = np.tile(opt._axis_grid(0.0, 1.0, 0.05), (len(betas), 1))
+    grid = opt._block([axis, axis] + [np.ones((len(betas), 1))] * (problem.n_params - 2), slice(0, len(betas)))
+    boundary = opt.Block(grid.coords[:1] + (problem.boundary(grid),) + grid.coords[2:], grid.rows)
+    for block in (grid, boundary):
+        mask, coords = problem.feasible(block), np.broadcast_arrays(*block.coords)
+        for cell in np.ndindex(block.shape):
+            row = tuple(float(c[cell]) for c in coords)
+            kwargs = {"beta": float(betas[cell[0]])} if case.family is Family.KNOWN_KNOWN else {}
+            assert mask[cell] == st.feasible(case, st.symmetric_lambda(case, row), **kwargs), (cell, row)
 
 
 def _second_axis_problem_and_blocks(regime, dim, second):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
+from unambig import povm
 from unambig.povm import LambdaParams, success_probabilities
 from unambig.states import pair_with_overlap
 from unambig import simulate as sim, strategies as st
@@ -58,6 +59,30 @@ def test_feasible_rejections():
         st.feasible(KnowledgeCase(Regime.A1, 2), LambdaParams.of(0.1, 0.1), beta=0.5)
     with pytest.raises(ValueError, match="beta"):
         st.feasible(KnowledgeCase(Regime.A4, 2), LambdaParams.of(0.1, 0.1))
+
+
+@pytest.mark.parametrize("beta", (-0.5, 1.5, float("nan")))
+def test_feasible_rejects_a_beta_outside_the_unit_interval(beta):
+    with pytest.raises(ValueError, match=rf"^beta must lie in \[0, 1\], got {beta}$"):
+        st.feasible(KnowledgeCase(Regime.A4, 2), LambdaParams.of(0.5, 0.5), beta=beta)
+
+
+def test_feasible_raises_where_the_qutrit_region_has_no_closed_form():
+    # unequal per-index coefficients that meet the per-index bounds: only eigenvalues decide them
+    for case in (KnowledgeCase(Regime.A1, 3), KnowledgeCase(Regime.B1, 3)):
+        with pytest.raises(ValueError, match="not all equal"):
+            st.feasible(case, LambdaParams.of((0.1, 0.2, 0.3), (0.1, 0.1, 0.1)))
+        # breaking a per-index bound, or equal per index, is still decided
+        assert not st.feasible(case, LambdaParams.of((0.1, 0.2, 1.0), (0.1, 0.1, 1.0)))
+        assert st.feasible(case, LambdaParams.of((0.4,) * 3, (0.6,) * 3))
+        assert not st.feasible(case, LambdaParams.of((0.4,) * 3, (0.61,) * 3))
+
+
+def test_closed_form_route_binds_no_povm_builder_or_validate():
+    # the closed-form route stays independent of the POVM route it is checked against
+    povm_route = [getattr(povm, name) for name in dir(povm) if name.startswith("build_")] + [povm.validate, povm]
+    bound = [name for name, value in vars(st).items() if any(value is other for other in povm_route)]
+    assert bound == []
 
 
 def test_optimal_lambda_examples():
