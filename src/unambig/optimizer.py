@@ -213,14 +213,21 @@ def _block(cols: list[np.ndarray], rows: slice) -> Block:
 
 
 def _chunks(n: np.ndarray) -> list[slice]:
-    """Runs of consecutive rows of axis lengths (P, k), as many as fit ``_BLOCK_CELLS`` padded cells and at least one."""
-    starts, top = [], []
-    for row, lengths in enumerate(n.tolist()):
-        top = [max(a, b) for a, b in zip(top, lengths)]
-        if not starts or (row + 1 - starts[-1]) * math.prod(top) > _BLOCK_CELLS:
-            starts.append(row)
-            top = lengths
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(n)])]
+    """Runs of consecutive rows of axis lengths (P, k), as many as fit ``_BLOCK_CELLS`` padded cells and at least one.
+
+    A run of ``r`` rows pads to ``r`` times the product of its running axis
+    maxima, at least ``r`` times its first row's cells, so one
+    ``np.maximum.accumulate`` over that many rows ahead finds where it ends.
+    """
+    chunks, start = [], 0
+    while start < len(n):
+        ahead = n[start : start + _BLOCK_CELLS // int(np.prod(n[start])) + 1]
+        padded = np.arange(1, len(ahead) + 1) * np.maximum.accumulate(ahead).prod(axis=1)
+        over = np.flatnonzero(padded[1:] > _BLOCK_CELLS)
+        stop = start + (int(over[0]) + 1 if over.size else len(ahead))
+        chunks.append(slice(start, stop))
+        start = stop
+    return chunks
 
 
 def _evaluate(problem: MaximinProblem, block: Block) -> tuple[np.ndarray, np.ndarray]:

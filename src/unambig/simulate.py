@@ -14,9 +14,11 @@ the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
 run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
 any longer run with the same seed.  ``run`` builds one generator, on
 the key's two uint64 words and a zero counter array rather than an
-entropy-drawing ``SeedSequence``, and moves it to the start of each
-later batch's stream by setting its counter.  It sums the batches'
-counts as built-in ints.
+entropy-drawing ``SeedSequence``.  A run of more than one batch also
+builds one state dict, ``Philox(key=seed).jumped(0).state`` in Python
+ints, and moves the generator to each later batch's stream by writing
+that dict with the batch's counter; no state is read back.  It sums the
+batches' counts as built-in ints.
 
 ``estimate_surface`` hashes every grid point's streams once, before its
 first chunk: point ``k``'s pair seed and sampler key are the words of
@@ -175,12 +177,22 @@ def _run_batch(rng: np.random.Generator, n: int, eta1: float, probs: np.ndarray)
     return id1, id2, inc1 + inc2, wrong1 + wrong2
 
 
-def _jump_to(bits: np.random.Philox, batch_index: int) -> None:
-    """Reset ``bits`` to the start of ``Philox(key=<its key>).jumped(batch_index)``: counter ``batch_index * 2^128``."""
-    state = bits.state
-    state["state"]["counter"] = np.array([0, 0, batch_index, 0], dtype=np.uint64)
-    state["buffer_pos"] = len(state["buffer"])  # an empty buffer
-    state["has_uint32"] = 0
+def _jump_state(words: tuple[int, int]) -> dict:
+    """The state of ``Philox(key=<words>).jumped(b)`` in Python ints, while its counter list reads ``[0, 0, b, 0]``.
+
+    ``jumped`` empties the buffer and zeroes ``uinteger`` and ``has_uint32``, as here.
+    """
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": list(words)},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _jump_to(bits: np.random.Philox, state: dict, batch_index: int) -> None:
+    """Write ``state`` (from ``_jump_state``) into ``bits`` at counter ``batch_index * 2^128``.
+
+    ``bits`` is then ``Philox(key=<the state's key>).jumped(batch_index)``,
+    whatever it drew before.
+    """
+    state["state"]["counter"][2] = batch_index
     bits.state = state
 
 
@@ -267,13 +279,17 @@ def _given_state() -> type:
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default counter; an array skips numpy's int-to-words loop
 
 
-def _philox(key: int) -> np.random.Philox:
-    """``Philox(key=key)``, built on the key's two uint64 words: bitwise the same, but it draws no OS entropy."""
+def _key_words(key: int) -> tuple[int, int]:
+    """The Philox key's two 64-bit words, low first, as Python ints; the key must lie in [0, 2^128)."""
     key = operator.index(key)
     if not 0 <= key < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {key}")
-    words = np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)
-    return np.random.Philox(_given_state()(words), counter=_ZERO_COUNTER)
+    return key & (1 << 64) - 1, key >> 64
+
+
+def _philox(words: tuple[int, int]) -> np.random.Philox:
+    """``Philox(key=key)`` for the key's ``_key_words``: bitwise the same, but it draws no OS entropy."""
+    return np.random.Philox(_given_state()(np.array(words, dtype=np.uint64)), counter=_ZERO_COUNTER)
 
 
 def run(config: SimConfig) -> SimReport:
@@ -281,16 +297,21 @@ def run(config: SimConfig) -> SimReport:
 
     The seed is the Philox key, in [0, 2^128): batch ``b`` draws from
     ``Philox(key=seed).jumped(b)``, in the order ``_run_batch`` fixes.
+    Batch 0 draws from the generator as built; each later batch first
+    writes the run's one ``_jump_state`` dict into it with counter ``b``.
     """
     probs = config.probs
     if probs is None:
         probs = outcome_probabilities(config.case, config.pair, config.lam)
-    bits = _philox(config.seed)  # one generator per run: batch 0 draws from it as built
+    words = _key_words(config.seed)
+    bits = _philox(words)
     rng = np.random.Generator(bits)
+    n_batches = (config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS
+    state = _jump_state(words) if n_batches > 1 else None
     counts = (0, 0, 0, 0)  # built-in ints, summed batch by batch
-    for b in range((config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS):
+    for b in range(n_batches):
         if b:
-            _jump_to(bits, b)
+            _jump_to(bits, state, b)
         n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
         counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.pair.eta1, probs)))
     p_hat = (counts[0] + counts[1]) / config.shots

@@ -234,6 +234,18 @@ def test_simulate_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "2f7f005f4856b394b9757a9a7dcdde3cda1fcdae8366d73cdf9f48fe1b50ca69"
 
 
+@pytest.mark.parametrize("seed,digest", [
+    (1, "9da1f6a18363f340a1b60e63ba089521a7980ac3c2e8f0b9fff40c3c87386514"),
+    (2**128 - 1, "ebb2ff35418237d6ebc0abd45d645e5d17e3df9641794a19e167e11c7fd83ded"),
+])
+def test_simulate_1e8_shots_stdout_is_pinned(seed, digest, capsys):
+    # 1526 batches, each on its own jumped stream: the sha256 of stdout recorded when run read each jump's state back
+    code, out, _ = run_cli(capsys, "simulate", "--case", "b2", "--dim", "3", "--beta", "0.4", "--eta1", "0.3",
+                           "--shots", "100000000", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_requires_world_parameters(capsys):
     code, _, err = run_cli(capsys, "simulate", "--case", "b2", "--dim", "2", "--beta", "0.4")
     assert code == 2

@@ -415,6 +415,28 @@ def test_chunks_count_the_boundary_block_in_the_cell_cap(monkeypatch, regime):
     assert all(cells <= cap for n, cells in scored if n > 1)
 
 
+def _chunks_row_by_row(n, cap):
+    """The per-row walk ``_chunks`` replaced: a run ends before the row that would pad it past ``cap`` cells."""
+    starts, top = [], []
+    for row, lengths in enumerate(n.tolist()):
+        top = [max(a, b) for a, b in zip(top, lengths)]
+        if not starts or (row + 1 - starts[-1]) * math.prod(top) > cap:
+            starts.append(row)
+            top = lengths
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(n)])]
+
+
+@pytest.mark.parametrize("cap", (1, 7, 40 * 33, 1 << 16))
+def test_chunks_are_the_row_by_row_walk(monkeypatch, cap):
+    # random (P, k) axis lengths, from all-ones rows to rows over the cap on their own, and no rows at all
+    monkeypatch.setattr(opt, "_BLOCK_CELLS", cap)
+    rng = np.random.default_rng(cap)
+    for _ in range(300):
+        n = rng.integers(1, rng.integers(2, 70), size=(rng.integers(0, 400), rng.integers(1, 5)))
+        assert opt._chunks(n) == _chunks_row_by_row(n, cap)
+    assert opt._chunks(np.ones((0, 3), dtype=int)) == []
+
+
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.value)
 def test_problem_ignores_inputs_it_does_not_take(regime, dim):

@@ -52,9 +52,10 @@ def test_runs_are_prefixes_of_one_batch_stream():
     sizes = [sim.BATCH_SHOTS] * (k + 2) + [17]
     bits = np.random.Philox(key=cfg.seed)  # one generator, reset to each batch's stream as run resets it
     rng = np.random.Generator(bits)
+    state = sim._jump_state(sim._key_words(cfg.seed))
     batches = []
     for b, n in enumerate(sizes):
-        sim._jump_to(bits, b)
+        sim._jump_to(bits, state, b)
         batches.append(sim._run_batch(rng, n, cfg.pair.eta1, probs))
     for b, n in enumerate(sizes):
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
@@ -195,7 +196,7 @@ def test_generators_on_spawn_states_draw_as_the_seed_sequence(seed):
     pcg = (np.random.PCG64(sim._given_state()(pcg_words)),
            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3359, 0))))
     key = seed % 2**128
-    philox = (sim._philox(key), np.random.Philox(key=key))
+    philox = (sim._philox(sim._key_words(key)), np.random.Philox(key=key))
     for ours, theirs in (pcg, philox):
         np.testing.assert_equal(ours.state, theirs.state)
         ours_rng, theirs_rng = np.random.Generator(ours), np.random.Generator(theirs)
@@ -238,11 +239,42 @@ def test_run_takes_the_largest_philox_key():
 @pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
 def test_philox_on_the_zero_counter_is_philox_on_its_key(key):
     # _philox hands Philox its zero counter as a uint64 array; each generator gets its own copy
-    ours, theirs = sim._philox(key), np.random.Philox(key=key)
+    ours, theirs = sim._philox(sim._key_words(key)), np.random.Philox(key=key)
     np.testing.assert_equal(ours.state, theirs.state)
     assert np.array_equal(np.random.Generator(ours).random(9), np.random.Generator(theirs).random(9))
     np.testing.assert_equal(ours.state, theirs.state)
     assert not sim._ZERO_COUNTER.any()
+
+
+@pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
+@pytest.mark.parametrize("batch", (1, 2, 2**20))
+def test_jump_writes_the_jumped_state(key, batch):
+    # from a part-used buffer and a held uint32, the jump lands on jumped(batch) in full and draws as it does
+    bits = sim._philox(sim._key_words(key))
+    rng = np.random.Generator(bits)
+    rng.random(2)
+    rng.integers(0, 10, dtype=np.uint32)
+    assert 0 < bits.state["buffer_pos"] < 4 and bits.state["has_uint32"] == 1
+    sim._jump_to(bits, sim._jump_state(sim._key_words(key)), batch)
+    theirs = np.random.Philox(key=key).jumped(batch)
+    np.testing.assert_equal(bits.state, theirs.state)
+    theirs_rng = np.random.Generator(theirs)
+    assert np.array_equal(rng.random(5), theirs_rng.random(5))
+    assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32), theirs_rng.integers(0, 2**32, 3, dtype=np.uint32))
+    assert bits.random_raw() == theirs.random_raw()
+    np.testing.assert_equal(bits.state, theirs.state)
+
+
+def test_run_builds_one_jump_state_and_none_for_one_batch(monkeypatch):
+    built = []
+    real = sim._jump_state
+    monkeypatch.setattr(sim, "_jump_state", lambda words: built.append(words) or real(words))
+    cfg = _config(Regime.A2, 2, 0.4, 0.6, sim.BATCH_SHOTS, seed=8)
+    sim.run(cfg)
+    sim.estimate_surface(KnowledgeCase(Regime.B1, 2), (0.0, 0.5), (0.3,), 500, seed=8)
+    assert built == []
+    sim.run(dataclasses.replace(cfg, shots=3 * sim.BATCH_SHOTS + 1))
+    assert built == [sim._key_words(8)]
 
 
 def test_counts_are_builtin_ints(monkeypatch):
