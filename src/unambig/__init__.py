@@ -20,16 +20,7 @@ from .povm import (
 )
 from .optimizer import MaximinProblem, SolveResult, case_problem, solve_maximin, verify_case
 from .simulate import SimConfig, SimReport, estimate_surface, outcome_probabilities, run
-from .states import (
-    PureState,
-    StatePair,
-    basis_state,
-    haar_random_state,
-    orthogonal_complement_qubit,
-    overlap,
-    pair_with_overlap,
-    qutrit_adapted_basis,
-)
+from .states import PureState, StatePair, overlap, pair_with_overlap
 from .strategies import (
     StrategyResult,
     feasible,
@@ -52,7 +43,6 @@ __all__ = [
     "SolveResult",
     "StatePair",
     "StrategyResult",
-    "basis_state",
     "build_for_case",
     "build_known_known",
     "build_known_unknown",
@@ -60,14 +50,11 @@ __all__ = [
     "case_problem",
     "estimate_surface",
     "feasible",
-    "haar_random_state",
     "input_states",
     "optimal_lambda",
-    "orthogonal_complement_qubit",
     "outcome_probabilities",
     "overlap",
     "pair_with_overlap",
-    "qutrit_adapted_basis",
     "run",
     "solve_maximin",
     "success_probabilities",

@@ -80,10 +80,6 @@ def eigvals_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
-    return float(eigvals_hermitian(m, tol=tol)[0])
-
-
 def expectation(state: np.ndarray, op: np.ndarray) -> float | np.ndarray:
     """<state|op|state> for a normalized state and Hermitian op; returns the real part.
 

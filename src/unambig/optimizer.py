@@ -460,10 +460,11 @@ class VerifyReport:
         return self.max_deviation <= tol
 
 
-def _check_solutions_psd(case: KnowledgeCase, pairs: list[StatePair], lambda_stars: np.ndarray) -> None:
+def _check_solutions_psd(case: KnowledgeCase, pairs: StatePair, lambda_stars: np.ndarray) -> None:
     """Cross-module check: each row of the ``(P, k)`` solved coefficients assembles into PSD elements on its pair.
 
-    The P measurements are built in stacks of consecutive rows, as many as
+    ``pairs`` is a stacked pair, one row per solution.  The P measurements
+    are built in stacks of consecutive rows (slices of both), as many as
     fit ``_CHECK_CELLS`` complex cells per element (a memory cap) and at
     least one, and validated one by one, in row order, so the first failing
     row is the one reported; each stacked element is bitwise its lone
@@ -519,7 +520,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     distinct, pair_of = _first_rows(checks[:, :1])
     overlaps = checks[distinct, 0]
     pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=[0] * len(overlaps))
-    _check_solutions_psd(case, [pairs[k] for k in pair_of.tolist()], checks[:, 1:])
+    _check_solutions_psd(case, pairs[pair_of], checks[:, 1:])
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
     dev = np.abs(closed - oracle)
     worst = (0.0, (0.0, 0.0))  # the first largest deviation, or the first NaN; none when all are 0

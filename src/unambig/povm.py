@@ -13,21 +13,23 @@ Register layout (row-major tensor order, leftmost most significant):
   inputs psi2 (x) psi1 and psi2 (x) psi2.
 * known/known: direct measurement on the single prepared system.
 
-Stacks: every builder, ``build_for_case``, ``input_states`` and
-``validate`` also take a sequence of P pairs (or states) and a ``(P, n)``
-float array of coefficients, one ``LambdaParams.flat`` row per point,
-and then work on ``(P, n, n)`` elements.  A lone input is a stack of one
-that loses its stack axis at the end, so both go through the same
-arithmetic and every stacked element, eigenvalue and residual is bitwise
-that of its own lone call.  The bases (Gram-Schmidt
-or the qutrit adapted basis), the known/known directions and the
-register inputs are built on ``(P, d)`` arrays of the states too.
+Stacks: every builder, ``build_for_case`` and ``input_states`` also
+take one stacked ``StatePair`` (or stacked states, ``(P, d)`` vectors)
+and a ``(P, n)`` float array of coefficients, one ``LambdaParams.flat``
+row per point, and then work on ``(P, n, n)`` elements, which
+``validate`` checks as one stack.  The inputs are lone exactly when the
+coefficients are a ``LambdaParams`` (``input_states``, which takes none,
+follows its pair), and stacks share one nonzero length.  A lone input is
+a stack of one that loses its stack axis at the end, so both go through
+the same arithmetic and every stacked element, eigenvalue and residual
+is bitwise that of its own lone call.  The bases (Gram-Schmidt or the
+qutrit adapted basis), the known/known directions and the register
+inputs are built on the states' ``(P, d)`` arrays as they are.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +45,17 @@ PSD_TOL = 1e-9
 _PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
-def _stacked(*inputs: tuple[object, type]) -> tuple[list[list], bool]:
-    """Each (value, kind) as a list, or an array as itself: a lone ``kind`` is a stack of one.
+def _lone(lam, *states: PureState) -> bool:
+    """Whether the inputs are lone: exactly when ``lam`` is a ``LambdaParams``, or, without ``lam``, the states.
 
-    Returns the lists and whether the inputs were lone; lone and stacked
-    inputs may not be mixed, and stacks must share one nonzero length.
+    Stacked states must share one nonzero length, the length of ``lam``.
     """
-    lone = [isinstance(value, kind) for value, kind in inputs]
-    if all(lone):
-        return [[value] for value, _ in inputs], True
-    stacks = [value if isinstance(value, np.ndarray) else list(value) for value, _ in inputs]
-    if any(lone) or len({len(st) for st in stacks}) != 1 or not len(stacks[0]):
+    shapes = {state.vec.shape[:-1] for state in states}
+    if lam is not None:
+        shapes.add(() if isinstance(lam, LambdaParams) else np.shape(lam)[:1])
+    if len(shapes) != 1 or (0,) in shapes:
         raise ValueError("inputs must all be lone or all stacks of one nonzero length")
-    return stacks, False
+    return shapes == {()}
 
 
 def _as_components(value, name: str) -> tuple[float, ...]:
@@ -214,7 +214,7 @@ def build_unknown_unknown(dim: int, lam: LambdaParams | np.ndarray) -> PovmSet:
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    _, lone = _stacked((lam, LambdaParams))
+    lone = _lone(lam)
     lam1, lam2 = _coefficient_blocks(Family.UNKNOWN_UNKNOWN, dim, lam)
     block_bc, block_ab = UNKNOWN_UNKNOWN_BLOCKS[dim]
     d3 = dim**3
@@ -226,7 +226,7 @@ def build_unknown_unknown(dim: int, lam: LambdaParams | np.ndarray) -> PovmSet:
     return _povm(pi1, pi2, lone)
 
 
-def build_known_unknown(psi1: PureState | Sequence[PureState], lam: LambdaParams | np.ndarray) -> PovmSet:
+def build_known_unknown(psi1: PureState, lam: LambdaParams | np.ndarray) -> PovmSet:
     """Discriminator for a known state vs. a single copy of an unknown one.
 
     With b0 = psi1 and b1..b_{d-1} completing the basis:
@@ -235,18 +235,18 @@ def build_known_unknown(psi1: PureState | Sequence[PureState], lam: LambdaParams
     pi2 = sum_i lam2[i] * |b0 b_i><b0 b_i|
         + sum_{j,k>=1} lam3[jk] * |b_j b_k><b_j b_k|
     """
-    (states, _), lone = _stacked((psi1, PureState), (lam, LambdaParams))
-    d = states[0].dim
+    lone = _lone(lam, psi1)
+    d = psi1.dim
     n_as = d - 1
     lam1, lam2, lam3 = _coefficient_blocks(Family.KNOWN_UNKNOWN, d, lam)
-    bases = orthonormal_completion(np.array([state.vec for state in states]))  # (P, d, d), b_j = column j
+    bases = orthonormal_completion(np.atleast_2d(psi1.vec))  # (P, d, d), b_j = column j
     products = kron(bases, bases)  # column j*d + k is b_j (x) b_k
 
     def b(j: int, k: int) -> np.ndarray:
         return products[:, :, j * d + k]
 
-    pi1 = np.zeros((len(states), d * d, d * d), dtype=complex)
-    pi2 = np.zeros((len(states), d * d, d * d), dtype=complex)
+    pi1 = np.zeros((len(bases), d * d, d * d), dtype=complex)
+    pi2 = np.zeros((len(bases), d * d, d * d), dtype=complex)
     for i in range(1, d):
         antisym = (b(0, i) - b(i, 0)) / np.sqrt(2.0)  # P^as(b0, b_i), as antisymmetric_state builds it
         pi1 += lam1[:, i - 1, None, None] * projector(antisym)
@@ -270,19 +270,18 @@ def _known_known_directions(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.stack([sin_half * b0 - cos_half * b1, b1], axis=1)
 
 
-def build_known_known(psi1: PureState | Sequence[PureState], psi2: PureState | Sequence[PureState],
-                      lam: LambdaParams | np.ndarray) -> PovmSet:
+def build_known_known(psi1: PureState, psi2: PureState, lam: LambdaParams | np.ndarray) -> PovmSet:
     """Direct measurement when both states are known.
 
     pi1 projects onto the direction orthogonal to psi2 (within the span of
     the pair for qutrits), pi2 onto the direction orthogonal to psi1.
     Parallel pairs are degenerate and rejected.
     """
-    (firsts, seconds, _), lone = _stacked((psi1, PureState), (psi2, PureState), (lam, LambdaParams))
-    if any(a.dim != b.dim for a, b in zip(firsts, seconds)):
+    lone = _lone(lam, psi1, psi2)
+    if psi1.dim != psi2.dim:
         raise ValueError("psi1 and psi2 must have equal dimension")
-    lam1, lam2 = _coefficient_blocks(Family.KNOWN_KNOWN, firsts[0].dim, lam)
-    directions = _known_known_directions(np.array([a.vec for a in firsts]), np.array([b.vec for b in seconds]))
+    lam1, lam2 = _coefficient_blocks(Family.KNOWN_KNOWN, psi1.dim, lam)
+    directions = _known_known_directions(np.atleast_2d(psi1.vec), np.atleast_2d(psi2.vec))
     pi1 = lam1[:, :, None] * projector(directions[:, 0])
     pi2 = lam2[:, :, None] * projector(directions[:, 1])
     return _povm(pi1, pi2, lone)
@@ -313,10 +312,10 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def input_states(case: KnowledgeCase, pair: StatePair | Sequence[StatePair]) -> tuple[np.ndarray, np.ndarray]:
-    """Register inputs produced when state 1 or state 2 was prepared; ``(P, n)`` each for P pairs."""
-    (pairs,), lone = _stacked((pair, StatePair))
-    v1, v2 = np.array([p.psi1.vec for p in pairs]), np.array([p.psi2.vec for p in pairs])
+def input_states(case: KnowledgeCase, pair: StatePair) -> tuple[np.ndarray, np.ndarray]:
+    """Register inputs produced when state 1 or state 2 was prepared; ``(P, n)`` each for a stack of P pairs."""
+    lone = _lone(None, pair.psi1)
+    v1, v2 = np.atleast_2d(pair.psi1.vec), np.atleast_2d(pair.psi2.vec)
     if v1.shape[-1] != case.dim:
         raise ValueError(f"pair dimension {v1.shape[-1]} does not match case {case}")
     if case.family is Family.UNKNOWN_UNKNOWN:
@@ -328,16 +327,14 @@ def input_states(case: KnowledgeCase, pair: StatePair | Sequence[StatePair]) -> 
     return (ins[0][0], ins[1][0]) if lone else ins
 
 
-def build_for_case(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
-                   lam: LambdaParams | np.ndarray) -> PovmSet:
+def build_for_case(case: KnowledgeCase, pair: StatePair, lam: LambdaParams | np.ndarray) -> PovmSet:
     """Build the family-appropriate POVM for a case on a concrete pair, or on a stack of pairs."""
-    (pairs, _), lone = _stacked((pair, StatePair), (lam, LambdaParams))
+    _lone(lam, pair.psi1)
     if case.family is Family.UNKNOWN_UNKNOWN:
         return build_unknown_unknown(case.dim, lam)
-    psi1 = pair.psi1 if lone else [p.psi1 for p in pairs]
     if case.family is Family.KNOWN_UNKNOWN:
-        return build_known_unknown(psi1, lam)
-    return build_known_known(psi1, pair.psi2 if lone else [p.psi2 for p in pairs], lam)
+        return build_known_unknown(pair.psi1, lam)
+    return build_known_known(pair.psi1, pair.psi2, lam)
 
 
 def distinct_measurements(case: KnowledgeCase, lams: np.ndarray) -> np.ndarray:

@@ -36,13 +36,14 @@ cell cap counts the chunk's distinct measurements
 (``povm.distinct_measurements``): an unknown/unknown POVM reads only its
 coefficients, so points with equal coefficients share one, and every
 other point has its own.  A chunk ends before the first measurement over
-the cap.  For a chunk it draws every pair in one ``pair_with_overlap``
-call (each point on its own generator), then makes one stacked
-``outcome_probabilities`` call on the chunk's rows of the stack: one
-build and one validation per distinct measurement, and one Born-rule
-pass that runs each distinct element against the inputs of all the
-points that use it (zero inputs pad the shorter lists).  Each point is
-then sampled by its own ``run`` call, which is handed the point's
+the cap.  For a chunk it draws one stacked ``StatePair`` in one
+``pair_with_overlap`` call (each point on its own generator), then makes
+one stacked ``outcome_probabilities`` call on it and the chunk's rows of
+the coefficient stack: one build and one validation per distinct
+measurement, and one Born-rule pass that runs each distinct element
+against the inputs of all the points that use it (zero inputs pad the
+shorter lists).  Each point is then sampled by its own ``run`` call,
+which is handed the point's lone pair, a row of the stacked one, and its
 probabilities; its config's ``LambdaParams`` is shared by all the points
 with the same coefficient row (bytewise), as ``run`` reads only the
 probabilities.  The rows are bitwise those of building and sampling one
@@ -54,14 +55,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import LambdaParams, _lambda_of, _stacked, build_for_case, distinct_measurements, input_states, validate
+from .povm import LambdaParams, _lambda_of, _lone, build_for_case, distinct_measurements, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -88,6 +88,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if isinstance(self.pair.eta1, np.ndarray):
+            raise ValueError("a simulation takes a lone pair, not a stack")
         if self.probs is not None and np.shape(self.probs) != (2, 3):
             raise ValueError(f"probs must have shape (2, 3), got {np.shape(self.probs)}")
 
@@ -103,37 +105,37 @@ class SimReport:
         return self.counts[3]
 
 
-def outcome_probabilities(case: KnowledgeCase, pair: StatePair | Sequence[StatePair],
-                          lam: LambdaParams | np.ndarray) -> np.ndarray:
+def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParams | np.ndarray) -> np.ndarray:
     """(2, 3) Born probabilities: rows = prepared state, cols = outcome (1, 2, inconclusive).
 
-    For a stack of P pairs and a ``(P, n)`` coefficient stack the result is
-    ``(P, 2, 3)``, from one stacked build and validation of the stack's
-    distinct measurements (``povm.distinct_measurements``) and one
+    For a stacked pair of P rows and a ``(P, n)`` coefficient stack the
+    result is ``(P, 2, 3)``, from one stacked build and validation of the
+    stack's distinct measurements (``povm.distinct_measurements``) and one
     Born-rule pass.  A failed check names the first point, in stack
     order, that uses a failing measurement.
     """
-    (pairs, _), lone = _stacked((pair, StatePair), (lam, LambdaParams))
+    lone = _lone(lam, pair.psi1)
     inverse = np.zeros(1, dtype=int) if lone else distinct_measurements(case, lam)
     counts = np.bincount(inverse)
     # (measurement, slot) -> point: each measurement's points in stack order, its first use in slot 0
     order = np.argsort(inverse, kind="stable")
     slot = np.empty_like(inverse)
-    slot[order] = np.arange(len(pairs)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot[order] = np.arange(len(inverse)) - np.repeat(np.cumsum(counts) - counts, counts)
     point = np.zeros((len(counts), counts.max()), dtype=int)
-    point[inverse, slot] = np.arange(len(pairs))
+    point[inverse, slot] = np.arange(len(inverse))
+    betas, etas = np.atleast_1d(pair.beta), np.atleast_1d(pair.eta1)
 
     def at(k: int) -> str:
-        return f"at (beta, eta1) = ({pairs[k].beta}, {pairs[k].eta1})"
+        return f"at (beta, eta1) = ({betas[k]}, {etas[k]})"
 
     if lone:  # a lone POVM stays 2-D, as its own validate call reports it
         povm = build_for_case(case, pair, lam)
     else:
-        povm = build_for_case(case, [pairs[k] for k in point[:, 0]], lam[point[:, 0]])
+        povm = build_for_case(case, pair[point[:, 0]], lam[point[:, 0]])
     try:
         report = validate(povm)
-        ins = np.stack(input_states(case, pairs), axis=-2)  # (P, 2, n)
-        grouped = np.zeros(point.shape + ins.shape[1:], dtype=complex)  # zero states pad the slots
+        ins = np.stack(input_states(case, pair), axis=-2)  # (P, 2, n), or (2, n) for a lone pair
+        grouped = np.zeros(point.shape + ins.shape[-2:], dtype=complex)  # zero states pad the slots
         grouped[inverse, slot] = ins
         # one Born-rule pass per element: each distinct element against the inputs of all its points
         probs = np.stack([expectation(grouped, el.reshape((-1, 1, 1) + el.shape[-2:])) for el in povm.elements],

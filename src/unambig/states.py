@@ -3,14 +3,17 @@
 Global phase convention: generated states have their first nonzero
 amplitude real and nonnegative, so repeated runs produce identical bytes.
 
-Stacks: ``pair_with_overlap`` takes 1-d arrays of points with one seed
-each and draws, orthogonalises, phase-fixes and checks all their states
-as ``(P, d)`` arrays; the adapted qutrit basis and the qubit complement
-work on such arrays too.  A lone input is a stack of one, so every row
-is bitwise that of its own lone call.  A pair's relative phase is one
-standard uniform double, ``Generator.random()``: bitwise the draw of
-``uniform()`` (``0.0 + 1.0 * next_double``), without its argument
-handling.
+Stacks: a ``PureState`` holds one ``(d,)`` vector or a ``(P, d)`` stack,
+and a ``StatePair`` one pair or a stack of P pairs with ``(P,)`` arrays
+of ``beta`` and ``eta1``; both run their checks once on the whole stack.
+``pair_with_overlap`` takes 1-d arrays of points with one seed each and
+draws, orthogonalises and phase-fixes all their states as ``(P, d)``
+arrays into one stacked pair; the adapted qutrit basis and the qubit
+complement work on such arrays too.  A lone input is a stack of one that
+loses its axis, so every row is bitwise that of its own lone call.  A
+pair's relative phase is one standard uniform double,
+``Generator.random()``: bitwise the draw of ``uniform()``
+(``0.0 + 1.0 * next_double``), without its argument handling.
 """
 
 from __future__ import annotations
@@ -52,54 +55,90 @@ def _checked(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit vector in dimension 2 or 3."""
+    """Unit vector in dimension 2 or 3, or a ``(P, d)`` stack of them."""
 
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.vec, dtype=complex).reshape(-1)
-        if arr.size not in (2, 3):
-            raise ValueError(f"state dimension must be 2 or 3, got {arr.size}")
-        _check_unit(arr[None])
+        arr = np.array(self.vec, dtype=complex)
+        if arr.ndim not in (1, 2) or arr.shape[-1] not in (2, 3):
+            raise ValueError(f"state dimension must be 2 or 3, got shape {arr.shape}")
+        _check_unit(np.atleast_2d(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "vec", arr)
 
     @property
     def dim(self) -> int:
-        return self.vec.size
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)
+        return self.vec.shape[-1]
 
 
 def overlap(a: PureState | np.ndarray, b: PureState | np.ndarray) -> float | np.ndarray:
-    """Modulus of the inner product |<a|b>|, or one per pair of rows of two ``(P, d)`` arrays of vectors."""
+    """Modulus of the inner product |<a|b>|: a float for two vectors, one per pair of rows of two stacks."""
     if isinstance(a, PureState):
-        return float(modulus(row_vdots(a.vec, b.vec)))
-    return modulus(row_vdots(a, b))
+        a, b = a.vec, b.vec
+    value = modulus(row_vdots(a, b))
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True, eq=False)
 class StatePair:
-    """Two states with their overlap modulus and the preparation prior of the first."""
+    """Two states with their overlap modulus and the preparation prior of the first.
+
+    A stack of P pairs holds ``(P, d)`` states and read-only ``(P,)``
+    arrays of ``beta`` and ``eta1``.  Its rows are taken by ``len``,
+    indexing and iteration: an int gives a lone pair, a slice or an index
+    array a stack, and neither is checked again.  A lone pair has no
+    ``len`` and no index, as a 0-d array.
+    """
 
     psi1: PureState
     psi2: PureState
-    beta: float
-    eta1: float
+    beta: float | np.ndarray
+    eta1: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.psi1.dim != self.psi2.dim:
+        v1, v2 = self.psi1.vec, self.psi2.vec
+        if v1.shape[-1] != v2.shape[-1]:
             raise ValueError("psi1 and psi2 must have equal dimension")
-        _check_pairs(self.psi1.vec[None], self.psi2.vec[None],
-                     np.array([self.beta], dtype=float), np.array([self.eta1], dtype=float))
+        beta, eta1 = np.array(self.beta, dtype=float), np.array(self.eta1, dtype=float)
+        if not v1.shape[:-1] == v2.shape[:-1] == beta.shape == eta1.shape:
+            raise ValueError("psi1, psi2, beta and eta1 must be lone, or stacks of one length")
+        _check_pairs(np.atleast_2d(v1), np.atleast_2d(v2), np.atleast_1d(beta), np.atleast_1d(eta1))
+        for name, value in (("beta", beta), ("eta1", eta1)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
 
     @property
     def dim(self) -> int:
         return self.psi1.dim
+
+    def __len__(self) -> int:
+        if self.psi1.vec.ndim == 1:
+            raise TypeError("len() of a lone StatePair")
+        return len(self.psi1.vec)
+
+    def __bool__(self) -> bool:  # a lone pair is true, though it has no len
+        return self.psi1.vec.ndim == 1 or len(self) > 0
+
+    def __getitem__(self, index) -> StatePair:
+        len(self)  # a lone pair has no index
+        rows = [self.psi1.vec[index], self.psi2.vec[index], self.beta[index], self.eta1[index]]
+        if rows[2].ndim:
+            for arr in rows:
+                arr.setflags(write=False)  # an index array copies
+        else:
+            rows[2:] = float(rows[2]), float(rows[3])
+        return _trusted(*rows)
+
+    def __iter__(self):
+        len(self)
+        return map(_trusted, self.psi1.vec, self.psi2.vec, self.beta.tolist(), self.eta1.tolist())
+
+
+def _trusted(v1: np.ndarray, v2: np.ndarray, beta, eta1) -> StatePair:
+    """The pair, lone or stacked, of rows of a checked stack: they are not checked again."""
+    return _checked(StatePair, psi1=_checked(PureState, vec=v1), psi2=_checked(PureState, vec=v2),
+                    beta=beta, eta1=eta1)
 
 
 def canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
@@ -126,50 +165,31 @@ def _haar_rows(rngs: list[np.random.Generator], dim: int) -> np.ndarray:
     return fix_global_phase(z / row_norms(z)[:, None])
 
 
-def haar_random_state(dim: int, seed) -> PureState:
-    """Uniformly random pure state: normalized i.i.d. complex Gaussian amplitudes."""
-    return PureState(_haar_rows([np.random.default_rng(seed)], dim)[0])
-
-
 def _qubit_complement(v: np.ndarray) -> np.ndarray:
-    """The phase-fixed (conj(b), -conj(a)) of each row (a, b) of an ``(..., 2)`` stack."""
+    """The phase-fixed (conj(b), -conj(a)) of each row (a, b) of an ``(..., 2)`` stack: its orthogonal qubit."""
     return fix_global_phase(np.stack([np.conj(v[..., 1]), -np.conj(v[..., 0])], axis=-1))
 
 
-def orthogonal_complement_qubit(psi: PureState) -> PureState:
-    """The unique (up to phase) qubit state orthogonal to ``psi``."""
-    if psi.dim != 2:
-        raise ValueError("orthogonal complement is only defined here for qubits")
-    return PureState(_qubit_complement(psi.vec))
-
-
 def _adapted_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``qutrit_adapted_basis`` of each pair of rows of two ``(P, 3)`` stacks of unit vectors."""
+    """Orthonormal qutrit bases (b0, b1, b2) adapted to each pair of rows of two ``(P, 3)`` stacks of unit vectors.
+
+    b0 equals v1, and v2 lies in span{b0, b1} with
+    v2 = phase * (beta*b0 + sqrt(1-beta^2)*b1) for a single global phase,
+    where beta = |<v1|v2>|.  Parallel pairs (beta = 1) are degenerate
+    and rejected.
+    """
     c0 = row_vdots(v1, v2)
     beta = modulus(c0)
     if not np.all(beta <= 1.0 - 1e-12):
         raise ValueError("states are parallel (beta = 1): adapted basis is degenerate")
     resid = v2 - c0[:, None] * v1
     b1 = resid / row_norms(resid)[:, None]
-    # align b1's coefficient phase with b0's, so psi2 has one global phase
+    # align b1's coefficient phase with b0's, so v2 has one global phase
     tilted = np.flatnonzero(beta > 1e-15)
     b1[tilted] = np.conj(c0[tilted] / beta[tilted])[:, None] * b1[tilted]
     b2 = fix_global_phase(np.conj(np.cross(v1, b1)))
     b2 = b2 / row_norms(b2)[:, None]
     return v1, b1, b2
-
-
-def qutrit_adapted_basis(psi1: PureState, psi2: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal qutrit basis (b0, b1, b2) adapted to a state pair.
-
-    b0 equals psi1, and psi2 lies in span{b0, b1} with
-    psi2 = phase * (beta*b0 + sqrt(1-beta^2)*b1) for a single global phase,
-    where beta = |<psi1|psi2>|.  Parallel pairs (beta = 1) are degenerate
-    and rejected.
-    """
-    if psi1.dim != 3 or psi2.dim != 3:
-        raise ValueError("adapted basis requires two qutrits")
-    return tuple(b[0] for b in _adapted_basis(psi1.vec[None], psi2.vec[None]))
 
 
 def _directions(psi: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -184,14 +204,14 @@ def _directions(psi: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     return w / n[:, None]
 
 
-def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair | list[StatePair]:
+def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair:
     """Random pair with exactly the prescribed overlap modulus.
 
     psi1 is Haar random; psi2 mixes psi1 (with a random relative phase)
     and a Haar-random orthogonal direction.
 
     ``beta`` and ``eta1`` may be equal-length 1-d arrays with a sequence
-    of one seed per point; the result is then a list of pairs, each
+    of one seed per point; the result is then one stacked pair, each row
     bitwise the pair of its own lone call.  Each point draws from its own
     generator in a fixed order: psi1's real then imaginary parts; if
     beta < 1, the direction's real then imaginary parts (redrawn while
@@ -217,11 +237,5 @@ def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair | list[StatePair]
     vec2 = fix_global_phase((phase * mixed_betas)[:, None] * psi1[mixed]
                             + np.sqrt(1.0 - mixed_betas * mixed_betas)[:, None] * w)
     psi2[mixed] = vec2 / row_norms(vec2)[:, None]
-    for vecs in (psi1, psi2):
-        _check_unit(vecs)
-        vecs.setflags(write=False)
-    _check_pairs(psi1, psi2, betas, etas)
-    pairs = [_checked(StatePair, psi1=_checked(PureState, vec=v1), psi2=_checked(PureState, vec=v2),
-                      beta=beta_k, eta1=eta_k)
-             for v1, v2, beta_k, eta_k in zip(psi1, psi2, betas.tolist(), etas.tolist())]
+    pairs = StatePair(PureState(psi1), PureState(psi2), betas, etas)
     return pairs[0] if lone else pairs

@@ -13,7 +13,7 @@ import pytest
 
 from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig.cli import main as cli_main
-from unambig.linalg import expectation, min_eigenvalue
+from unambig.linalg import expectation
 from unambig.povm import (
     LambdaParams,
     build_for_case,
@@ -26,6 +26,8 @@ from unambig import optimizer as opt
 from unambig import simulate as sim
 from unambig import strategies as st
 from unambig.states import pair_with_overlap
+
+from lone_states import min_eigenvalue
 
 SQRT5 = math.sqrt(5.0)
 GRID_05 = np.round(np.arange(0.0, 1.0001, 0.05), 10)
@@ -144,15 +146,9 @@ def test_criterion_3_povm_structural_suite():
         rng = np.random.default_rng(zlib.crc32(f"{regime.value} {dim} struct".encode()))
         beta_fixed = 0.6
         lams = _feasible_samples(case, rng, beta_fixed)
-        pairs = [
-            pair_with_overlap(
-                dim,
-                beta_fixed if case.family is Family.KNOWN_KNOWN else float(rng.uniform(0, 0.99)),
-                0.5,
-                rng,
-            )
-            for _ in range(100)
-        ]
+        # one stacked pair of 100 rows, each on its own generator spawned from rng
+        betas = np.full(100, beta_fixed) if case.family is Family.KNOWN_KNOWN else rng.uniform(0, 0.99, 100)
+        pairs = pair_with_overlap(dim, betas, np.full(100, 0.5), rng.spawn(100))
         # element eigenvalues are basis independent, so PSD is per-lam for
         # the families whose operators depend on the states only through
         # a unitary; the known/known elements also depend only on beta,
@@ -160,10 +156,10 @@ def test_criterion_3_povm_structural_suite():
         for lam in lams:
             rep = validate(build_for_case(case, pairs[0], lam))
             assert all(rep.psd_ok), (case, lam, rep.min_eigenvalues)
-        # one stacked build and validation per pair; test_stacked_measurements_match_single_points
-        # pins every stacked element to its lone build
-        for pair in pairs:
-            povm = build_for_case(case, [pair] * len(lams), np.array([lam.flat for lam in lams]))
+        # one stacked build and validation per pair, its row repeated once per coefficient vector;
+        # test_stacked_measurements_match_single_points pins every stacked element to its lone build
+        for k, pair in enumerate(pairs):
+            povm = build_for_case(case, pairs[[k] * len(lams)], np.array([lam.flat for lam in lams]))
             rep = validate(povm)
             assert np.all(rep.completeness_residual <= 1e-10)
             in1, in2 = input_states(case, pair)

@@ -79,6 +79,17 @@ def test_verify_case_all_is_case_insensitive(capsys):
     assert run_cli(capsys, "verify", "--case", "ALL", "--dim", "2", "--grid", "0.5") == lower
 
 
+@pytest.mark.parametrize("dim,grid,digest", [
+    ("2", "0.05", "dc7197b9c0f1b0b89bd037917b6e76384d766d6a46e1adbc347fd80349c9d808"),
+    ("3", "0.1", "c24af015cbbcb8b9ae1433f52a3765c2e9dcd2bf4a87e8500212071be94a4d82"),
+])
+def test_verify_all_stdout_is_pinned(dim, grid, digest, capsys):
+    # the oracle workload's two commands: every case's deviation line and verdict, byte for byte
+    code, out, _ = run_cli(capsys, "verify", "--case", "all", "--dim", dim, "--grid", grid)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--surface", "p2_opt", "--grid", "0.05", "--out", str(out_file))

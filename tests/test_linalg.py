@@ -9,11 +9,12 @@ from unambig.linalg import (
     fix_global_phase,
     hermiticity_defect,
     kron,
-    min_eigenvalue,
     orthonormal_completion,
     projector,
 )
 from unambig.povm import LambdaParams, antisymmetric_state, build_unknown_unknown
+
+from lone_states import min_eigenvalue
 
 
 def random_hermitian(rng, d):

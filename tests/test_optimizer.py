@@ -235,13 +235,14 @@ def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
         return real_pairs(dim, beta, eta1, seed)
 
     monkeypatch.setattr(opt, "pair_with_overlap", record_pairs)
-    monkeypatch.setattr(opt, "_check_solutions_psd", lambda case, pairs, lambda_stars: checked.extend(pairs))
+    monkeypatch.setattr(opt, "_check_solutions_psd", lambda case, pairs, lambda_stars: checked.append(pairs))
     betas = (0.3, 0.995, 0.0, 0.3, 1.0)
     opt.verify_case(KnowledgeCase(regime, 3), betas=betas, etas=(0.2, 0.7))
     expected = [0.3, 0.99, 0.0] if regime is not Regime.A3 else [0.0]
     assert calls == [expected]
-    assert {pair.beta for pair in checked} == set(expected)
-    for pair in checked:
+    (pairs,) = checked  # one stacked pair, one row per distinct solution
+    assert type(pairs) is StatePair and set(pairs.beta.tolist()) == set(expected)
+    for pair in pairs:
         lone = real_pairs(3, pair.beta, 0.5, seed=0)
         assert pair.psi1.vec.tobytes() == lone.psi1.vec.tobytes()
         assert pair.psi2.vec.tobytes() == lone.psi2.vec.tobytes()
@@ -253,7 +254,7 @@ def test_solution_checks_are_one_stacked_build_per_case(case, monkeypatch):
     real_build, real_check, real_validate = povm.build_for_case, opt._check_solutions_psd, povm.validate
 
     def record_check(case, pairs, lambda_stars):
-        checks.append((list(pairs), np.array(lambda_stars)))
+        checks.append((pairs, np.array(lambda_stars)))
         return real_check(case, pairs, lambda_stars)
 
     monkeypatch.setattr(povm, "build_for_case", lambda *args: builds.append(args) or real_build(*args))
@@ -262,8 +263,10 @@ def test_solution_checks_are_one_stacked_build_per_case(case, monkeypatch):
     opt.verify_case(case, betas=[], etas=[0.5])  # an empty grid has nothing to check: no build at all
     assert builds == []
     opt.verify_case(case, betas=(0.0, 0.4, 1.0), etas=(0.0, 0.3, 1.0))
-    (_, unchecked), (pairs, lambda_stars) = checks
-    assert unchecked.size == 0
+    (none, unchecked), (pairs, lambda_stars) = checks
+    assert unchecked.size == len(none) == 0
+    # one stacked pair per verify_case, handed on whole to the one build: never a list
+    assert type(none) is type(pairs) is type(builds[0][1]) is StatePair
     assert len(builds) == 1 and len(pairs) == len(lambda_stars) == len(validated) > 0
     # each validated measurement is a lone POVM, bitwise the lone build of its solution on its pair
     for pair, lambda_star, measurement in zip(pairs, lambda_stars.tolist(), validated):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unambig.cases import Family, KnowledgeCase, Regime
-from unambig.linalg import NumericalError, expectation, kron, min_eigenvalue, orthonormal_completion
+from unambig.linalg import NumericalError, expectation, kron, orthonormal_completion
 from unambig.povm import (
     LambdaParams,
     PovmSet,
@@ -16,8 +16,11 @@ from unambig.povm import (
     success_probabilities,
     validate,
 )
-from unambig.states import basis_state, pair_with_overlap
+from unambig.simulate import outcome_probabilities
+from unambig.states import pair_with_overlap
 from unambig.strategies import feasible, per_index_pair_program_constraints
+
+from lone_states import basis_state, min_eigenvalue
 
 
 def feasible_or_psd(case, lam, **kwargs):
@@ -86,12 +89,12 @@ def test_nan_coefficients_are_a_usage_error_naming_the_component():
         LambdaParams.of(nan, 0.5)
     with pytest.raises(ValueError, match=r"^lam3 components must be nonnegative, got nan$"):
         LambdaParams.of(0.5, 0.5, (0.1, 0.2, nan, 0.3))
-    pair = pair_with_overlap(2, 0.3, 0.5, seed=0)
+    pairs = pair_with_overlap(2, [0.3, 0.3], [0.5, 0.5], seed=[0, 0])
     for regime, lam, name in ((Regime.A1, [[0.5, 0.5], [0.5, nan]], "lam2"),  # one per family
                               (Regime.A2, [[0.5, 0.5, 0.5], [nan, 0.5, 0.5]], "lam1"),
                               (Regime.A4, [[0.5, 0.5], [0.5, nan]], "lam2")):
         with pytest.raises(ValueError, match=rf"^{name} components must be nonnegative, got nan$") as info:
-            build_for_case(KnowledgeCase(regime, 2), [pair, pair], np.array(lam))
+            build_for_case(KnowledgeCase(regime, 2), pairs, np.array(lam))
         assert not isinstance(info.value, NumericalError)
 
 
@@ -218,6 +221,37 @@ def test_stacked_input_states_match_lone_calls(regime, dim):
     stacked = input_states(case, pairs)
     for k, pair in enumerate(pairs):
         assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, input_states(case, pair)))
+
+
+_MIXED = "inputs must all be lone or all stacks of one nonzero length"
+
+
+@pytest.mark.parametrize("regime", [Regime.A1, Regime.A2, Regime.A4])  # one per family
+def test_builders_reject_mixed_unequal_and_empty_stacks(regime):
+    # the inputs are lone exactly when the coefficients are a LambdaParams; stacks share one nonzero length
+    case = KnowledgeCase(regime, 2)
+    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.5] * 3, [1, 2, 3])
+    lam = LambdaParams.of(0.5, 0.5, 0.5 if case.family is Family.KNOWN_UNKNOWN else None)
+    stack = np.array([lam.flat] * 3)
+    bad = [(pairs, lam), (pairs[0], stack), (pairs[:2], stack), (pairs, stack[:2]), (pairs[:0], stack[:0])]
+    for pair, coefficients in bad:
+        for call in (build_for_case, outcome_probabilities):
+            with pytest.raises(ValueError, match=_MIXED):
+                call(case, pair, coefficients)
+        if case.family is Family.KNOWN_UNKNOWN:
+            with pytest.raises(ValueError, match=_MIXED):
+                build_known_unknown(pair.psi1, coefficients)
+        if case.family is Family.KNOWN_KNOWN:
+            with pytest.raises(ValueError, match=_MIXED):
+                build_known_known(pair.psi1, pair.psi2, coefficients)
+    if case.family is Family.KNOWN_KNOWN:  # the two states of a known/known build must match each other too
+        for psi1, psi2 in ((pairs.psi1, pairs[0].psi2), (pairs[:2].psi1, pairs.psi2)):
+            with pytest.raises(ValueError, match=_MIXED):
+                build_known_known(psi1, psi2, stack)
+    with pytest.raises(ValueError, match=_MIXED):
+        build_unknown_unknown(2, np.empty((0, 2)))
+    with pytest.raises(ValueError, match=_MIXED):
+        input_states(case, pairs[:0])
 
 
 def _psd_case(regime, dim, beta=0.6):

@@ -11,7 +11,7 @@ from unambig.povm import LambdaParams, PovmSet, build_for_case, input_states, va
 from unambig import povm
 from unambig import simulate as sim
 from unambig import strategies as st
-from unambig.states import pair_with_overlap
+from unambig.states import StatePair, pair_with_overlap
 
 
 def _config(regime, dim, beta, eta1, shots, seed):
@@ -297,6 +297,9 @@ def test_config_probs_are_used_and_shape_checked():
     assert sim.run(swapped) != sim.run(cfg)
     with pytest.raises(ValueError, match="probs must have shape"):
         dataclasses.replace(cfg, probs=probs[0])
+    stacked = pair_with_overlap(3, [0.4, 0.4], [0.3, 0.3], seed=[15, 15])
+    with pytest.raises(ValueError, match="lone pair, not a stack"):
+        dataclasses.replace(cfg, pair=stacked, probs=probs)
 
 
 def _stack_points(dim):
@@ -312,7 +315,7 @@ def test_stacked_measurements_match_single_points(regime, dim):
     # probabilities of the lone calls, wherever the chunk boundaries fall
     case = KnowledgeCase(regime, dim)
     points = _stack_points(dim)
-    pairs = [pair_with_overlap(dim, beta, eta1, seed=[k, 5]) for k, (beta, eta1) in enumerate(points)]
+    pairs = pair_with_overlap(dim, *np.transpose(points), seed=[[k, 5] for k in range(len(points))])
     lams = [st.success_probability(case, beta, eta1).lam for beta, eta1 in points]
     stack = np.array([lam.flat for lam in lams])
     singles = []
@@ -387,6 +390,27 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
         assert np.array_equal(config.probs, sim.outcome_probabilities(config.case, config.pair, config.lam))
 
 
+@pytest.mark.parametrize("regime", (Regime.A1, Regime.A2, Regime.A4), ids=lambda r: r.value)  # one per family
+def test_estimate_surface_hands_one_stacked_pair_per_chunk(regime, monkeypatch):
+    # each chunk's pairs travel as one StatePair, never a list: to its build and to its register inputs
+    seen = {"build_for_case": [], "input_states": []}
+    for name, calls in seen.items():
+        real = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda case, pair, *rest, real=real, calls=calls:
+                            calls.append(pair) or real(case, pair, *rest))
+    chunks = []
+    real_pairs = sim.pair_with_overlap
+    monkeypatch.setattr(sim, "pair_with_overlap", lambda *args: chunks.append(real_pairs(*args)) or chunks[-1])
+    monkeypatch.setattr(sim, "STACK_POINTS", 3)  # chunks of 3, 3 and 2 points
+    sim.estimate_surface(KnowledgeCase(regime, 3), (0.1, 0.5, 0.9, 0.3), (0.2, 0.7), 100, seed=15)
+    assert [len(pairs) for pairs in chunks] == [3, 3, 2] and all(type(pairs) is StatePair for pairs in chunks)
+    assert seen["input_states"] == chunks  # the chunk's own stacked pair, by identity
+    assert len(seen["build_for_case"]) == len(chunks)
+    for built, pairs in zip(seen["build_for_case"], chunks):
+        # the rows of the chunk's distinct measurements: all of them but for unknown/unknown
+        assert type(built) is StatePair and 0 < len(built) <= len(pairs)
+
+
 @pytest.mark.parametrize("regime", (Regime.A1, Regime.A2), ids=lambda r: r.value)
 def test_estimate_surface_shares_one_lambda_params_per_distinct_row(regime, monkeypatch):
     # run reads only each point's probs, so points with equal coefficient rows share one LambdaParams
@@ -445,7 +469,7 @@ def test_stacked_failure_names_first_failing_point(monkeypatch):
 def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
     points = [(0.1, 0.4), (0.6, 0.3), (0.8, 0.9)]
-    pairs = [pair_with_overlap(3, beta, eta1, seed=k) for k, (beta, eta1) in enumerate(points)]
+    pairs = pair_with_overlap(3, *np.transpose(points), seed=range(len(points)))
     lams = st.success_probability(case, *np.transpose(points)).lam
     real_validate, real_build = sim.validate, sim.build_for_case
 
@@ -474,7 +498,7 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
 
 def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
-    pairs = [pair_with_overlap(3, 0.3, 0.4, seed=k) for k in range(2)]
+    pairs = pair_with_overlap(3, [0.3, 0.3], [0.4, 0.4], seed=range(2))
     lams = np.array([st.success_probability(case, 0.3, 0.4).lam.flat] * 2)
     real_validate = sim.validate
 
@@ -563,7 +587,7 @@ def test_shared_measurement_failures_name_its_first_point(monkeypatch):
     # on the shared measurement names the first point, in stack order, that uses it
     case = KnowledgeCase(Regime.A1, 3)
     points = [(0.1, 0.4), (0.3, 0.2), (0.6, 0.3), (0.8, 0.4), (0.2, 0.3)]
-    pairs = [pair_with_overlap(3, beta, eta1, seed=k) for k, (beta, eta1) in enumerate(points)]
+    pairs = pair_with_overlap(3, *np.transpose(points), seed=range(len(points)))
     good = st.success_probability(case, 0.5, 0.4).lam
     bad = LambdaParams.of((1.0,) * 3, (1.0,) * 3)
     lams = np.array([lam.flat for lam in (good, good, bad, good, bad)])

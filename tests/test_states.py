@@ -1,19 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from unambig import states
 from unambig.linalg import NumericalError, fix_global_phase
-from unambig.states import (
-    PureState,
-    StatePair,
-    basis_state,
-    haar_random_state,
-    orthogonal_complement_qubit,
-    overlap,
-    pair_with_overlap,
-    qutrit_adapted_basis,
-)
+from unambig.states import PureState, StatePair, overlap, pair_with_overlap
+
+from lone_states import basis_state, haar_random_state, orthogonal_complement_qubit, qutrit_adapted_basis
 
 
 def test_state_validation():
@@ -193,7 +188,7 @@ def test_stacked_pairs_match_lone_calls(dim):
     seeds = [3, np.random.SeedSequence(4, spawn_key=(2, 0)), [5, 6], 7, np.random.SeedSequence(8), [9], 10]
     betas, etas = np.array(points).T
     stacked = pair_with_overlap(dim, betas, etas, seeds)
-    assert len(stacked) == len(points)
+    assert type(stacked) is StatePair and len(stacked) == len(points)
     for pair, (beta, eta1), seed in zip(stacked, points, seeds):
         lone = pair_with_overlap(dim, beta, eta1, seed)
         assert np.array_equal(pair.psi1.vec, lone.psi1.vec) and np.array_equal(pair.psi2.vec, lone.psi2.vec)
@@ -202,7 +197,71 @@ def test_stacked_pairs_match_lone_calls(dim):
         reference = _pair_loop(dim, beta, seed)
         assert np.array_equal(pair.psi1.vec, reference[0]) and np.array_equal(pair.psi2.vec, reference[1])
         assert not pair.psi1.vec.flags.writeable
-    assert pair_with_overlap(dim, [], [], []) == []
+    empty = pair_with_overlap(dim, [], [], [])
+    assert type(empty) is StatePair and len(empty) == 0 and list(empty) == []
+    assert empty.psi1.vec.shape == empty.psi2.vec.shape == (0, dim) and empty.beta.shape == empty.eta1.shape == (0,)
+
+
+def _bits(pair):
+    """Every field of a lone or stacked pair as bytes, with the types of beta and eta1."""
+    return (pair.psi1.vec.tobytes(), pair.psi2.vec.tobytes(), np.asarray(pair.beta).tobytes(),
+            np.asarray(pair.eta1).tobytes(), type(pair.beta), type(pair.eta1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_pair_rows_slices_and_index_arrays_are_lone_calls(dim):
+    points = [(beta, eta1) for beta in (0.0, 1 / np.sqrt(2), 1.0) for eta1 in (0.0, 1.0)]
+    seeds = list(range(20, 20 + len(points)))
+    pairs = pair_with_overlap(dim, *np.transpose(points), seeds)
+    lone = [pair_with_overlap(dim, beta, eta1, seed) for (beta, eta1), seed in zip(points, seeds)]
+    assert pairs.psi1.vec.shape == pairs.psi2.vec.shape == (len(points), dim)
+    assert pairs.beta.shape == pairs.eta1.shape == (len(points),)
+    for k in range(-len(points), len(points)):  # an int gives a lone pair
+        assert _bits(pairs[k]) == _bits(lone[k])
+        assert type(pairs[k].beta) is float and pairs[k].psi1.vec.shape == (dim,)
+    assert [_bits(pair) for pair in pairs] == [_bits(pair) for pair in lone]
+    for index in (slice(None), slice(1, 5, 2), slice(4, 4), [5, 0, 0, 3], np.array([2, 1]), np.arange(6) % 2 == 0):
+        rows = pairs[index]
+        expected = [lone[k] for k in np.arange(len(points))[index]]
+        assert type(rows) is StatePair and len(rows) == len(expected)
+        assert [_bits(pair) for pair in rows] == [_bits(pair) for pair in expected]
+        for arr in (rows.psi1.vec, rows.psi2.vec, rows.beta, rows.eta1):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+    for arr in (pairs.psi1.vec, pairs.psi2.vec, pairs.beta, pairs.eta1, lone[0].psi1.vec, pairs[0].psi2.vec):
+        assert not arr.flags.writeable
+
+
+def test_lone_pair_has_no_len_and_no_index():
+    # as a 0-d array: a lone pair is a stack of one that lost its axis
+    pair = pair_with_overlap(2, 0.5, 0.5, seed=1)
+    assert pair.psi1.vec.shape == (2,) and type(pair.beta) is float and type(pair.eta1) is float
+    assert pair and not pair_with_overlap(2, [], [], [])  # truth needs no len: a lone pair is true
+    for use in (len, iter, lambda p: p[0], lambda p: p[:1], lambda p: p[np.array([0])]):
+        with pytest.raises(TypeError, match="lone StatePair"):
+            use(pair)
+
+
+def test_stacked_constructor_names_the_first_failing_row():
+    # one check per stack, with the lone messages: each names the value of the first failing row
+    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.3, 0.4, 0.6], [1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape(f"state is not normalized: ||v|| = {np.float64(2.0)!r}")):
+        PureState(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    actual = overlap(pairs.psi1, pairs.psi2)
+    with pytest.raises(NumericalError, match=re.escape(f"stored beta 0.6 differs from |<psi1|psi2>| = {actual[1]}")) as err:
+        StatePair(pairs.psi1, pairs.psi2, [0.2, 0.6, 0.8], pairs.eta1)
+    assert err.value.index == (1,)
+    with pytest.raises(ValueError, match=r"^eta1 must lie in \[0, 1\], got 1\.5$"):
+        StatePair(pairs.psi1, pairs.psi2, pairs.beta, [0.3, 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"^eta1 must lie in \[0, 1\], got nan$"):
+        StatePair(pairs.psi1, pairs.psi2, pairs.beta, [0.3, 0.4, np.nan])
+    for psi2, beta in ((pairs[:2].psi2, pairs.beta), (pairs.psi2, pairs.beta[:2]), (pairs[0].psi2, pairs.beta)):
+        with pytest.raises(ValueError, match="lone, or stacks of one length"):
+            StatePair(pairs.psi1, psi2, beta, pairs.eta1)
+    for vec in (np.zeros((2, 2, 2)), np.array(1.0), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+            PureState(vec)
 
 
 def test_rejected_direction_is_redrawn_from_its_own_generator():
@@ -227,12 +286,12 @@ def test_stacked_pair_inputs_must_match():
 
 def test_stacked_adapted_bases_match_lone_calls():
     pairs = pair_with_overlap(3, [0.0, 0.3, 1 / np.sqrt(2), 0.95], [0.5] * 4, [13, 14, 15, 16])
-    psi1 = [basis_state(3, 0)] + [p.psi1 for p in pairs]
-    psi2 = [basis_state(3, 1)] + [p.psi2 for p in pairs]  # beta = 0 exactly: no phase alignment
-    v1, v2 = np.array([a.vec for a in psi1]), np.array([b.vec for b in psi2])
+    v1 = np.vstack([basis_state(3, 0).vec, pairs.psi1.vec])
+    v2 = np.vstack([basis_state(3, 1).vec, pairs.psi2.vec])  # beta = 0 exactly: no phase alignment
     stacked = states._adapted_basis(v1, v2)
-    for k, (a, b) in enumerate(zip(psi1, psi2)):
-        assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, qutrit_adapted_basis(a, b)))
+    for k, (a, b) in enumerate(zip(v1, v2)):
+        lone = qutrit_adapted_basis(PureState(a), PureState(b))
+        assert all(np.array_equal(s[k], basis) for s, basis in zip(stacked, lone))
     with pytest.raises(ValueError, match="parallel"):
         states._adapted_basis(v1, np.vstack([v2[:-1], v1[-1]]))
 
