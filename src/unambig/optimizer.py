@@ -519,7 +519,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     checks = checks[_first_rows(checks)[0]]
     distinct, pair_of = _first_rows(checks[:, :1])
     overlaps = checks[distinct, 0]
-    pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=[0] * len(overlaps))
+    pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=0)
     _check_solutions_psd(case, pairs[pair_of], checks[:, 1:])
     closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
     dev = np.abs(closed - oracle)

@@ -330,6 +330,8 @@ def input_states(case: KnowledgeCase, pair: StatePair) -> tuple[np.ndarray, np.n
 def build_for_case(case: KnowledgeCase, pair: StatePair, lam: LambdaParams | np.ndarray) -> PovmSet:
     """Build the family-appropriate POVM for a case on a concrete pair, or on a stack of pairs."""
     _lone(lam, pair.psi1)
+    if pair.dim != case.dim:
+        raise ValueError(f"pair dimension {pair.dim} does not match case {case}")
     if case.family is Family.UNKNOWN_UNKNOWN:
         return build_unknown_unknown(case.dim, lam)
     if case.family is Family.KNOWN_UNKNOWN:

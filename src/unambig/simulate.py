@@ -20,12 +20,12 @@ ints, and moves the generator to each later batch's stream by writing
 that dict with the batch's counter; no state is read back.  It sums the
 batches' counts as built-in ints.
 
-``estimate_surface`` hashes every grid point's streams once, before its
-first chunk: point ``k``'s pair seed and sampler key are the words of
-the two children of ``SeedSequence(seed).spawn(...)[k]``, computed by
-numpy's ``SeedSequence`` hash over arrays of all the point indices
-(``_spawn_states``), so bitwise those of building each child.  The pair
-generators are built on those words.
+``estimate_surface`` draws everything a surface needs from one
+``np.random.default_rng(seed)``, in a fixed order: first one Philox key
+per grid point, in one ``integers`` call, so point ``k``'s key depends
+only on ``(seed, k)``; then the state pairs of all the points, in one
+``pair_with_overlap`` call on the same generator, so a point's pair
+depends on the grid it sits in.
 
 ``estimate_surface`` decides the whole grid in one
 ``success_probability`` call, which gives the ``(P, n)`` coefficient
@@ -36,18 +36,17 @@ cell cap counts the chunk's distinct measurements
 (``povm.distinct_measurements``): an unknown/unknown POVM reads only its
 coefficients, so points with equal coefficients share one, and every
 other point has its own.  A chunk ends before the first measurement over
-the cap.  For a chunk it draws one stacked ``StatePair`` in one
-``pair_with_overlap`` call (each point on its own generator), then makes
-one stacked ``outcome_probabilities`` call on it and the chunk's rows of
-the coefficient stack: one build and one validation per distinct
+the cap.  A chunk takes its rows of the surface's stacked pair, then
+makes one stacked ``outcome_probabilities`` call on them and the chunk's
+rows of the coefficient stack: one build and one validation per distinct
 measurement, and one Born-rule pass that runs each distinct element
 against the inputs of all the points that use it (zero inputs pad the
 shorter lists).  Each point is then sampled by its own ``run`` call,
-which is handed the point's lone pair, a row of the stacked one, and its
-probabilities; its config's ``LambdaParams`` is shared by all the points
-with the same coefficient row (bytewise), as ``run`` reads only the
-probabilities.  The rows are bitwise those of building and sampling one
-point at a time.
+which is handed the point's lone pair, a row of the stacked one, its key
+and its probabilities; its config's ``LambdaParams`` is shared by all
+the points with the same coefficient row (bytewise), as ``run`` reads
+only the probabilities.  Every draw is made before the first chunk, so
+the rows do not depend on where the chunks end.
 """
 
 from __future__ import annotations
@@ -198,63 +197,6 @@ def _jump_to(bits: np.random.Philox, state: dict, batch_index: int) -> None:
     bits.state = state
 
 
-# numpy's SeedSequence: its pool of 32-bit words and its hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = (1 << 32) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(init: int, mult: int):
-    """SeedSequence's hash constants in turn, each with the next: ``(init, init * mult), ...`` mod 2^32."""
-    while True:
-        yield init, (init := init * mult & _MASK32)
-
-
-def _hashmix(value: np.ndarray, consts) -> np.ndarray:
-    """SeedSequence's hash of a uint32 array on the next pair of constants (arrays wrap without a warning)."""
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 arrays."""
-    value = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return value ^ value >> 16
-
-
-def _spawn_states(seed: int, indices: np.ndarray, child: int, n_words: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i, child)).generate_state(n_words, np.uint64)`` for each ``i``: ``(P, n_words)``.
-
-    numpy's SeedSequence hash, run over uint32 arrays: the seed's words
-    (zero-padded to the pool, as a spawn key requires) are mixed once,
-    and only the spawn key's words ``(i, child)`` vary by point.  Each
-    index is one 32-bit word, so an index of 2^32 or more is rejected.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
-        raise ValueError("point indices must lie in [0, 2**32)")
-    n_seed = max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
-    entropy = np.array([(seed >> 32 * k) & _MASK32 for k in range(n_seed)], dtype=np.uint32)[:, None]
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    spawn_key = [indices.astype(np.uint32), np.full(indices.shape, child, dtype=np.uint32)]
-    for word in [*entropy[_POOL_SIZE:], *spawn_key]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    state = np.stack([_hashmix(pool[k % _POOL_SIZE], consts) for k in range(2 * n_words)], axis=-1)
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
-
-
 @functools.cache
 def _given_state() -> type:
     """``GivenState(words)``: a seed sequence whose ``generate_state`` returns its uint64 ``words``.
@@ -335,20 +277,22 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     """Empirical success-probability surface under the case-optimal strategy.
 
     The decision sees only what the case allows; the simulated world uses
-    the full (beta, eta1) point.  Pairs are generated deterministically
-    from the seed, one independent stream per grid point, all hashed in
-    one pass.  Points are set up in chunks (see the module docstring)
+    the full (beta, eta1) point.  ``seed``, a non-negative int, seeds the
+    one generator that draws every point's sampler key and then every
+    point's pair (see the module docstring).  Points are set up in chunks
     and sampled one ``run`` call each.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
     betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
     decided = strategies.success_probability(case, betas, etas)
     p_analytic = decided.p_analytic.tolist()
     cap = max(1, STACK_CELLS // case.register_dim**2)  # distinct measurements per chunk
-    # point k's children of SeedSequence(seed).spawn(...)[k]: the first seeds its pair, the second is its key
-    pair_words = _spawn_states(seed, np.arange(len(points)), 0, 4)
-    keys = _spawn_states(seed, np.arange(len(points)), 1, 1)[:, 0].tolist()
-    GivenState = _given_state()
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(2**64, size=len(points), dtype=np.uint64).tolist()  # drawn first: key k is (seed, k)'s
+    pairs = pair_with_overlap(case.dim, betas, etas, rng)
     shared = {}  # one LambdaParams per distinct coefficient row, keyed on the row's bytes
     rows = []
     while len(rows) < len(points):
@@ -357,10 +301,10 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
         ahead = decided.lam[start : start + STACK_POINTS]
         over = np.flatnonzero(distinct_measurements(case, ahead) >= cap)
         chunk = slice(start, start + (int(over[0]) if over.size else len(ahead)))
-        pairs = pair_with_overlap(case.dim, betas[chunk], etas[chunk], [GivenState(w) for w in pair_words[chunk]])
-        probs = outcome_probabilities(case, pairs, decided.lam[chunk])
+        chunk_pairs = pairs[chunk]
+        probs = outcome_probabilities(case, chunk_pairs, decided.lam[chunk])
         for (beta, eta1), lam, p_exact, pair, key, p in zip(points[chunk], decided.lam[chunk], p_analytic[chunk],
-                                                             pairs, keys[chunk], probs):
+                                                             chunk_pairs, keys[chunk], probs):
             lam_key = lam.tobytes()
             if lam_key not in shared:
                 shared[lam_key] = _lambda_of(case, lam)

@@ -6,18 +6,16 @@ amplitude real and nonnegative, so repeated runs produce identical bytes.
 Stacks: a ``PureState`` holds one ``(d,)`` vector or a ``(P, d)`` stack,
 and a ``StatePair`` one pair or a stack of P pairs with ``(P,)`` arrays
 of ``beta`` and ``eta1``; both run their checks once on the whole stack.
-``pair_with_overlap`` takes 1-d arrays of points with one seed each and
-draws, orthogonalises and phase-fixes all their states as ``(P, d)``
-arrays into one stacked pair; the adapted qutrit basis and the qubit
-complement work on such arrays too.  A lone input is a stack of one that
-loses its axis, so every row is bitwise that of its own lone call.  A
-pair's relative phase is one standard uniform double,
-``Generator.random()``: bitwise the draw of ``uniform()``
-(``0.0 + 1.0 * next_double``), without its argument handling.
+``pair_with_overlap`` takes 1-d arrays of points and one seed, and draws,
+orthogonalises and phase-fixes all their states as ``(P, d)`` arrays
+into one stacked pair; the adapted qutrit basis and the qubit complement
+work on such arrays too.  A lone input is a stack of one that loses its
+axis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,17 +149,17 @@ def canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
     return StatePair(PureState(v1), PureState(v2), float(beta), float(eta1))
 
 
-def _gaussian_rows(rngs: list[np.random.Generator], dim: int) -> np.ndarray:
-    """One i.i.d. complex Gaussian row per generator: its real parts drawn first, then its imaginary."""
-    parts = np.array([rng.standard_normal((2, dim)) for rng in rngs]).reshape(-1, 2, dim)
+def _gaussian_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` i.i.d. complex Gaussian rows in one draw: each row's real parts first, then its imaginary."""
+    parts = rng.standard_normal((n, 2, dim))
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _haar_rows(rngs: list[np.random.Generator], dim: int) -> np.ndarray:
-    """One uniformly random unit row per generator: normalized complex Gaussian amplitudes, phase-fixed."""
+def _haar_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` uniformly random unit rows: normalized complex Gaussian amplitudes, phase-fixed."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    z = _gaussian_rows(rngs, dim)
+    z = _gaussian_rows(rng, n, dim)
     return fix_global_phase(z / row_norms(z)[:, None])
 
 
@@ -192,12 +190,12 @@ def _adapted_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v1, b1, b2
 
 
-def _directions(psi: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """A random unit row orthogonal to each row of ``psi`` from its generator, redrawn while within 1e-6 of psi."""
+def _directions(psi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random unit row orthogonal to each row of ``psi``, in one draw; the rows within 1e-6 of psi drawn again."""
     w, n = np.empty_like(psi), np.zeros(len(psi))
     todo = np.arange(len(psi))
     while todo.size:
-        z = _gaussian_rows([rngs[k] for k in todo], psi.shape[-1])
+        z = _gaussian_rows(rng, todo.size, psi.shape[-1])
         w[todo] = z - row_vdots(psi[todo], z)[:, None] * psi[todo]
         n[todo] = row_norms(w[todo])
         todo = todo[~(n[todo] > 1e-6)]
@@ -210,29 +208,31 @@ def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair:
     psi1 is Haar random; psi2 mixes psi1 (with a random relative phase)
     and a Haar-random orthogonal direction.
 
-    ``beta`` and ``eta1`` may be equal-length 1-d arrays with a sequence
-    of one seed per point; the result is then one stacked pair, each row
-    bitwise the pair of its own lone call.  Each point draws from its own
-    generator in a fixed order: psi1's real then imaginary parts; if
-    beta < 1, the direction's real then imaginary parts (redrawn while
-    too close to psi1), then the phase, one standard uniform double.
+    ``beta`` and ``eta1`` are scalars, or equal-length 1-d arrays of
+    points for one stacked pair.  ``seed`` is one ``default_rng`` seed or
+    a ``Generator`` (used as is), never a sequence.  The points draw from
+    that one generator in order: every psi1 as one ``(P, 2, d)`` normal
+    draw (per row, real parts then imaginary); the directions of the rows
+    with beta < 1 as one such draw, then again for only the rows within
+    1e-6 of psi1; every phase as one ``random(m)``.  A stack of one is
+    the lone call.
     """
+    if isinstance(seed, (Sequence, np.ndarray)):
+        raise ValueError("seed must be one seed or Generator, not a sequence: the points share one generator")
     lone = np.ndim(beta) == 0 and np.ndim(eta1) == 0
     betas = np.atleast_1d(np.asarray(beta, dtype=float))
     etas = np.atleast_1d(np.asarray(eta1, dtype=float))
-    seeds = [seed] if lone else list(seed)
-    if betas.ndim != 1 or etas.shape != betas.shape or len(seeds) != len(betas):
-        raise ValueError("beta and eta1 must be scalars, or equal-length 1-d arrays with one seed per point")
+    if betas.ndim != 1 or etas.shape != betas.shape:
+        raise ValueError("beta and eta1 must be scalars, or equal-length 1-d arrays")
     index = _first_failure(~((0.0 <= betas) & (betas <= 1.0)))
     if index is not None:
         raise ValueError(f"beta must lie in [0, 1], got {betas[index]}")
-    rngs = [np.random.default_rng(s) for s in seeds]  # a Generator is used as is
-    psi1 = _haar_rows(rngs, dim)
+    rng = np.random.default_rng(seed)  # a Generator is used as is
+    psi1 = _haar_rows(rng, len(betas), dim)
     psi2 = psi1.copy()  # kept by the rows with beta = 1
     mixed = np.flatnonzero(betas < 1.0)
-    mixed_rngs = [rngs[k] for k in mixed]
-    w = _directions(psi1[mixed], mixed_rngs)
-    phase = np.exp(2j * np.pi * np.array([rng.random() for rng in mixed_rngs]))  # bitwise rng.uniform()
+    w = _directions(psi1[mixed], rng)
+    phase = np.exp(2j * np.pi * rng.random(mixed.size))
     mixed_betas = betas[mixed]
     vec2 = fix_global_phase((phase * mixed_betas)[:, None] * psi1[mixed]
                             + np.sqrt(1.0 - mixed_betas * mixed_betas)[:, None] * w)

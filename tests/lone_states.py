@@ -14,7 +14,7 @@ def basis_state(dim: int, index: int) -> PureState:
 
 def haar_random_state(dim: int, seed) -> PureState:
     """Uniformly random pure state: normalized i.i.d. complex Gaussian amplitudes."""
-    return PureState(states._haar_rows([np.random.default_rng(seed)], dim)[0])
+    return PureState(states._haar_rows(np.random.default_rng(seed), 1, dim)[0])
 
 
 def orthogonal_complement_qubit(psi: PureState) -> PureState:

@@ -146,9 +146,9 @@ def test_criterion_3_povm_structural_suite():
         rng = np.random.default_rng(zlib.crc32(f"{regime.value} {dim} struct".encode()))
         beta_fixed = 0.6
         lams = _feasible_samples(case, rng, beta_fixed)
-        # one stacked pair of 100 rows, each on its own generator spawned from rng
+        # one stacked pair of 100 rows, all drawn from rng
         betas = np.full(100, beta_fixed) if case.family is Family.KNOWN_KNOWN else rng.uniform(0, 0.99, 100)
-        pairs = pair_with_overlap(dim, betas, np.full(100, 0.5), rng.spawn(100))
+        pairs = pair_with_overlap(dim, betas, np.full(100, 0.5), rng)
         # element eigenvalues are basis independent, so PSD is per-lam for
         # the families whose operators depend on the states only through
         # a unitary; the known/known elements also depend only on beta,

@@ -226,7 +226,7 @@ def test_reference_solves_are_frozen(capsys, monkeypatch):
 @pytest.mark.parametrize("regime", (Regime.A3, Regime.A4, Regime.B4), ids=lambda r: r.value)
 def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
     # the distinct pair overlaps of a case are drawn once each, in first-occurrence
-    # order, and each pair is bitwise the pair of its own lone call
+    # order, from one generator seeded 0: each pair is bitwise its row of that one call
     calls, checked = [], []
     real_pairs = opt.pair_with_overlap
 
@@ -242,10 +242,11 @@ def test_psd_check_pairs_are_drawn_in_one_call(regime, monkeypatch):
     assert calls == [expected]
     (pairs,) = checked  # one stacked pair, one row per distinct solution
     assert type(pairs) is StatePair and set(pairs.beta.tolist()) == set(expected)
+    drawn = real_pairs(3, expected, np.full(len(expected), 0.5), seed=0)
     for pair in pairs:
-        lone = real_pairs(3, pair.beta, 0.5, seed=0)
-        assert pair.psi1.vec.tobytes() == lone.psi1.vec.tobytes()
-        assert pair.psi2.vec.tobytes() == lone.psi2.vec.tobytes()
+        row = drawn[expected.index(pair.beta)]
+        assert pair.psi1.vec.tobytes() == row.psi1.vec.tobytes()
+        assert pair.psi2.vec.tobytes() == row.psi2.vec.tobytes()
 
 
 @pytest.mark.parametrize("case", [KnowledgeCase(r, d) for r in ALL_REGIMES for d in (2, 3)], ids=str)

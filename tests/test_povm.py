@@ -18,6 +18,7 @@ from unambig.povm import (
 )
 from unambig.simulate import outcome_probabilities
 from unambig.states import pair_with_overlap
+from unambig import strategies
 from unambig.strategies import feasible, per_index_pair_program_constraints
 
 from lone_states import basis_state, min_eigenvalue
@@ -89,7 +90,7 @@ def test_nan_coefficients_are_a_usage_error_naming_the_component():
         LambdaParams.of(nan, 0.5)
     with pytest.raises(ValueError, match=r"^lam3 components must be nonnegative, got nan$"):
         LambdaParams.of(0.5, 0.5, (0.1, 0.2, nan, 0.3))
-    pairs = pair_with_overlap(2, [0.3, 0.3], [0.5, 0.5], seed=[0, 0])
+    pairs = pair_with_overlap(2, [0.3, 0.3], [0.5, 0.5], seed=0)
     for regime, lam, name in ((Regime.A1, [[0.5, 0.5], [0.5, nan]], "lam2"),  # one per family
                               (Regime.A2, [[0.5, 0.5, 0.5], [nan, 0.5, 0.5]], "lam1"),
                               (Regime.A4, [[0.5, 0.5], [0.5, nan]], "lam2")):
@@ -217,7 +218,7 @@ def test_validate_rejects_nan_elements():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_input_states_match_lone_calls(regime, dim):
     case = KnowledgeCase(regime, dim)
-    pairs = pair_with_overlap(dim, [0.0, 1 / np.sqrt(2), 1.0], [0.0, 1.0, 0.5], [33, 34, 35])
+    pairs = pair_with_overlap(dim, [0.0, 1 / np.sqrt(2), 1.0], [0.0, 1.0, 0.5], 33)
     stacked = input_states(case, pairs)
     for k, pair in enumerate(pairs):
         assert all(np.array_equal(s[k], lone) for s, lone in zip(stacked, input_states(case, pair)))
@@ -230,7 +231,7 @@ _MIXED = "inputs must all be lone or all stacks of one nonzero length"
 def test_builders_reject_mixed_unequal_and_empty_stacks(regime):
     # the inputs are lone exactly when the coefficients are a LambdaParams; stacks share one nonzero length
     case = KnowledgeCase(regime, 2)
-    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.5] * 3, [1, 2, 3])
+    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.5] * 3, 1)
     lam = LambdaParams.of(0.5, 0.5, 0.5 if case.family is Family.KNOWN_UNKNOWN else None)
     stack = np.array([lam.flat] * 3)
     bad = [(pairs, lam), (pairs[0], stack), (pairs[:2], stack), (pairs, stack[:2]), (pairs[:0], stack[:0])]
@@ -252,6 +253,24 @@ def test_builders_reject_mixed_unequal_and_empty_stacks(regime):
         build_unknown_unknown(2, np.empty((0, 2)))
     with pytest.raises(ValueError, match=_MIXED):
         input_states(case, pairs[:0])
+
+
+@pytest.mark.parametrize("regime", [Regime.A1, Regime.A3, Regime.A4])  # one per family
+def test_build_for_case_rejects_a_pair_of_another_dimension(regime):
+    # unknown/unknown reads no state, and the other families read the dimension off the pair,
+    # so a qubit pair once built a 27-dimensional POVM or failed on the qutrit coefficients
+    case = KnowledgeCase(regime, 3)
+    lam = strategies.success_probability(case, 0.3, 0.5).lam
+    message = rf"^pair dimension 2 does not match case {case}$"
+    with pytest.raises(ValueError, match=message):
+        build_for_case(case, pair_with_overlap(2, 0.3, 0.5, 1), lam)
+    with pytest.raises(ValueError, match=message):
+        build_for_case(case, pair_with_overlap(2, [0.3, 0.4], [0.5, 0.5], 1), np.array([lam.flat] * 2))
+    qubit_case = KnowledgeCase(regime, 2)
+    with pytest.raises(ValueError, match=rf"^pair dimension 3 does not match case {qubit_case}$"):
+        build_for_case(qubit_case, pair_with_overlap(3, 0.3, 0.5, 1),
+                       strategies.success_probability(qubit_case, 0.3, 0.5).lam)
+    assert build_for_case(case, pair_with_overlap(3, 0.3, 0.5, 1), lam).dim == case.register_dim
 
 
 def _psd_case(regime, dim, beta=0.6):

@@ -156,70 +156,83 @@ def test_estimate_surface_identical_states_column():
         assert row.p_analytic == 0.0
 
 
-def test_point_seeds_do_not_collide_across_seeds():
-    # under the former seed * 1_000_003 + index these two grid points shared streams
-    pair_a, pair_b = (sim._spawn_states(seed, [index], 0, 4)[0] for seed, index in ((0, 1_000_003), (1, 0)))
-    (key_a,), (key_b,) = (sim._spawn_states(seed, [index], 1, 1)[0] for seed, index in ((0, 1_000_003), (1, 0)))
-    assert key_a != key_b
-    vec_a = pair_with_overlap(3, 0.4, 0.5, seed=sim._given_state()(pair_a)).psi1.vec
-    vec_b = pair_with_overlap(3, 0.4, 0.5, seed=sim._given_state()(pair_b)).psi1.vec
-    assert not np.array_equal(vec_a, vec_b)
-    # each point's seeds are the children of SeedSequence(seed).spawn
-    child = np.random.SeedSequence(1).spawn(3)[2]
-    pair_words, key_words = sim._spawn_states(1, [2], 0, 4)[0], sim._spawn_states(1, [2], 1, 1)[0]
-    pair_child, key_child = child.spawn(2)
-    assert pair_words.dtype == key_words.dtype == np.uint64
-    assert np.array_equal(pair_words, pair_child.generate_state(4, np.uint64))
-    assert np.array_equal(key_words, key_child.generate_state(1, np.uint64))
+def _recorded_runs(monkeypatch):
+    # the config of every run call estimate_surface makes, in order
+    configs = []
+    real = sim.run
+    monkeypatch.setattr(sim, "run", lambda config: configs.append(config) or real(config))
+    return configs
 
 
-# 2**130 + 7 has five 32-bit words, one more than the SeedSequence pool
-_HASH_SEEDS = (0, 47, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+def test_point_seeds_do_not_collide_across_seeds(monkeypatch):
+    # each surface seed seeds its own generator: seeds 0 and 1 give different rows, and share
+    # no point's sampler key and no point's pair
+    configs = _recorded_runs(monkeypatch)
+    case = KnowledgeCase(Regime.B3, 3)
+    rows = [sim.estimate_surface(case, (0.2, 0.6, 0.9), (0.3, 0.8), 2000, seed) for seed in (0, 1)]
+    first, second = configs[:6], configs[6:]
+    assert rows[0] != rows[1]
+    assert [(r.beta, r.eta1, r.p_analytic) for r in rows[0]] == [(r.beta, r.eta1, r.p_analytic) for r in rows[1]]
+    assert not {c.seed for c in first} & {c.seed for c in second}
+    for a, b in zip(first, second):
+        assert not np.array_equal(a.pair.psi1.vec, b.pair.psi1.vec)
 
 
-@pytest.mark.parametrize("seed", _HASH_SEEDS)
-def test_spawn_states_are_the_seed_sequence_words(seed):
-    # the first point, both sides of a chunk edge, and the last point of a 3360-point surface
-    indices = np.array([0, 63, 64, 3359])
-    for child, n_words in ((0, 4), (1, 1)):
-        words = sim._spawn_states(seed, indices, child, n_words)
-        expected = [np.random.SeedSequence(seed, spawn_key=(int(i), child)).generate_state(n_words, np.uint64)
-                    for i in indices]
-        assert words.dtype == np.uint64 and words.shape == (len(indices), n_words)
-        assert np.array_equal(words, expected)
+# 2**130 + 7 is wider than a Philox key: a surface seed is any non-negative int
+_SURFACE_SEEDS = (0, 47, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
 
 
-@pytest.mark.parametrize("seed", _HASH_SEEDS)
-def test_generators_on_spawn_states_draw_as_the_seed_sequence(seed):
-    # PCG64 seeded on a point's words draws and ends as on its SeedSequence, Philox on a key as Philox(key=key)
-    pcg_words = sim._spawn_states(seed, [3359], 0, 4)[0]
-    pcg = (np.random.PCG64(sim._given_state()(pcg_words)),
-           np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(3359, 0))))
+@pytest.mark.parametrize("seed", _SURFACE_SEEDS)
+def test_surface_keys_then_pairs_share_one_generator(seed, monkeypatch):
+    # one default_rng(seed) per surface: every point's Philox key in one integers call, then every
+    # point's pair in one pair_with_overlap call, both before the first chunk
+    configs = _recorded_runs(monkeypatch)
+    monkeypatch.setattr(sim, "STACK_POINTS", 5)
+    case = KnowledgeCase(Regime.A2, 3)
+    betas, etas = (0.0, 0.4, 1 / np.sqrt(2), 1.0), (0.0, 0.6, 1.0)
+    sim.estimate_surface(case, betas, etas, 100, seed)
+    grid = np.array([(beta, eta1) for eta1 in etas for beta in betas])
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(2**64, size=len(grid), dtype=np.uint64).tolist()
+    pairs = pair_with_overlap(3, *grid.T, rng)
+    assert [config.seed for config in configs] == keys and all(type(config.seed) is int for config in configs)
+    assert [_pair_bits(config.pair) for config in configs] == [_pair_bits(pair) for pair in pairs]
+    # key k depends only on (seed, k): the keys of a grid's first points are those of a larger grid
+    configs.clear()
+    sim.estimate_surface(case, betas[:3], etas[:1], 100, seed)
+    assert [config.seed for config in configs] == keys[:3]
+
+
+def _pair_bits(pair):
+    return pair.psi1.vec.tobytes(), pair.psi2.vec.tobytes(), pair.beta, pair.eta1
+
+
+@pytest.mark.parametrize("seed", _SURFACE_SEEDS)
+def test_philox_on_key_words_draws_as_philox_on_its_key(seed):
+    # Philox built on a key's words draws and ends as Philox(key=key)
     key = seed % 2**128
-    philox = (sim._philox(sim._key_words(key)), np.random.Philox(key=key))
-    for ours, theirs in (pcg, philox):
-        np.testing.assert_equal(ours.state, theirs.state)
-        ours_rng, theirs_rng = np.random.Generator(ours), np.random.Generator(theirs)
-        assert np.array_equal(ours_rng.standard_normal(7), theirs_rng.standard_normal(7))
-        assert np.array_equal(ours_rng.integers(0, 2**63, 5), theirs_rng.integers(0, 2**63, 5))
-        assert ours.random_raw() == theirs.random_raw()
-        np.testing.assert_equal(ours.state, theirs.state)
+    ours, theirs = sim._philox(sim._key_words(key)), np.random.Philox(key=key)
+    np.testing.assert_equal(ours.state, theirs.state)
+    ours_rng, theirs_rng = np.random.Generator(ours), np.random.Generator(theirs)
+    assert np.array_equal(ours_rng.standard_normal(7), theirs_rng.standard_normal(7))
+    assert np.array_equal(ours_rng.integers(0, 2**63, 5), theirs_rng.integers(0, 2**63, 5))
+    assert ours.random_raw() == theirs.random_raw()
+    np.testing.assert_equal(ours.state, theirs.state)
 
 
-def test_spawn_states_reject_what_they_cannot_hash():
-    # an index of 2**32 would take two spawn-key words; SeedSequence rejects a negative seed
-    last = sim._spawn_states(5, [2**32 - 1], 1, 1)[0]
-    assert np.array_equal(last, np.random.SeedSequence(5, spawn_key=(2**32 - 1, 1)).generate_state(1, np.uint64))
-    with pytest.raises(ValueError, match="indices"):
-        sim._spawn_states(5, [0, 2**32], 1, 1)
-    with pytest.raises(ValueError, match="indices"):
-        sim._spawn_states(5, [-1], 1, 1)
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(-1, spawn_key=(0, 0))
-    with pytest.raises(ValueError, match="non-negative"):
-        sim._spawn_states(-1, [0], 0, 4)
-    with pytest.raises(ValueError, match="non-negative"):
-        sim.estimate_surface(KnowledgeCase(Regime.A1, 2), (0.5,), (0.5,), 100, seed=-1)
+def test_estimate_surface_rejects_a_bad_seed_before_any_work(monkeypatch):
+    # a negative seed, or one that is not an integer, fails before the surface is decided
+    def no_work(*args):
+        raise AssertionError("estimate_surface decided a surface for a bad seed")
+
+    monkeypatch.setattr(sim.strategies, "success_probability", no_work)
+    case = KnowledgeCase(Regime.A1, 2)
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+            sim.estimate_surface(case, (0.5,), (0.5,), 100, seed=seed)
+    for seed in (1.0, 0.5, "1", None, [1, 2], np.random.default_rng(1)):
+        with pytest.raises(TypeError):
+            sim.estimate_surface(case, (0.5,), (0.5,), 100, seed=seed)
 
 
 @pytest.mark.parametrize("seed", (-1, 2**128))
@@ -297,7 +310,7 @@ def test_config_probs_are_used_and_shape_checked():
     assert sim.run(swapped) != sim.run(cfg)
     with pytest.raises(ValueError, match="probs must have shape"):
         dataclasses.replace(cfg, probs=probs[0])
-    stacked = pair_with_overlap(3, [0.4, 0.4], [0.3, 0.3], seed=[15, 15])
+    stacked = pair_with_overlap(3, [0.4, 0.4], [0.3, 0.3], seed=15)
     with pytest.raises(ValueError, match="lone pair, not a stack"):
         dataclasses.replace(cfg, pair=stacked, probs=probs)
 
@@ -315,7 +328,7 @@ def test_stacked_measurements_match_single_points(regime, dim):
     # probabilities of the lone calls, wherever the chunk boundaries fall
     case = KnowledgeCase(regime, dim)
     points = _stack_points(dim)
-    pairs = pair_with_overlap(dim, *np.transpose(points), seed=[[k, 5] for k in range(len(points))])
+    pairs = pair_with_overlap(dim, *np.transpose(points), seed=5)
     lams = [st.success_probability(case, beta, eta1).lam for beta, eta1 in points]
     stack = np.array([lam.flat for lam in lams])
     singles = []
@@ -342,24 +355,24 @@ def test_stacked_measurements_match_single_points(regime, dim):
                 assert all(np.array_equal(v[k], w) for v, w in zip(ins, single_ins))
 
 
-# sha256 of repr(rows) on the grid below, recorded when every point was built and sampled alone
+# sha256 of repr(rows) on the grid below, recorded with each surface's keys and pairs drawn from one generator
 _GOLDEN_ROWS = {
-    "a1/dim2": "5e3dfd4ce633f8b801aae6fcc28ca7e82b2288565bba1414dbd5fbfb35f13302",
-    "a2/dim2": "6acf581a4bbe03e11c5c179edd58cea33ace8c5e5fffc43e8a16d2ffa5810300",
-    "a3/dim2": "25baac0bcef2429a49755514351e769b4af796d0aa4e1ddffae5ee4fc1c0224d",
-    "a4/dim2": "0903092336d202a1d4954e1a510c4ba3f632fed4b9f44322252364445f7c7385",
-    "b1/dim2": "30799e06ff636994de969948b4411ce616c53101fb61cbbd9025757bee505141",
-    "b2/dim2": "2fdc5e99c7b149e664e9b6b6641342b54358c6c005f779e755f07c1fb5faef05",
-    "b3/dim2": "0e4f98f97b7b6961d0752b1fbaf66b07eeab5772a0c868d7e664cf665dc0fbe6",
-    "b4/dim2": "c712f25190d8b7fc45ae48e89f855aceb6297e5105edc21e9a73629882c2d157",
-    "a1/dim3": "cdf22bcd5d3665444d09175a782158fa526248ef3cd428b6aab06e4ef3ea7b45",
-    "a2/dim3": "be699d4ec66256392daabef2789a39326baabee965eb4b016d516906078d07ac",
-    "a3/dim3": "ec3f7e7e8eebe33ed02e14477e7d34e45ced74013f5e164db53ce50aa34cc24f",
-    "a4/dim3": "0903092336d202a1d4954e1a510c4ba3f632fed4b9f44322252364445f7c7385",
-    "b1/dim3": "c772bfa38ecb49056ef1eaa0977883cab0eb560f40f467d64f305d72e8c3f2d2",
-    "b2/dim3": "6085bf8ff6f320d480379a494989fb84da589ff726a204b240e0c33cf60e4b25",
-    "b3/dim3": "07ae628ced517b50882ecb6ec19e6e834cbeb218dfba942a6f278d7a1c73cfb8",
-    "b4/dim3": "c712f25190d8b7fc45ae48e89f855aceb6297e5105edc21e9a73629882c2d157",
+    "a1/dim2": "4f564fb9d80057adea69cd1576a15ffd0027da51c8f811e1f158673d2497b0b4",
+    "a2/dim2": "f16695c19629a5fd2534f6e38e5d00cabdd74cd3578b9d5a0b6673692485bccb",
+    "a3/dim2": "a86b780a178f63b722f3e5e9fce05b7286288096c1e24982111c8849959f7178",
+    "a4/dim2": "9b1ad0eff6d9d91079a92cd2cacee9e40b6e9347caa6b941c0cfe4a46d9d020d",
+    "b1/dim2": "7cfc73f965ae40debf845cc0f63f643382d810f5d0099499cac9f61952fad5a5",
+    "b2/dim2": "581382e829a530da7800f02c20e459aa3b870b3032a37e459fe7ce426081aa93",
+    "b3/dim2": "815574440279efc57493095d8ccb9640486bd6ad7286d1eaa8587d096392d5d5",
+    "b4/dim2": "3492aa28200ae5e932f16f4c0feb85120c6f187c37b270129e94479e331e0d53",
+    "a1/dim3": "47b2694807e63bfdd94ac4dae7bec816764f2171b7f32d6e5c6178fb6db7c39a",
+    "a2/dim3": "9ae10d7d9c41fd697bdd37b4f1f4f276858a475915294fe09600656341eca08a",
+    "a3/dim3": "7e0aebe27d05ad8fa6562bbc73b1229a429a958e5f0722cfe5f1385ae0d9c879",
+    "a4/dim3": "8fc2a9f312f2dc3afe480bfc5b876161ccbb6d5bb504b7eea2c1aa46c2d40a5d",
+    "b1/dim3": "b02cc0feefb757631f90d7703c1d14066ffb4e91ff1ecdf634c4c4d7b0424159",
+    "b2/dim3": "f5aa129ff0eee39e80edb2c3c1b62e7e170d51b3c88bf75fa4470b31f0f6af3a",
+    "b3/dim3": "4129d9c6f9df0681270200278277c88fb996fa5b296816d6ad2021ba33d691c2",
+    "b4/dim3": "82bb086cb22cf87838f00fe8911c77749c6b7014b2b888699cfa6007cb54464d",
 }
 
 
@@ -392,23 +405,29 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
 
 @pytest.mark.parametrize("regime", (Regime.A1, Regime.A2, Regime.A4), ids=lambda r: r.value)  # one per family
 def test_estimate_surface_hands_one_stacked_pair_per_chunk(regime, monkeypatch):
-    # each chunk's pairs travel as one StatePair, never a list: to its build and to its register inputs
+    # the surface's pairs are drawn as one StatePair, never a list, and each chunk hands its rows,
+    # pairs[chunk], to its build and to its register inputs
     seen = {"build_for_case": [], "input_states": []}
     for name, calls in seen.items():
         real = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda case, pair, *rest, real=real, calls=calls:
                             calls.append(pair) or real(case, pair, *rest))
-    chunks = []
+    drawn = []
     real_pairs = sim.pair_with_overlap
-    monkeypatch.setattr(sim, "pair_with_overlap", lambda *args: chunks.append(real_pairs(*args)) or chunks[-1])
+    monkeypatch.setattr(sim, "pair_with_overlap", lambda *args: drawn.append(real_pairs(*args)) or drawn[-1])
     monkeypatch.setattr(sim, "STACK_POINTS", 3)  # chunks of 3, 3 and 2 points
     sim.estimate_surface(KnowledgeCase(regime, 3), (0.1, 0.5, 0.9, 0.3), (0.2, 0.7), 100, seed=15)
-    assert [len(pairs) for pairs in chunks] == [3, 3, 2] and all(type(pairs) is StatePair for pairs in chunks)
-    assert seen["input_states"] == chunks  # the chunk's own stacked pair, by identity
+    (pairs,) = drawn
+    assert type(pairs) is StatePair and len(pairs) == 8
+    chunks = seen["input_states"]
+    assert [len(chunk) for chunk in chunks] == [3, 3, 2] and all(type(chunk) is StatePair for chunk in chunks)
+    for chunk, rows in zip(chunks, (slice(0, 3), slice(3, 6), slice(6, 8))):
+        assert [_pair_bits(pair) for pair in chunk] == [_pair_bits(pair) for pair in pairs[rows]]
+        assert np.shares_memory(chunk.psi1.vec, pairs.psi1.vec)  # a slice of the surface's pair, not a copy
     assert len(seen["build_for_case"]) == len(chunks)
-    for built, pairs in zip(seen["build_for_case"], chunks):
+    for built, chunk in zip(seen["build_for_case"], chunks):
         # the rows of the chunk's distinct measurements: all of them but for unknown/unknown
-        assert type(built) is StatePair and 0 < len(built) <= len(pairs)
+        assert type(built) is StatePair and 0 < len(built) <= len(chunk)
 
 
 @pytest.mark.parametrize("regime", (Regime.A1, Regime.A2), ids=lambda r: r.value)
@@ -469,7 +488,7 @@ def test_stacked_failure_names_first_failing_point(monkeypatch):
 def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
     points = [(0.1, 0.4), (0.6, 0.3), (0.8, 0.9)]
-    pairs = pair_with_overlap(3, *np.transpose(points), seed=range(len(points)))
+    pairs = pair_with_overlap(3, *np.transpose(points), seed=0)
     lams = st.success_probability(case, *np.transpose(points)).lam
     real_validate, real_build = sim.validate, sim.build_for_case
 
@@ -498,7 +517,7 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
 
 def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
     case = KnowledgeCase(Regime.B2, 3)
-    pairs = pair_with_overlap(3, [0.3, 0.3], [0.4, 0.4], seed=range(2))
+    pairs = pair_with_overlap(3, [0.3, 0.3], [0.4, 0.4], seed=0)
     lams = np.array([st.success_probability(case, 0.3, 0.4).lam.flat] * 2)
     real_validate = sim.validate
 
@@ -516,18 +535,22 @@ def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
         sim.outcome_probabilities(case, pairs, lams)
 
 
-# sha256 of repr(rows) on a grid of many chunks, recorded when each unknown/unknown chunk held 5 points
+# sha256 of repr(rows) on a grid of many chunks, recorded with each surface's keys and pairs drawn from one generator
 _GOLDEN_ROWS_ACROSS_CHUNKS = {
-    "a1": "c4ee55cdca70a7e6886ffad28a1a4f38211ef2e3ffc67dc6f1d0582394d53f1f",
-    "b1": "f8349425d2f977d4a2691d2a8643b78b80e8cf694fe992d705dde0ebd8ce9802",
+    "a1": "630bf3bfa0da49272055becc7fdd583ef6491172c9d9e8a789e7fa70240a0926",
+    "b1": "cea16cb7129c5617d91afc72581c9530e43720c301f563ca97f351cedc97b0df",
 }
 
 
 @pytest.mark.parametrize("regime", sorted(_GOLDEN_ROWS_ACROSS_CHUNKS))
-def test_estimate_surface_rows_golden_across_chunks(regime):
+def test_estimate_surface_rows_golden_across_chunks(regime, monkeypatch):
+    # every draw precedes the first chunk, so the rows do not depend on where the chunks end
     etas = tuple(k / 20 for k in range(21))
-    rows = sim.estimate_surface(KnowledgeCase(Regime(regime), 3), (0.0, 0.3, 0.6, 0.9), etas, 2000, 2025)
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _GOLDEN_ROWS_ACROSS_CHUNKS[regime]
+    for points, cells in ((sim.STACK_POINTS, sim.STACK_CELLS), (5, sim.STACK_CELLS), (64, 27**2)):
+        monkeypatch.setattr(sim, "STACK_POINTS", points)
+        monkeypatch.setattr(sim, "STACK_CELLS", cells)
+        rows = sim.estimate_surface(KnowledgeCase(Regime(regime), 3), (0.0, 0.3, 0.6, 0.9), etas, 2000, 2025)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == _GOLDEN_ROWS_ACROSS_CHUNKS[regime]
 
 
 def _record_validated(monkeypatch):
@@ -587,7 +610,7 @@ def test_shared_measurement_failures_name_its_first_point(monkeypatch):
     # on the shared measurement names the first point, in stack order, that uses it
     case = KnowledgeCase(Regime.A1, 3)
     points = [(0.1, 0.4), (0.3, 0.2), (0.6, 0.3), (0.8, 0.4), (0.2, 0.3)]
-    pairs = pair_with_overlap(3, *np.transpose(points), seed=range(len(points)))
+    pairs = pair_with_overlap(3, *np.transpose(points), seed=0)
     good = st.success_probability(case, 0.5, 0.4).lam
     bad = LambdaParams.of((1.0,) * 3, (1.0,) * 3)
     lams = np.array([lam.flat for lam in (good, good, bad, good, bad)])

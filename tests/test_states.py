@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -152,14 +153,16 @@ def test_nan_fails_the_state_checks():
 
 
 class _ParallelOnce(np.random.Generator):
-    """Repeats its first normal draw once, so a pair's first direction is psi1's own and is redrawn."""
+    """Copies row ``row`` of its first normal draw into its second, so that point's first direction is psi1's own."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, row):
         super().__init__(np.random.PCG64(seed))
-        self.draws = []
+        self.row, self.draws = row, []
 
     def standard_normal(self, *args, **kwargs):
-        draw = self.draws[0].copy() if len(self.draws) == 1 else super().standard_normal(*args, **kwargs)
+        draw = super().standard_normal(*args, **kwargs)
+        if len(self.draws) == 1:
+            draw[self.row] = self.draws[0][self.row]
         self.draws.append(draw)
         return draw
 
@@ -181,23 +184,57 @@ def _pair_loop(dim, beta, seed):
     return psi1, psi2 / np.linalg.norm(psi2)
 
 
+def _stack_loop(dim, betas, rng):
+    """A stack built vector by vector with np.linalg.norm and np.vdot from one generator: the reference.
+
+    The draws are the documented ones: every psi1 in one (P, 2, d) draw; the directions of the
+    rows with beta < 1 in one draw, then the rejected ones again until none is; every phase in one.
+    """
+    z = rng.standard_normal((len(betas), 2, dim))
+    psi1 = [fix_global_phase((x + 1j * y) / np.linalg.norm(x + 1j * y)) for x, y in z]
+    w = {}
+    todo = [k for k, beta in enumerate(betas) if beta < 1.0]
+    mixed = list(todo)
+    while todo:
+        for k, (x, y) in zip(todo, rng.standard_normal((len(todo), 2, dim))):
+            w[k] = (x + 1j * y) - np.vdot(psi1[k], x + 1j * y) * psi1[k]
+        todo = [k for k in todo if not np.linalg.norm(w[k]) > 1e-6]
+    psi2 = list(psi1)
+    for k, u in zip(mixed, rng.random(len(mixed))):
+        beta = betas[k]
+        vec = fix_global_phase(np.exp(2j * np.pi * u) * beta * psi1[k]
+                               + np.sqrt(1.0 - beta * beta) * (w[k] / np.linalg.norm(w[k])))
+        psi2[k] = vec / np.linalg.norm(vec)
+    return np.array(psi1).reshape(-1, dim), np.array(psi2).reshape(-1, dim)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_stacked_pairs_match_lone_calls(dim):
-    # each point keeps its own generator and draw order, so the stack is bitwise its lone calls
+def test_stacked_pairs_match_the_one_generator_reference(dim):
+    # all the points draw from one generator in the documented order, and a stack of one is the lone call
     points = [(beta, eta1) for beta in (0.0, 1 / np.sqrt(2), 1.0) for eta1 in (0.0, 1.0)] + [(0.4, 0.3)]
-    seeds = [3, np.random.SeedSequence(4, spawn_key=(2, 0)), [5, 6], 7, np.random.SeedSequence(8), [9], 10]
     betas, etas = np.array(points).T
-    stacked = pair_with_overlap(dim, betas, etas, seeds)
-    assert type(stacked) is StatePair and len(stacked) == len(points)
-    for pair, (beta, eta1), seed in zip(stacked, points, seeds):
-        lone = pair_with_overlap(dim, beta, eta1, seed)
-        assert np.array_equal(pair.psi1.vec, lone.psi1.vec) and np.array_equal(pair.psi2.vec, lone.psi2.vec)
-        assert (pair.beta, pair.eta1) == (lone.beta, lone.eta1) == (beta, eta1)
-        assert np.array_equal(pair.psi1.vec, haar_random_state(dim, seed).vec)  # one Haar definition
-        reference = _pair_loop(dim, beta, seed)
-        assert np.array_equal(pair.psi1.vec, reference[0]) and np.array_equal(pair.psi2.vec, reference[1])
-        assert not pair.psi1.vec.flags.writeable
-    empty = pair_with_overlap(dim, [], [], [])
+    for seed in (3, np.random.SeedSequence(4, spawn_key=(2, 0)), 2**63 + 11):
+        stacked = pair_with_overlap(dim, betas, etas, seed)
+        assert type(stacked) is StatePair and len(stacked) == len(points)
+        reference = _stack_loop(dim, betas, np.random.default_rng(seed))
+        assert np.array_equal(stacked.psi1.vec, reference[0]) and np.array_equal(stacked.psi2.vec, reference[1])
+        assert stacked.beta.tolist() == betas.tolist() and stacked.eta1.tolist() == etas.tolist()
+        assert not stacked.psi1.vec.flags.writeable
+        haar = states._haar_rows(np.random.default_rng(seed), len(points), dim)
+        assert np.array_equal(stacked.psi1.vec, haar)  # one Haar definition
+        for beta, eta1 in points:
+            lone, one = pair_with_overlap(dim, beta, eta1, seed), pair_with_overlap(dim, [beta], [eta1], seed)
+            assert _bits(one[0]) == _bits(lone)
+            assert np.array_equal(lone.psi1.vec, haar_random_state(dim, seed).vec)
+            loop = _pair_loop(dim, beta, seed)
+            assert np.array_equal(lone.psi1.vec, loop[0]) and np.array_equal(lone.psi2.vec, loop[1])
+    rng = np.random.default_rng(5)  # a Generator is drawn from as is, and goes on from where the stack left it
+    first, second = pair_with_overlap(dim, betas, etas, rng), pair_with_overlap(dim, betas, etas, rng)
+    reference = np.random.default_rng(5)
+    for pairs in (first, second):
+        expected = _stack_loop(dim, betas, reference)
+        assert np.array_equal(pairs.psi1.vec, expected[0]) and np.array_equal(pairs.psi2.vec, expected[1])
+    empty = pair_with_overlap(dim, [], [], 0)
     assert type(empty) is StatePair and len(empty) == 0 and list(empty) == []
     assert empty.psi1.vec.shape == empty.psi2.vec.shape == (0, dim) and empty.beta.shape == empty.eta1.shape == (0,)
 
@@ -210,10 +247,11 @@ def _bits(pair):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_pair_rows_slices_and_index_arrays_are_lone_calls(dim):
+    # each row, slice or index array of a stack gives the lone pairs built on the reference's rows
     points = [(beta, eta1) for beta in (0.0, 1 / np.sqrt(2), 1.0) for eta1 in (0.0, 1.0)]
-    seeds = list(range(20, 20 + len(points)))
-    pairs = pair_with_overlap(dim, *np.transpose(points), seeds)
-    lone = [pair_with_overlap(dim, beta, eta1, seed) for (beta, eta1), seed in zip(points, seeds)]
+    pairs = pair_with_overlap(dim, *np.transpose(points), 20)
+    reference = _stack_loop(dim, [beta for beta, _ in points], np.random.default_rng(20))
+    lone = [StatePair(PureState(v1), PureState(v2), beta, eta1) for v1, v2, (beta, eta1) in zip(*reference, points)]
     assert pairs.psi1.vec.shape == pairs.psi2.vec.shape == (len(points), dim)
     assert pairs.beta.shape == pairs.eta1.shape == (len(points),)
     for k in range(-len(points), len(points)):  # an int gives a lone pair
@@ -237,7 +275,7 @@ def test_lone_pair_has_no_len_and_no_index():
     # as a 0-d array: a lone pair is a stack of one that lost its axis
     pair = pair_with_overlap(2, 0.5, 0.5, seed=1)
     assert pair.psi1.vec.shape == (2,) and type(pair.beta) is float and type(pair.eta1) is float
-    assert pair and not pair_with_overlap(2, [], [], [])  # truth needs no len: a lone pair is true
+    assert pair and not pair_with_overlap(2, [], [], 0)  # truth needs no len: a lone pair is true
     for use in (len, iter, lambda p: p[0], lambda p: p[:1], lambda p: p[np.array([0])]):
         with pytest.raises(TypeError, match="lone StatePair"):
             use(pair)
@@ -245,7 +283,7 @@ def test_lone_pair_has_no_len_and_no_index():
 
 def test_stacked_constructor_names_the_first_failing_row():
     # one check per stack, with the lone messages: each names the value of the first failing row
-    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.3, 0.4, 0.6], [1, 2, 3])
+    pairs = pair_with_overlap(2, [0.2, 0.5, 0.7], [0.3, 0.4, 0.6], 1)
     with pytest.raises(ValueError, match=re.escape(f"state is not normalized: ||v|| = {np.float64(2.0)!r}")):
         PureState(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     actual = overlap(pairs.psi1, pairs.psi2)
@@ -264,28 +302,38 @@ def test_stacked_constructor_names_the_first_failing_row():
             PureState(vec)
 
 
-def test_rejected_direction_is_redrawn_from_its_own_generator():
-    stubs = [_ParallelOnce(11), _ParallelOnce(11)]
-    stacked = pair_with_overlap(3, [0.5, 0.2], [0.5, 0.5], [12, stubs[0]])[1]
-    lone = pair_with_overlap(3, 0.2, 0.5, stubs[1])
-    assert all(len(stub.draws) == 3 for stub in stubs)  # psi1, the rejected direction, its redraw
-    assert np.array_equal(stacked.psi2.vec, lone.psi2.vec)
-    assert abs(overlap(lone.psi1, lone.psi2) - 0.2) <= 1e-12
+def test_only_the_rejected_direction_is_redrawn():
+    betas = [0.5, 0.2, 1.0, 0.7]
+    stubs = [_ParallelOnce(11, row=1), _ParallelOnce(11, row=1)]
+    stacked = pair_with_overlap(3, betas, [0.5] * 4, stubs[0])
+    reference = _stack_loop(3, betas, stubs[1])
+    # psi1, the directions of the three rows with beta < 1, then row 1's redraw alone
+    assert all([draw.shape for draw in stub.draws] == [(4, 2, 3), (3, 2, 3), (1, 2, 3)] for stub in stubs)
+    assert np.array_equal(stacked.psi2.vec, reference[1])
+    assert np.all(np.abs(overlap(stacked.psi1, stacked.psi2) - betas) <= 1e-12)
 
 
 def test_stacked_pair_inputs_must_match():
-    with pytest.raises(ValueError, match="one seed per point"):
-        pair_with_overlap(2, [0.1, 0.2], [0.5, 0.5], [1])
-    with pytest.raises(ValueError, match="one seed per point"):
-        pair_with_overlap(2, [0.1, 0.2], [0.5], [1, 2])
+    with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+        pair_with_overlap(2, [0.1, 0.2], [0.5], 1)
+    with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+        pair_with_overlap(2, [[0.1, 0.2]], [[0.5, 0.5]], 1)
     with pytest.raises(ValueError, match="beta must lie in"):
-        pair_with_overlap(2, [0.1, np.nan], [0.5, 0.5], [1, 2])
+        pair_with_overlap(2, [0.1, np.nan], [0.5, 0.5], 1)
     with pytest.raises(ValueError, match="eta1 must lie in"):
-        pair_with_overlap(2, [0.1, 0.2], [0.5, 1.5], [1, 2])
+        pair_with_overlap(2, [0.1, 0.2], [0.5, 1.5], 1)
+
+
+def test_a_sequence_of_seeds_is_rejected():
+    # numpy would read a sequence as the entropy of one seed, so a list of per-point seeds would draw other pairs
+    for seed in ([1, 2], (1, 2), np.array([1, 2]), range(2), [7], []):
+        for betas, etas in (([0.1, 0.2], [0.5, 0.5]), (0.1, 0.5)):
+            with pytest.raises(ValueError, match="not a sequence"):
+                pair_with_overlap(2, betas, etas, seed)
 
 
 def test_stacked_adapted_bases_match_lone_calls():
-    pairs = pair_with_overlap(3, [0.0, 0.3, 1 / np.sqrt(2), 0.95], [0.5] * 4, [13, 14, 15, 16])
+    pairs = pair_with_overlap(3, [0.0, 0.3, 1 / np.sqrt(2), 0.95], [0.5] * 4, 13)
     v1 = np.vstack([basis_state(3, 0).vec, pairs.psi1.vec])
     v2 = np.vstack([basis_state(3, 1).vec, pairs.psi2.vec])  # beta = 0 exactly: no phase alignment
     stacked = states._adapted_basis(v1, v2)
@@ -305,5 +353,25 @@ def test_random_is_the_double_of_uniform(seed):
         assert np.array_equal(ours.standard_normal((2, 3)), theirs.standard_normal((2, 3)))
         phase, reference = ours.random(), theirs.uniform()
         assert type(phase) is type(reference) is float and phase.hex() == reference.hex()
+    # and a stack's phases, one random(m), are m draws of uniform() in turn
+    phases, reference = ours.random(4), [theirs.uniform() for _ in range(4)]
+    assert [phase.hex() for phase in phases.tolist()] == [value.hex() for value in reference]
     assert ours.standard_normal() == theirs.standard_normal()
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# sha256 over lone pairs (dims, edge and inner betas, both priors, int and SeedSequence seeds),
+# recorded while each point of a stack still drew from its own generator
+_LONE_PAIRS_SHA256 = "b59eb86e9b5c3a4679e4264b12ad6797b48e71298603bc3f2be1f634cf41e329"
+
+
+def test_lone_pairs_are_pinned():
+    digest = hashlib.sha256()
+    for dim in (2, 3):
+        for beta in (0.0, 0.3, 0.5, 1 / np.sqrt(2), 0.95, 1.0):
+            for eta1 in (0.0, 1.0):
+                for seed in (0, 1, 7, 12345, 2**63 + 11, 2**128 - 1, np.random.SeedSequence(4, spawn_key=(2, 0))):
+                    pair = pair_with_overlap(dim, beta, eta1, seed)
+                    digest.update(pair.psi1.vec.tobytes() + pair.psi2.vec.tobytes())
+                    digest.update(np.array([pair.beta, pair.eta1]).tobytes())
+    assert digest.hexdigest() == _LONE_PAIRS_SHA256
