@@ -165,7 +165,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate requires --beta and --eta1: the world needs them even when the decision ignores them")
     result = strategies.success_probability(case, args.beta, args.eta1)
     pair = canonical_pair(case.dim, args.beta, args.eta1)
-    report = simulate.run(simulate.SimConfig(case, pair, result.lam, args.shots, args.seed))
+    probs = simulate.outcome_probabilities(case, pair, result.lam)
+    report = simulate.run(simulate.SimConfig(probs, args.eta1, args.shots, args.seed))
     record = {
         "case": case.regime.value,
         "dim": case.dim,

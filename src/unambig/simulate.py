@@ -8,6 +8,11 @@ whatever its size.  Unambiguity is structural: for feasible
 coefficients the wrong-identification probability is zero to machine
 precision, so error counts are exactly zero, not just small.
 
+``run`` takes a ``SimConfig``: the ``(2, 3)`` table of
+``outcome_probabilities``, which the knowledge of the states fixes
+through the measurement, and the prior ``eta1``, which fixes how often
+each row of the table is drawn.  It builds no measurement.
+
 Randomness comes from the Philox counter-based generator.  Shots are
 processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
 the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
@@ -42,10 +47,8 @@ rows of the coefficient stack: one build and one validation per distinct
 measurement, and one Born-rule pass that runs each distinct element
 against the inputs of all the points that use it (zero inputs pad the
 shorter lists).  Each point is then sampled by its own ``run`` call,
-which is handed the point's lone pair, a row of the stacked one, its key
-and its probabilities; its config's ``LambdaParams`` is shared by all
-the points with the same coefficient row (bytewise), as ``run`` reads
-only the probabilities.  Every draw is made before the first chunk, so
+which is handed the point's row of the chunk's probabilities, its
+``eta1`` and its key.  Every draw is made before the first chunk, so
 the rows do not depend on where the chunks end.
 """
 
@@ -54,13 +57,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import LambdaParams, _lambda_of, _lone, build_for_case, distinct_measurements, input_states, validate
+from .povm import LambdaParams, _lone, build_for_case, distinct_measurements, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -74,22 +77,19 @@ class MeasurementError(NumericalError):
     """The assembled POVM is not a measurement: a numerical failure, not bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds an array: compared by identity
 class SimConfig:
-    case: KnowledgeCase
-    pair: StatePair
-    lam: LambdaParams
+    probs: np.ndarray  # the (2, 3) outcome_probabilities table, rows = prepared state; run trusts it
+    eta1: float  # the prior of state 1
     shots: int
-    seed: int
-    # the (2, 3) outcome_probabilities of (case, pair, lam), if already computed; run trusts them
-    probs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    seed: int  # the Philox key
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
+        if operator.index(self.shots) < 1:
             raise ValueError("shots must be >= 1")
-        if isinstance(self.pair.eta1, np.ndarray):
-            raise ValueError("a simulation takes a lone pair, not a stack")
-        if self.probs is not None and np.shape(self.probs) != (2, 3):
+        if not 0.0 <= self.eta1 <= 1.0:  # NaN fails
+            raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
+        if np.shape(self.probs) != (2, 3):
             raise ValueError(f"probs must have shape (2, 3), got {np.shape(self.probs)}")
 
 
@@ -245,8 +245,6 @@ def run(config: SimConfig) -> SimReport:
     writes the run's one ``_jump_state`` dict into it with counter ``b``.
     """
     probs = config.probs
-    if probs is None:
-        probs = outcome_probabilities(config.case, config.pair, config.lam)
     words = _key_words(config.seed)
     bits = _philox(words)
     rng = np.random.Generator(bits)
@@ -257,7 +255,7 @@ def run(config: SimConfig) -> SimReport:
         if b:
             _jump_to(bits, state, b)
         n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
-        counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.pair.eta1, probs)))
+        counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.eta1, probs)))
     p_hat = (counts[0] + counts[1]) / config.shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
     return SimReport(counts=counts, estimated_success=p_hat, stderr=stderr)
@@ -279,12 +277,15 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     The decision sees only what the case allows; the simulated world uses
     the full (beta, eta1) point.  ``seed``, a non-negative int, seeds the
     one generator that draws every point's sampler key and then every
-    point's pair (see the module docstring).  Points are set up in chunks
-    and sampled one ``run`` call each.
+    point's pair (see the module docstring).  ``shots_per_point`` must be
+    an int of at least 1; both are checked before any work.  Points are
+    set up in chunks and sampled one ``run`` call each.
     """
-    seed = operator.index(seed)
+    seed, shots_per_point = operator.index(seed), operator.index(shots_per_point)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if shots_per_point < 1:
+        raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point}")
     points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
     betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
     decided = strategies.success_probability(case, betas, etas)
@@ -293,7 +294,6 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     rng = np.random.default_rng(seed)
     keys = rng.integers(2**64, size=len(points), dtype=np.uint64).tolist()  # drawn first: key k is (seed, k)'s
     pairs = pair_with_overlap(case.dim, betas, etas, rng)
-    shared = {}  # one LambdaParams per distinct coefficient row, keyed on the row's bytes
     rows = []
     while len(rows) < len(points):
         start = len(rows)
@@ -301,13 +301,8 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
         ahead = decided.lam[start : start + STACK_POINTS]
         over = np.flatnonzero(distinct_measurements(case, ahead) >= cap)
         chunk = slice(start, start + (int(over[0]) if over.size else len(ahead)))
-        chunk_pairs = pairs[chunk]
-        probs = outcome_probabilities(case, chunk_pairs, decided.lam[chunk])
-        for (beta, eta1), lam, p_exact, pair, key, p in zip(points[chunk], decided.lam[chunk], p_analytic[chunk],
-                                                             chunk_pairs, keys[chunk], probs):
-            lam_key = lam.tobytes()
-            if lam_key not in shared:
-                shared[lam_key] = _lambda_of(case, lam)
-            report = run(SimConfig(case, pair, shared[lam_key], shots_per_point, key, probs=p))
+        probs = outcome_probabilities(case, pairs[chunk], decided.lam[chunk])
+        for (beta, eta1), p_exact, key, p in zip(points[chunk], p_analytic[chunk], keys[chunk], probs):
+            report = run(SimConfig(p, eta1, shots_per_point, key))
             rows.append(SurfaceRow(beta, eta1, report.estimated_success, p_exact, report.stderr))
     return rows

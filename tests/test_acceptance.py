@@ -307,7 +307,7 @@ def test_criterion_8_monte_carlo_spot_checks():
         lam = st.optimal_lambda(case, **kwargs)
         pair = pair_with_overlap(dim, beta, eta1, seed=1000 + i)
         t0 = time.time()
-        rep = sim.run(sim.SimConfig(case, pair, lam, 10**6, seed=2000 + i))
+        rep = sim.run(sim.SimConfig(sim.outcome_probabilities(case, pair, lam), eta1, 10**6, seed=2000 + i))
         elapsed = time.time() - t0
         assert elapsed < 60.0
         p = st.success_probability(case, beta, eta1).p_analytic

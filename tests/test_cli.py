@@ -257,6 +257,59 @@ def test_simulate_1e8_shots_stdout_is_pinned(seed, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for every case at one point, beta = 0.4 and eta1 = 0.3: solve takes the inputs its
+# regime may use, simulate takes both and runs 10^5 shots at seed 7; recorded when run built its own POVM
+_CASE_STDOUT = {
+    ("solve", "a1", 2): "74ce4bc50177ae4e148fe6e8dad1d8b8ac6c28a96f076ac9794e8f6fa140e26e",
+    ("simulate", "a1", 2): "8688752a8441930f388992eac2c38cf3a46bf957793a7f0411ec676901cce6c8",
+    ("solve", "a2", 2): "21fd46469a1e8bcaca4b284cabec4aed2f18ac4d6ee8cb591e5cdd8c26b84eb3",
+    ("simulate", "a2", 2): "26d09121e9c1697dad7d346ea0db7fa174093c55999483260ec1a40c3f13e7c3",
+    ("solve", "a3", 2): "2df89b60d1bf957cfda1c7cd9d3c466c6121487e9e34c5c627928601755c025e",
+    ("simulate", "a3", 2): "f19b68ea616e62a431834d83991eccd86c0c204116c46324ee2bda27fe4e4cfc",
+    ("solve", "a4", 2): "6aaab6fe3c1c1b80eebc1a99541be1d1201a02da1f2428b7dbd99767e4bae796",
+    ("simulate", "a4", 2): "e7dd6dc24e1381aa4cd9655045bb5784e3aaa2c960324fe0b8a1786552cb50c4",
+    ("solve", "b1", 2): "348d97b6adb5cc0ddda4a411dfb3b4070b5ddb9a0d50660c9bc1574c29fc7910",
+    ("simulate", "b1", 2): "bec1a6595105d9e5b9e83eaa2f4cff1b1c8d05d1cce70ae50053e1daa0c31b19",
+    ("solve", "b2", 2): "3410f61f0f68cfca3b0212f8e7ee2e5974548e797a2e94aab5fca3d21a9787c9",
+    ("simulate", "b2", 2): "20de5248d52ffcf1a161be9b40559c2657863da290c474c21e06a8464fab53e3",
+    ("solve", "b3", 2): "676deb70a57d78c045e17fbb1e7d7fb2e8d54afd6285f2d6b8c1901b435713aa",
+    ("simulate", "b3", 2): "469aa5c8e6fb5d3762521eed0f4b0f583984616b4c8ee95bf78fa67fbdf2df4e",
+    ("solve", "b4", 2): "f9900f067801b7a1d5a6cdb4f5403b4f2d346ac7a12579f877540b92582bdfb0",
+    ("simulate", "b4", 2): "e9414576ed80859bf1ba9d4580ec2ed40af5c44419858766e7491bc5db22eddb",
+    ("solve", "a1", 3): "1c932c4d4ae407f7494f5b544ff56328b2ab8bf35fea189f1ad2dce791ea9397",
+    ("simulate", "a1", 3): "07b66d4c03d048fa013e48664d03692670b2cceadb2ccf8295cdae2b96fb904f",
+    ("solve", "a2", 3): "6528b2fa43f3834f2e90e85e1d58b57757ba1f8e94602c3ee09e17f28bce15d3",
+    ("simulate", "a2", 3): "933971be51a4a149e47bb96a6b0decaabdcc631c283a7f1a5245acb051564eb5",
+    ("solve", "a3", 3): "c0b92d7dc39c48868e2388c354de79f19cf79ef969acfefb6c02a4f35026733f",
+    ("simulate", "a3", 3): "ef04a7dd2f6ca157c640adc57e5f4d68921187a978a21bb8e3b5e102dc620143",
+    ("solve", "a4", 3): "a4395adacb5a4f214f8a2a7a2d72a7f87eca065ca55817504af5dbb0fe429769",
+    ("simulate", "a4", 3): "f388a8c9f80b4bd80547659c3d1b6b056a6977b21c1e27b99b2fdcdfb8a362ec",
+    ("solve", "b1", 3): "48a0a4ff310420db924473ee31c693c76e4aaa729afdf5e702385d44f4b86bb1",
+    ("simulate", "b1", 3): "4ca0d0bc7584d1c70f8fd202bf192616a3bad3391cb52dc511bc3c84c531f2a3",
+    ("solve", "b2", 3): "6adb92c249243769baccea5d76a362c1a0ad370929306c54e5de4289e95a5f3f",
+    ("simulate", "b2", 3): "85671e0d6d4fa81c99727ce83500f4098eb0a96663348253e7135a081f52afa3",
+    ("solve", "b3", 3): "a976cb3810e76340dbc5d5ae82e0740680dba61bc98bf6b463b56da4f5676c0b",
+    ("simulate", "b3", 3): "7cf99ede23e82929d108afb7175b131a14fea6f26b524571685b86fb7fc6e365",
+    ("solve", "b4", 3): "e721804f8864b4e4bf90d22876d8cbdad260c968b4f3fec4ae60834eece67761",
+    ("simulate", "b4", 3): "f0f3fb1d8edc4390879d16c8745e1c656179892c7dc86d4a47cd379b5573cc56",
+}
+
+
+@pytest.mark.parametrize("command,regime,dim", sorted(_CASE_STDOUT, key=lambda k: (k[2], k[1], k[0])),
+                         ids=lambda v: str(v))
+def test_solve_and_simulate_stdout_are_pinned(command, regime, dim, capsys):
+    argv = [command, "--case", regime, "--dim", str(dim)]
+    if command == "simulate" or regime[1] in "34":
+        argv += ["--beta", "0.4"]
+    if command == "simulate" or regime[0] == "a":
+        argv += ["--eta1", "0.3"]
+    if command == "simulate":
+        argv += ["--shots", "100000", "--seed", "7"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CASE_STDOUT[command, regime, dim]
+
+
 def test_simulate_requires_world_parameters(capsys):
     code, _, err = run_cli(capsys, "simulate", "--case", "b2", "--dim", "2", "--beta", "0.4")
     assert code == 2

@@ -3,9 +3,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hs
 from scipy import stats
 
-from unambig.cases import ALL_REGIMES, KnowledgeCase, Regime
+from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig.linalg import NumericalError
 from unambig.povm import LambdaParams, PovmSet, build_for_case, input_states, validate
 from unambig import povm
@@ -23,7 +24,27 @@ def _config(regime, dim, beta, eta1, shots, seed):
         kwargs["eta1"] = eta1
     lam = st.optimal_lambda(case, **kwargs)
     pair = pair_with_overlap(dim, beta, eta1, seed=seed + 1)
-    return sim.SimConfig(case, pair, lam, shots, seed)
+    return sim.SimConfig(sim.outcome_probabilities(case, pair, lam), eta1, shots, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hs.sampled_from(ALL_REGIMES), hs.sampled_from([2, 3]),
+       hs.floats(0.0, 1.0) | hs.sampled_from([0.0, 2**-0.5, 1.0]), hs.floats(0.0, 1.0) | hs.sampled_from([0.0, 1.0]),
+       hs.integers(0, 2**32 - 1))
+def test_born_table_and_sampler_agree_with_the_closed_form(regime, dim, beta, eta1, seed):
+    # the closed form, the Born table of the case's POVM and the sampler on that table give one success probability
+    case = KnowledgeCase(regime, dim)
+    assume(not (regime.family is Family.KNOWN_KNOWN and beta == 1.0))  # build_known_known rejects identical states
+    decided = st.success_probability(case, beta, eta1)
+    p = decided.p_analytic
+    probs = sim.outcome_probabilities(case, pair_with_overlap(dim, beta, eta1, seed=seed), decided.lam)
+    assert abs(eta1 * probs[0, 0] + (1 - eta1) * probs[1, 1] - p) <= 1e-10
+    assert probs[0, 1] <= 1e-12 and probs[1, 0] <= 1e-12
+    shots = 10**5
+    report = sim.run(sim.SimConfig(probs, eta1, shots, seed))
+    assert report.n_error == 0
+    sigma = np.sqrt(p * (1 - p) / shots)
+    assert abs(report.estimated_success - p) <= 5 * sigma if sigma > 0 else report.estimated_success == p
 
 
 def test_orthogonal_known_pair_is_perfect():
@@ -48,7 +69,7 @@ def test_runs_are_prefixes_of_one_batch_stream():
     # so a run of k full batches is exactly the first k batches of any longer run
     k = 3
     cfg = _config(Regime.A1, 2, 0.3, 0.7, (k + 2) * sim.BATCH_SHOTS + 17, seed=4)
-    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    probs = cfg.probs
     sizes = [sim.BATCH_SHOTS] * (k + 2) + [17]
     bits = np.random.Philox(key=cfg.seed)  # one generator, reset to each batch's stream as run resets it
     rng = np.random.Generator(bits)
@@ -56,10 +77,10 @@ def test_runs_are_prefixes_of_one_batch_stream():
     batches = []
     for b, n in enumerate(sizes):
         sim._jump_to(bits, state, b)
-        batches.append(sim._run_batch(rng, n, cfg.pair.eta1, probs))
+        batches.append(sim._run_batch(rng, n, cfg.eta1, probs))
     for b, n in enumerate(sizes):
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
-        n_prep1 = rng.binomial(n, cfg.pair.eta1)
+        n_prep1 = rng.binomial(n, cfg.eta1)
         prep1, prep2 = rng.multinomial(n_prep1, probs[0]), rng.multinomial(n - n_prep1, probs[1])
         assert list(batches[b]) == [prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]]
     assert sim.run(cfg).counts == tuple(np.sum(batches, axis=0))
@@ -79,11 +100,11 @@ def test_errors_are_structurally_zero(regime, dim):
 def test_outcome_frequencies_chi_square():
     # per-preparation outcome counts against the Born probabilities
     cfg = _config(Regime.A4, 2, 0.5, 0.5, 1_000_000, seed=6)
-    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    probs = cfg.probs
     report = sim.run(cfg)
     # reconstruct per-prep counts is not exposed; test the pooled outcome
     # distribution instead (mixture of the two rows)
-    pooled = cfg.pair.eta1 * probs[0] + (1 - cfg.pair.eta1) * probs[1]
+    pooled = cfg.eta1 * probs[0] + (1 - cfg.eta1) * probs[1]
     observed = np.array([report.counts[0], report.counts[1], report.counts[2]], dtype=float)
     # fold the (zero) error count into the non-matching success bucket totals
     expected = pooled * cfg.shots
@@ -102,8 +123,8 @@ def test_estimated_success_within_four_sigma():
 def test_billion_shot_counts_chi_square():
     # all four outcome categories against the prior-weighted Born rows
     cfg = _config(Regime.B2, 3, 0.4, 0.3, 10**9, seed=13)
-    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
-    prep1, prep2 = cfg.pair.eta1 * probs[0], (1 - cfg.pair.eta1) * probs[1]
+    probs = cfg.probs
+    prep1, prep2 = cfg.eta1 * probs[0], (1 - cfg.eta1) * probs[1]
     expected = cfg.shots * np.array([prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]])
     report = sim.run(cfg)
     assert report.n_error == 0
@@ -114,18 +135,36 @@ def test_billion_shot_counts_chi_square():
 
 
 def test_run_rejects_invalid_measurement():
+    # run samples a table it is handed: the measurement is checked where the table is made
     case = KnowledgeCase(Regime.A1, 2)
     pair = pair_with_overlap(2, 0.5, 0.5, seed=8)
-    bad = sim.SimConfig(case, pair, LambdaParams.of(1.0, 1.0), 100, seed=0)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        sim.run(bad)
+        sim.outcome_probabilities(case, pair, LambdaParams.of(1.0, 1.0))
 
 
 def test_config_rejects_zero_shots():
-    case = KnowledgeCase(Regime.A1, 2)
-    pair = pair_with_overlap(2, 0.5, 0.5, seed=9)
+    probs = _config(Regime.A1, 2, 0.5, 0.5, 100, seed=9).probs
     with pytest.raises(ValueError, match="shots"):
-        sim.SimConfig(case, pair, LambdaParams.of(0.5, 0.5), 0, seed=0)
+        sim.SimConfig(probs, 0.5, 0, seed=0)
+
+
+def test_config_takes_shots_as_an_integer():
+    # a float shot count fails when the config is made, not in run's batch loop
+    probs = _config(Regime.A1, 2, 0.5, 0.5, 100, seed=9).probs
+    for shots in (1e3, 1000.0, "1000", None):
+        with pytest.raises(TypeError):
+            sim.SimConfig(probs, 0.5, shots, seed=0)
+    cfg = sim.SimConfig(probs, 0.5, np.int64(1000), seed=0)
+    assert sim.run(cfg) == sim.run(sim.SimConfig(probs, 0.5, 1000, seed=0))
+
+
+@pytest.mark.parametrize("eta1", (-0.1, 1.5, float("nan"), -np.inf))
+def test_config_rejects_a_prior_outside_the_unit_interval(eta1):
+    probs = _config(Regime.A1, 2, 0.5, 0.5, 100, seed=9).probs
+    with pytest.raises(ValueError, match=r"^eta1 must lie in \[0, 1\], got "):
+        sim.SimConfig(probs, eta1, 100, seed=0)
+    for edge in (0.0, 1.0):
+        assert sim.run(sim.SimConfig(probs, edge, 100, seed=0)).counts[int(edge)] == 0  # no state 1, or no state 2, is prepared
 
 
 def test_estimate_surface_b1_row():
@@ -164,18 +203,28 @@ def _recorded_runs(monkeypatch):
     return configs
 
 
+def _drawn_pairs(monkeypatch):
+    # the stacked pair of every pair_with_overlap call estimate_surface makes, in order
+    drawn = []
+    real = sim.pair_with_overlap
+    monkeypatch.setattr(sim, "pair_with_overlap", lambda *args: drawn.append(real(*args)) or drawn[-1])
+    return drawn
+
+
 def test_point_seeds_do_not_collide_across_seeds(monkeypatch):
     # each surface seed seeds its own generator: seeds 0 and 1 give different rows, and share
     # no point's sampler key and no point's pair
     configs = _recorded_runs(monkeypatch)
+    drawn = _drawn_pairs(monkeypatch)
     case = KnowledgeCase(Regime.B3, 3)
     rows = [sim.estimate_surface(case, (0.2, 0.6, 0.9), (0.3, 0.8), 2000, seed) for seed in (0, 1)]
     first, second = configs[:6], configs[6:]
     assert rows[0] != rows[1]
     assert [(r.beta, r.eta1, r.p_analytic) for r in rows[0]] == [(r.beta, r.eta1, r.p_analytic) for r in rows[1]]
     assert not {c.seed for c in first} & {c.seed for c in second}
-    for a, b in zip(first, second):
-        assert not np.array_equal(a.pair.psi1.vec, b.pair.psi1.vec)
+    assert [len(pairs) for pairs in drawn] == [6, 6]
+    for a, b in zip(*drawn):
+        assert not np.array_equal(a.psi1.vec, b.psi1.vec)
 
 
 # 2**130 + 7 is wider than a Philox key: a surface seed is any non-negative int
@@ -187,6 +236,7 @@ def test_surface_keys_then_pairs_share_one_generator(seed, monkeypatch):
     # one default_rng(seed) per surface: every point's Philox key in one integers call, then every
     # point's pair in one pair_with_overlap call, both before the first chunk
     configs = _recorded_runs(monkeypatch)
+    drawn = _drawn_pairs(monkeypatch)
     monkeypatch.setattr(sim, "STACK_POINTS", 5)
     case = KnowledgeCase(Regime.A2, 3)
     betas, etas = (0.0, 0.4, 1 / np.sqrt(2), 1.0), (0.0, 0.6, 1.0)
@@ -196,7 +246,11 @@ def test_surface_keys_then_pairs_share_one_generator(seed, monkeypatch):
     keys = rng.integers(2**64, size=len(grid), dtype=np.uint64).tolist()
     pairs = pair_with_overlap(3, *grid.T, rng)
     assert [config.seed for config in configs] == keys and all(type(config.seed) is int for config in configs)
-    assert [_pair_bits(config.pair) for config in configs] == [_pair_bits(pair) for pair in pairs]
+    (surface_pairs,) = drawn
+    assert [_pair_bits(pair) for pair in surface_pairs] == [_pair_bits(pair) for pair in pairs]
+    for config, pair in zip(configs, pairs, strict=True):  # each point samples its own pair's table
+        lam = st.success_probability(case, pair.beta, pair.eta1).lam
+        assert np.array_equal(config.probs, sim.outcome_probabilities(case, pair, lam))
     # key k depends only on (seed, k): the keys of a grid's first points are those of a larger grid
     configs.clear()
     sim.estimate_surface(case, betas[:3], etas[:1], 100, seed)
@@ -235,6 +289,21 @@ def test_estimate_surface_rejects_a_bad_seed_before_any_work(monkeypatch):
             sim.estimate_surface(case, (0.5,), (0.5,), 100, seed=seed)
 
 
+def test_estimate_surface_rejects_bad_shots_before_any_work(monkeypatch):
+    # a shot count that is not a positive integer fails before the surface is decided
+    def no_work(*args):
+        raise AssertionError("estimate_surface decided a surface for a bad shot count")
+
+    monkeypatch.setattr(sim.strategies, "success_probability", no_work)
+    case = KnowledgeCase(Regime.A1, 2)
+    for shots in (0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match=rf"^shots_per_point must be a positive integer, got {shots}$"):
+            sim.estimate_surface(case, (0.5,), (0.5,), shots, seed=1)
+    for shots in (1e3, 100.0, "100", None):
+        with pytest.raises(TypeError):
+            sim.estimate_surface(case, (0.5,), (0.5,), shots, seed=1)
+
+
 @pytest.mark.parametrize("seed", (-1, 2**128))
 def test_run_rejects_seeds_outside_the_philox_key_range(seed):
     cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=0)
@@ -244,9 +313,8 @@ def test_run_rejects_seeds_outside_the_philox_key_range(seed):
 
 def test_run_takes_the_largest_philox_key():
     cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=2**128 - 1)
-    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    assert sim.run(cfg).counts == tuple(list(sim._run_batch(rng, cfg.shots, cfg.pair.eta1, probs)))
+    assert sim.run(cfg).counts == tuple(list(sim._run_batch(rng, cfg.shots, cfg.eta1, cfg.probs)))
 
 
 @pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
@@ -303,16 +371,16 @@ def test_counts_are_builtin_ints(monkeypatch):
 
 def test_config_probs_are_used_and_shape_checked():
     cfg = _config(Regime.B2, 3, 0.4, 0.3, 300_000, seed=14)
-    probs = sim.outcome_probabilities(cfg.case, cfg.pair, cfg.lam)
+    probs = cfg.probs.copy()
     given = dataclasses.replace(cfg, probs=probs)
-    assert given == cfg and sim.run(given) == sim.run(cfg)
+    assert sim.run(given) == sim.run(cfg)
+    assert cfg == cfg and given != cfg  # a config holds an array: compared by identity
     swapped = dataclasses.replace(cfg, probs=probs[::-1].copy())
     assert sim.run(swapped) != sim.run(cfg)
     with pytest.raises(ValueError, match="probs must have shape"):
         dataclasses.replace(cfg, probs=probs[0])
-    stacked = pair_with_overlap(3, [0.4, 0.4], [0.3, 0.3], seed=15)
-    with pytest.raises(ValueError, match="lone pair, not a stack"):
-        dataclasses.replace(cfg, pair=stacked, probs=probs)
+    with pytest.raises(ValueError, match=r"probs must have shape \(2, 3\), got \(2, 2, 3\)"):
+        dataclasses.replace(cfg, probs=np.stack([probs, probs]))  # the tables of a stack of two points
 
 
 def _stack_points(dim):
@@ -394,13 +462,18 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
         return real(config)
 
     monkeypatch.setattr(sim, "run", recording_run)
+    drawn = _drawn_pairs(monkeypatch)
     monkeypatch.setattr(sim, "STACK_CELLS", 3 * 9**2)  # A2/dim3 in chunks of 3 points
     betas, etas = (0.1, 0.5, 0.9, 0.3), (0.2, 0.7)
-    rows = sim.estimate_surface(KnowledgeCase(Regime.A2, 3), betas, etas, 1000, seed=15)
+    case = KnowledgeCase(Regime.A2, 3)
+    rows = sim.estimate_surface(case, betas, etas, 1000, seed=15)
     grid = [(beta, eta1) for eta1 in etas for beta in betas]
-    assert [(c.pair.beta, c.pair.eta1) for c in configs] == [(r.beta, r.eta1) for r in rows] == grid
-    for config in configs:
-        assert np.array_equal(config.probs, sim.outcome_probabilities(config.case, config.pair, config.lam))
+    (pairs,) = drawn
+    assert [(p.beta, p.eta1) for p in pairs] == [(r.beta, r.eta1) for r in rows] == grid
+    assert [c.eta1 for c in configs] == [eta1 for _, eta1 in grid] and all(c.shots == 1000 for c in configs)
+    for config, pair in zip(configs, pairs, strict=True):
+        lam = st.success_probability(case, pair.beta, pair.eta1).lam
+        assert np.array_equal(config.probs, sim.outcome_probabilities(case, pair, lam))
 
 
 @pytest.mark.parametrize("regime", (Regime.A1, Regime.A2, Regime.A4), ids=lambda r: r.value)  # one per family
@@ -412,9 +485,7 @@ def test_estimate_surface_hands_one_stacked_pair_per_chunk(regime, monkeypatch):
         real = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda case, pair, *rest, real=real, calls=calls:
                             calls.append(pair) or real(case, pair, *rest))
-    drawn = []
-    real_pairs = sim.pair_with_overlap
-    monkeypatch.setattr(sim, "pair_with_overlap", lambda *args: drawn.append(real_pairs(*args)) or drawn[-1])
+    drawn = _drawn_pairs(monkeypatch)
     monkeypatch.setattr(sim, "STACK_POINTS", 3)  # chunks of 3, 3 and 2 points
     sim.estimate_surface(KnowledgeCase(regime, 3), (0.1, 0.5, 0.9, 0.3), (0.2, 0.7), 100, seed=15)
     (pairs,) = drawn
@@ -428,24 +499,6 @@ def test_estimate_surface_hands_one_stacked_pair_per_chunk(regime, monkeypatch):
     for built, chunk in zip(seen["build_for_case"], chunks):
         # the rows of the chunk's distinct measurements: all of them but for unknown/unknown
         assert type(built) is StatePair and 0 < len(built) <= len(chunk)
-
-
-@pytest.mark.parametrize("regime", (Regime.A1, Regime.A2), ids=lambda r: r.value)
-def test_estimate_surface_shares_one_lambda_params_per_distinct_row(regime, monkeypatch):
-    # run reads only each point's probs, so points with equal coefficient rows share one LambdaParams
-    case = KnowledgeCase(regime, 3)
-    made, configs = [], []
-    real_lambda_of, real_run = sim._lambda_of, sim.run
-    monkeypatch.setattr(sim, "_lambda_of", lambda case, row: made.append(row.tobytes()) or real_lambda_of(case, row))
-    monkeypatch.setattr(sim, "run", lambda config: configs.append(config) or real_run(config))
-    sim.estimate_surface(case, np.linspace(0.0, 0.99, 12), np.linspace(0.0, 1.0, 7), 200, seed=4)
-    betas, etas = np.array([(c.pair.beta, c.pair.eta1) for c in configs]).T
-    rows = st.success_probability(case, betas, etas).lam
-    first = {}
-    for config, row in zip(configs, rows):
-        assert config.lam == povm._lambda_of(case, row)
-        assert config.lam is first.setdefault(row.tobytes(), config.lam)
-    assert sorted(made) == sorted(first) and len(made) < len(configs)
 
 
 def test_estimate_surface_decides_each_surface_in_one_call(monkeypatch):
