@@ -49,6 +49,8 @@ def _cases_from_args(args, choices: list[str]) -> list[KnowledgeCase]:
 def _check_grid(args) -> None:
     if not 0.0 < args.grid <= 0.5:
         raise UsageError(f"--grid step must lie in (0, 0.5], got {args.grid}")
+    if abs(round(1.0 / args.grid) * args.grid - 1.0) > 1e-9:  # the grid would silently use 1/round(1/step)
+        raise UsageError(f"--grid step must divide [0, 1] into whole steps, got {args.grid}")
 
 
 class UsageError(Exception):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+PHASE_TOL = 1e-12  # fix_global_phase: an entry this small carries no phase
+COMPLETION_TOL = 1e-9  # orthonormal_completion: the least norm of a Gram-Schmidt remainder
 
 
 class NumericalError(ValueError):
@@ -59,24 +61,20 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> None:
-    defect = np.asarray(hermiticity_defect(m))
-    index = _first_failure(~(defect <= tol))  # NaN fails
-    if index is not None:
-        raise NumericalError(f"matrix is not Hermitian (defect {defect[index]:.3e} > {tol:.1e})", index)
-
-
-def eigvals_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; ``(..., n)`` for an ``(..., n, n)`` stack.
 
-    Rejects input whose hermiticity defect exceeds ``tol``.  A stack is one
-    ``eigvalsh`` call, which solves it matrix by matrix, so each matrix gets
-    bitwise the eigenvalues of its own call.
+    Rejects input whose hermiticity defect exceeds ``HERMITIAN_TOL``.  A
+    stack is one ``eigvalsh`` call, which solves it matrix by matrix, so
+    each matrix gets bitwise the eigenvalues of its own call.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    _check_hermitian(m, tol)
+    defect = np.asarray(hermiticity_defect(m))
+    index = _first_failure(~(defect <= HERMITIAN_TOL))  # NaN fails
+    if index is not None:
+        raise NumericalError(f"matrix is not Hermitian (defect {defect[index]:.3e} > {HERMITIAN_TOL:.1e})", index)
     return np.linalg.eigvalsh(m)
 
 
@@ -118,8 +116,8 @@ def row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def fix_global_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a vector's global phase so its first entry above ``tol`` is real positive.
+def fix_global_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its first entry of modulus above ``PHASE_TOL`` is real positive.
 
     Works row by row on an ``(..., d)`` stack; a row with no such entry
     is returned unchanged.
@@ -127,14 +125,14 @@ def fix_global_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.array(v, dtype=complex, order="C")  # a copy whose rows are views, rotated in place
     rows = v.reshape(-1, v.shape[-1])
     mags = modulus(rows)
-    big = mags > tol
+    big = mags > PHASE_TOL
     k = np.flatnonzero(big.any(axis=-1))
     j = big[k].argmax(axis=-1)
     rows[k] = rows[k] * (mags[k, j] / rows[k, j])[:, None]
     return v
 
 
-def orthonormal_completion(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def orthonormal_completion(v: np.ndarray) -> np.ndarray:
     """Unitary whose first column is ``v``; remaining columns complete the basis.
 
     Deterministic: Gram-Schmidt over the canonical basis vectors in index
@@ -155,7 +153,7 @@ def orthonormal_completion(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         for c in cols:
             w = w - row_vdots(c, w)[:, None] * c
         n = row_norms(w)
-        if not np.all(n > tol):
+        if not np.all(n > COMPLETION_TOL):
             raise ValueError("failed to complete basis (input vector degenerate?)")
         cols.append(fix_global_phase(w / n[:, None]))
     return np.stack(cols, axis=-1).reshape(v.shape + (d,))

@@ -40,6 +40,7 @@ from .states import PureState, StatePair, _adapted_basis, _qubit_complement, ove
 
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-9
+FEASIBILITY_SLACK = 1e-12  # every positivity and box inequality reads margin >= -FEASIBILITY_SLACK
 
 # basis index pairs carrying one antisymmetric state each
 _PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -135,8 +136,8 @@ def _coefficient_blocks(family: Family, dim: int, lam: LambdaParams | np.ndarray
     if stack.ndim != 2 or stack.shape[1] != sum(layout):
         raise ValueError(f"coefficient stack must have {sum(layout)} component(s) per row, got shape {stack.shape}")
     names = [name for name, n in zip(_BLOCKS, layout) for _ in range(n)]
-    top = np.inf if family is Family.UNKNOWN_UNKNOWN else 1.0 + 1e-12
-    for bad, rule in ((~(stack >= 0.0), "be nonnegative"), (stack > top, "lie in [0, 1]")):
+    above = (family is not Family.UNKNOWN_UNKNOWN) & ~(1.0 - stack >= -FEASIBILITY_SLACK)
+    for bad, rule in ((~(stack >= 0.0), "be nonnegative"), (above, "lie in [0, 1]")):
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise ValueError(f"{names[col]} components must {rule}, got {stack[row, col]}")
@@ -287,11 +288,12 @@ def build_known_known(psi1: PureState, psi2: PureState, lam: LambdaParams | np.n
     return _povm(pi1, pi2, lone)
 
 
-def validate(povm: PovmSet, psd_tol: float = PSD_TOL) -> PovmReport:
+def validate(povm: PovmSet) -> PovmReport:
     """PSD check per element plus the completeness residual ||pi1+pi2+pi0 - I||_max.
 
-    One Hermitian eigensolve per element, on the whole ``(P, n, n)`` stack
-    at once for P POVMs.
+    An element passes when its least eigenvalue is ``>= -PSD_TOL``.  One
+    Hermitian eigensolve per element, on the whole ``(P, n, n)`` stack at
+    once for P POVMs.
     """
     mins = [eigvals_hermitian(el)[..., 0] for el in povm.elements]
     total = povm.pi1 + povm.pi2
@@ -301,7 +303,7 @@ def validate(povm: PovmSet, psd_tol: float = PSD_TOL) -> PovmReport:
     if residual.ndim == 0:  # a lone POVM reports Python scalars
         mins, residual = [float(m) for m in mins], float(residual)
     return PovmReport(
-        psd_ok=tuple(m >= -psd_tol for m in mins),
+        psd_ok=tuple(m >= -PSD_TOL for m in mins),
         min_eigenvalues=tuple(mins),
         completeness_residual=residual,
     )

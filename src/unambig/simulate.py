@@ -63,7 +63,7 @@ import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import LambdaParams, _lone, build_for_case, distinct_measurements, input_states, validate
+from .povm import COMPLETENESS_TOL, LambdaParams, _lone, build_for_case, distinct_measurements, input_states, validate
 from .states import StatePair, pair_with_overlap
 from . import strategies
 
@@ -79,7 +79,11 @@ class MeasurementError(NumericalError):
 
 @dataclass(frozen=True, eq=False)  # holds an array: compared by identity
 class SimConfig:
-    probs: np.ndarray  # the (2, 3) outcome_probabilities table, rows = prepared state; run trusts it
+    """What ``run`` samples.  Each row of ``probs`` must be a distribution, which ``run`` does not check: numpy's
+    ``multinomial`` gives what a row leaves short of 1 to the inconclusive outcome.  Tables from
+    ``outcome_probabilities`` are checked and normalized."""
+
+    probs: np.ndarray  # rows = prepared state, cols = outcome (1, 2, inconclusive)
     eta1: float  # the prior of state 1
     shots: int
     seed: int  # the Philox key
@@ -156,7 +160,7 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
             f"POVM is not positive semidefinite {at(k)}: min eigenvalues {tuple(mins[:, k].tolist())}"
         )
     residual = np.reshape(report.completeness_residual, -1)[inverse]
-    bad = ~(residual <= _PROB_SUM_TOL)  # NaN fails
+    bad = ~(residual <= COMPLETENESS_TOL)  # NaN fails; the bound of PovmReport.all_ok
     if bad.any():
         k = int(np.argmax(bad))
         raise MeasurementError(f"POVM completeness residual {residual[k]:.3e} {at(k)}")

@@ -15,15 +15,17 @@ there.  The totally antisymmetric three-register state w satisfies
 <w|pi0|w> = 1 - (sum_i lam1_i + sum_i lam2_i)/3, so with equal
 per-index coefficients the true constraint is lam1 + lam2 <= 1.  The
 strategies below for dim-3 A1/B1 optimize over that corrected region;
-the uncorrected coefficients would not form a measurement.
+the uncorrected coefficients would not form a measurement.  The
+per-index inequalities stay necessary, and decide only unequal rows.
 
 Success probabilities are closed forms in both dims: the qutrit
 known/unknown and known/known families reduce to the qubit expressions.
 The tests check them against POVM expectations on concrete pairs.
 
 Each family's positivity inequalities are written once, below, as array
-predicates next to the projections onto their boundaries; ``REGIONS``
-picks them per case, and ``feasible`` and the ``optimizer`` oracle read it.
+predicates ``margin >= -FEASIBILITY_SLACK`` (the one slack, from ``povm``)
+next to the projections onto their boundaries; ``REGIONS`` picks them per
+case, and ``feasible`` and the ``optimizer`` oracle read it.
 The surfaces take floats or broadcast arrays: ``np.where`` keeps, per
 cell, the branch its threshold selects, so each cell rounds exactly as
 that branch alone does.  The decision tables work the same way on arrays
@@ -39,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
-from .povm import LambdaParams, _lambda_of, _layout
+from .povm import FEASIBILITY_SLACK, LambdaParams, _lambda_of, _layout
 
-FEASIBILITY_SLACK = 1e-12
 SQRT5 = math.sqrt(5.0)
 SQRT_HALF = math.sqrt(0.5)
 
@@ -61,15 +62,15 @@ class StrategyResult:
 # feasibility predicates
 # ---------------------------------------------------------------------------
 
-def pair_program_ok(l1, l2, slack: float = FEASIBILITY_SLACK):
+def pair_program_ok(l1, l2):
     """Unknown/unknown, per antisymmetric index: the programmable
     discriminator bounds (Bergou and Hillery, PRL 94, 160501, 2005)."""
-    return (2.0 - l1 - l2 >= -slack) & (1.0 - l1 - l2 + 0.75 * l1 * l2 >= -slack)
+    return (2.0 - l1 - l2 >= -FEASIBILITY_SLACK) & (1.0 - l1 - l2 + 0.75 * l1 * l2 >= -FEASIBILITY_SLACK)
 
 
 def totally_antisymmetric_ok(lam1_sum, lam2_sum):
     """Qutrit unknown/unknown: <w|pi0|w> = 1 - (sum lam1 + sum lam2)/3 >= 0."""
-    return (lam1_sum + lam2_sum) / 3.0 <= 1.0 + FEASIBILITY_SLACK
+    return 1.0 - (lam1_sum + lam2_sum) / 3.0 >= -FEASIBILITY_SLACK
 
 
 def single_program_ok(l1, l2):
@@ -126,9 +127,11 @@ REGIONS = {
 def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = None) -> bool:
     """True iff the coefficients yield PSD measurement elements for this case: its ``REGIONS`` predicate.
 
-    The known/known constraints involve the overlap, so ``beta`` is
-    required there and rejected elsewhere.  Qutrit unknown/unknown rows
-    that meet the per-index bounds without being equal per index raise.
+    Each coefficient also meets ``1 - lam >= -FEASIBILITY_SLACK``.  The
+    known/known constraints involve the overlap, so ``beta`` is required
+    there and rejected elsewhere.  Qutrit unknown/unknown rows equal per
+    index go to the simplex; the per-index bounds decide only the other
+    rows, which raise where they meet those bounds (no closed form).
     """
     fam = case.family
     if fam is Family.KNOWN_KNOWN and beta is None:
@@ -140,27 +143,14 @@ def feasible(case: KnowledgeCase, lam: LambdaParams, *, beta: float | None = Non
     if tuple(len(x) for x in (lam.lam1, lam.lam2, lam.lam3) if x is not None) != _layout(fam, case.dim):
         return False
     flat, l1, l2 = np.array(lam.flat), np.array(lam.lam1), np.array(lam.lam2)
-    if not np.all((-FEASIBILITY_SLACK <= flat) & (flat <= 1.0 + FEASIBILITY_SLACK)):
+    if not np.all(1.0 - flat >= -FEASIBILITY_SLACK):
         return False
-    if case.dim == 3 and fam is Family.UNKNOWN_UNKNOWN:
-        # necessary for every row; the simplex implies them in the unit box, not in the slack above it
-        if not per_index_pair_program_constraints(lam):
+    if case.dim == 3 and fam is Family.UNKNOWN_UNKNOWN and (np.any(l1 != l1[0]) or np.any(l2 != l2[0])):
+        if not np.all(pair_program_ok(l1, l2)):
             return False
-        if np.any(l1 != l1[0]) or np.any(l2 != l2[0]):
-            raise ValueError(f"{case}: no closed-form region for per-index coefficients that are not all equal")
+        raise ValueError(f"{case}: no closed-form region for per-index coefficients that are not all equal")
     ok, _ = REGIONS[fam, case.dim]
     return bool(np.all(ok(l1, l2, beta)))
-
-
-def per_index_pair_program_constraints(lam: LambdaParams, slack: float = FEASIBILITY_SLACK) -> bool:
-    """The naive per-index generalization of the qubit inequalities to qutrits.
-
-    Necessary but not sufficient (see module docstring): ``feasible``
-    holds qutrit rows to it before applying the corrected region.
-    """
-    return all(v >= -slack for v in lam.flat) and all(
-        pair_program_ok(a, b, slack) for a, b in zip(lam.lam1, lam.lam2)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,5 +31,5 @@ def qutrit_adapted_basis(psi1: PureState, psi2: PureState) -> tuple[np.ndarray, 
     return tuple(b[0] for b in states._adapted_basis(psi1.vec[None], psi2.vec[None]))
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = linalg.HERMITIAN_TOL) -> float:
-    return float(linalg.eigvals_hermitian(m, tol=tol)[0])
+def min_eigenvalue(m: np.ndarray) -> float:
+    return float(linalg.eigvals_hermitian(m)[0])

@@ -362,6 +362,15 @@ def test_bad_grid_is_a_usage_error(command, grid, capsys):
     assert err == f"error: --grid step must lie in (0, 0.5], got {float(grid)}\n"
 
 
+@pytest.mark.parametrize("grid", ("0.3", "0.4", "0.15"))
+@pytest.mark.parametrize("command", (("verify", "--case", "a1"), ("sweep", "--surface", "p2_opt")))
+def test_grid_step_that_does_not_divide_the_box_is_a_usage_error(command, grid, capsys):
+    # the axes hold round(1/step) + 1 points, so such a step would be replaced by 1/round(1/step) unannounced
+    code, out, err = run_cli(capsys, *command, "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: --grid step must divide [0, 1] into whole steps, got {float(grid)}\n"
+
+
 def test_internal_check_failure_exits_3(monkeypatch, capsys):
     def broken_check(*_args):
         raise AssertionError("oracle solution is not a measurement")
@@ -463,3 +472,37 @@ def test_cli_import_leaves_numpy_random_unloaded():
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_RUNTIME_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from unambig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv.split()) for argv in (
+        "solve --case b4 --dim 2 --beta 0.5",
+        "verify --case all --dim 2 --grid 0.5",
+        "sweep --surface p2_opt --grid 0.5 --format json",
+        "simulate --case b2 --dim 3 --beta 0.4 --eta1 0.3 --shots 10",
+    )]
+
+def is_foreign(name):
+    if name in sys.stdlib_module_names or name in ("numpy", "unambig"):
+        return False
+    module = sys.modules.get(name)
+    return module is None or any(getattr(module, attr, None) is not None for attr in ("__file__", "__spec__"))
+
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"codes": codes, "foreign": sorted(filter(is_foreign, loaded))}))
+"""
+
+
+def test_runtime_loads_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency; modules without a file or a spec are shims that numpy.random
+    # registers (_cython_3_2_4, cython_runtime), not packages
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "foreign": []}

@@ -2,10 +2,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from unambig.cases import Family, KnowledgeCase, Regime
 from unambig.linalg import NumericalError, expectation, kron, orthonormal_completion
 from unambig.povm import (
+    FEASIBILITY_SLACK,
+    PSD_TOL,
     LambdaParams,
     PovmSet,
     build_for_case,
@@ -19,7 +22,7 @@ from unambig.povm import (
 from unambig.simulate import outcome_probabilities
 from unambig.states import pair_with_overlap
 from unambig import strategies
-from unambig.strategies import feasible, per_index_pair_program_constraints
+from unambig.strategies import feasible, pair_program_ok
 
 from lone_states import basis_state, min_eigenvalue
 
@@ -324,13 +327,83 @@ def test_feasible_iff_psd(regime, dim, beta):
             assert min_eig < 1e-12  # at worst marginal; never comfortably PSD
 
 
+# fl(1 + 1e-12) = 1 + 1.0000889e-12: the least float whose margin 1 - x breaks FEASIBILITY_SLACK
+ONE_UP = 1.0 + 1e-12
+EDGES = [0.0, 5e-324, 1e-17, 5e-17, 1e-16, 2e-16, 1e-13, 1e-12, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1 - 1e-12, 1 - 2**-53,
+         1.0, 1 + 2**-52, float(np.nextafter(ONE_UP, 0)), ONE_UP, float(np.nextafter(ONE_UP, 2)), 1 + 2e-12]
+# one regime per family and dim; the qutrit unknown/unknown rows are equal per index, which the simplex decides
+SLACK_CASES = [KnowledgeCase(r, d) for r in (Regime.B1, Regime.B2, Regime.B4) for d in (2, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hs.sampled_from(SLACK_CASES), hs.sampled_from([0.0, 2**-0.5, 0.5, 0.99]) | hs.floats(0.0, 0.99),
+       hs.sampled_from(EDGES) | hs.floats(0.0, 1.0), hs.sampled_from(EDGES) | hs.floats(0.0, 1.0))
+def test_feasible_iff_psd_at_the_slack_edge(case, beta, l1, l3):
+    """At the family's boundary projection of ``l1``, its neighbouring floats and a few slacks off it,
+    ``feasible`` agrees with the least eigenvalue of pi0, as in ``test_feasible_iff_psd``.
+
+    ``l3`` fills the known/unknown ``lam3`` block; the other families have none.
+    """
+    _, boundary = strategies.REGIONS[case.family, case.dim]
+    top = float(boundary(np.float64(l1), beta))
+    kwargs = {"beta": beta} if case.family is Family.KNOWN_KNOWN else {}
+    pair = pair_with_overlap(case.dim, beta, 0.5, seed=28)
+    l2s = [top, np.nextafter(top, -1.0), np.nextafter(top, 2.0)] + [top + d for d in (1e-12, 2e-12, 1e-9, 1e-6)]
+    l2s += [top - d for d in (1e-12, 2e-12, 1e-9)]
+    for l2 in (float(x) for x in l2s if x >= 0.0):
+        blocks = (l1, l2, l3) if case.family is Family.KNOWN_UNKNOWN else (l1, l2)
+        lam = strategies.symmetric_lambda(case, blocks)
+        ok = feasible(case, lam, **kwargs)
+        try:
+            povm = build_for_case(case, pair, lam)
+        except ValueError:  # a known family's coefficient above the box
+            assert not ok
+            continue
+        least = min_eigenvalue(povm.pi0)
+        assert (least >= -PSD_TOL) if ok else (least < 1e-12), (blocks, least)
+
+
+def test_verdicts_at_one_plus_slack_are_pinned():
+    """Every inequality reads ``margin >= -FEASIBILITY_SLACK``, so a margin of 1 - fl(1 + 1e-12) fails.
+
+    The form ``x <= 1 + FEASIBILITY_SLACK`` would accept these points, in the box, the builders and the
+    simplex alike: its right side rounds to fl(1 + 1e-12) itself.
+    """
+    assert 1.0 - ONE_UP < -FEASIBILITY_SLACK <= 1.0 - np.nextafter(ONE_UP, 0)
+    below = float(np.nextafter(ONE_UP, 0))
+    b1 = KnowledgeCase(Regime.B1, 3)
+    for a in (0.1, 1 / 3, 0.5, 0.7, 0.9):  # equal qutrit rows whose computed simplex sum is fl(1 + 1e-12)
+        b = ONE_UP - a
+        assert (3.0 * a + 3.0 * b) / 3.0 == ONE_UP
+        for l1, l2 in ((a, b), (b, a)):
+            assert not feasible(b1, LambdaParams.of((l1,) * 3, (l2,) * 3))
+    for small in (0.0, 5e-324, 1e-17, 5e-17, 1e-16, 2e-16):  # equal rows with fl(1 + 1e-12): the box rejects them
+        assert not feasible(b1, LambdaParams.of((ONE_UP,) * 3, (small,) * 3))
+        assert not feasible(b1, LambdaParams.of((small,) * 3, (ONE_UP,) * 3))
+    # a coefficient of exactly fl(1 + 1e-12): feasible and the known-family builders reject it, not its lower neighbour
+    for dim in (2, 3):
+        pair = pair_with_overlap(dim, 0.0, 0.5, seed=0)
+        b4 = KnowledgeCase(Regime.B4, dim)
+        for l1 in (0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1 - 1e-12, 1 - 2**-53, 1.0, 1 + 2**-52, below):
+            assert not feasible(b4, LambdaParams.of(l1, ONE_UP), beta=0.0)
+            assert feasible(b4, LambdaParams.of(l1, below), beta=0.0)
+            with pytest.raises(ValueError, match=r"^lam2 components must lie in \[0, 1\], got 1\.000000000001$"):
+                build_for_case(b4, pair, LambdaParams.of(l1, ONE_UP))
+            build_for_case(b4, pair, LambdaParams.of(l1, below))
+        b2, n = KnowledgeCase(Regime.B2, dim), dim - 1
+        assert not feasible(b2, LambdaParams.of((0.5,) * n, (0.5,) * n, (ONE_UP,) * n * n))
+        assert feasible(b2, LambdaParams.of((0.5,) * n, (0.5,) * n, (below,) * n * n))
+        with pytest.raises(ValueError, match=r"^lam3 components must lie in \[0, 1\], got 1\.000000000001$"):
+            build_for_case(b2, pair, LambdaParams.of((0.5,) * n, (0.5,) * n, (ONE_UP,) * n * n))
+
+
 def test_per_index_qutrit_constraints_are_insufficient():
     """Frozen counterexample: the per-index inequalities admit coefficient
     choices that are not measurements.  At equal coefficients 2/3 the
     totally antisymmetric three-register direction gives the inconclusive
     element expectation 1 - 4/3 = -1/3 exactly."""
     lam = LambdaParams.of((2 / 3,) * 3, (2 / 3,) * 3)
-    assert per_index_pair_program_constraints(lam)
+    assert all(pair_program_ok(a, b) for a, b in zip(lam.lam1, lam.lam2))
     assert not feasible(KnowledgeCase(Regime.A1, 3), lam)
     povm = build_unknown_unknown(3, lam)
     omega = np.zeros(27, dtype=complex)
