@@ -17,13 +17,13 @@ Randomness comes from the Philox counter-based generator.  Shots are
 processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
 the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
 run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
-any longer run with the same seed.  ``run`` builds one generator, on
-the key's two uint64 words and a zero counter array rather than an
-entropy-drawing ``SeedSequence``.  A run of more than one batch also
-builds one state dict, ``Philox(key=seed).jumped(0).state`` in Python
-ints, and moves the generator to each later batch's stream by writing
-that dict with the batch's counter; no state is read back.  It sums the
-batches' counts as built-in ints.
+any longer run with the same seed.  Each thread holds one generator,
+made on its first run; a written Philox state defines the generator in
+full, so ``run`` builds one state dict, ``Philox(key=seed).jumped(0).state``
+in Python ints, and places every batch, batch 0 included, by writing
+that dict with the batch's counter; no state is read back, and nothing
+a run leaves in the generator reaches the next.  It sums the batches'
+counts as built-in ints.
 
 ``estimate_surface`` draws everything a surface needs from one
 ``np.random.default_rng(seed)``, in a fixed order: first one Philox key
@@ -54,9 +54,9 @@ the rows do not depend on where the chunks end.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +71,7 @@ BATCH_SHOTS = 1 << 16
 STACK_POINTS = 64  # estimate_surface's chunks: at most this many points
 STACK_CELLS = 1 << 12  # and at most this many complex cells per stacked POVM element
 _PROB_SUM_TOL = 1e-9
+_thread = threading.local()  # holds each thread's sampler (see _sampler)
 
 
 class MeasurementError(NumericalError):
@@ -95,6 +96,8 @@ class SimConfig:
             raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
         if np.shape(self.probs) != (2, 3):
             raise ValueError(f"probs must have shape (2, 3), got {np.shape(self.probs)}")
+        if not 0 <= operator.index(self.seed) < 1 << 128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -201,63 +204,41 @@ def _jump_to(bits: np.random.Philox, state: dict, batch_index: int) -> None:
     bits.state = state
 
 
-@functools.cache
-def _given_state() -> type:
-    """``GivenState(words)``: a seed sequence whose ``generate_state`` returns its uint64 ``words``.
-
-    A generator built on it is bitwise the one built on the sequence
-    whose words these are.  Made on first use: importing
-    ``numpy.random.bit_generator`` loads ``numpy.random``, which
-    ``import unambig.cli`` leaves out.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenState(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if np.dtype(dtype) != np.uint64 or n_words != len(self.words):
-                raise ValueError(f"holds {len(self.words)} uint64 words, not {n_words} {np.dtype(dtype)}")
-            return self.words
-
-    return GivenState
-
-
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default counter; an array skips numpy's int-to-words loop
-
-
 def _key_words(key: int) -> tuple[int, int]:
-    """The Philox key's two 64-bit words, low first, as Python ints; the key must lie in [0, 2^128)."""
-    key = operator.index(key)
-    if not 0 <= key < 1 << 128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {key}")
-    return key & (1 << 64) - 1, key >> 64
+    """The Philox key's two 64-bit words, low first, as Python ints."""
+    high, low = divmod(operator.index(key), 1 << 64)
+    return low, high
 
 
-def _philox(words: tuple[int, int]) -> np.random.Philox:
-    """``Philox(key=key)`` for the key's ``_key_words``: bitwise the same, but it draws no OS entropy."""
-    return np.random.Philox(_given_state()(np.array(words, dtype=np.uint64)), counter=_ZERO_COUNTER)
+def _sampler() -> np.random.Generator:
+    """This thread's one sampling generator, on one Philox, made on first use.
+
+    Its seed is never read: ``run`` writes the state of every batch
+    before drawing.  Made lazily, so ``import unambig.cli`` leaves
+    ``numpy.random`` unloaded.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    return rng
 
 
 def run(config: SimConfig) -> SimReport:
     """Simulate the experiment; deterministic for a fixed seed.
 
-    The seed is the Philox key, in [0, 2^128): batch ``b`` draws from
+    The seed is the Philox key: batch ``b`` draws from
     ``Philox(key=seed).jumped(b)``, in the order ``_run_batch`` fixes.
-    Batch 0 draws from the generator as built; each later batch first
-    writes the run's one ``_jump_state`` dict into it with counter ``b``.
+    Every batch, batch 0 included, first writes the run's one
+    ``_jump_state`` dict with counter ``b`` into this thread's generator.
     """
     probs = config.probs
-    words = _key_words(config.seed)
-    bits = _philox(words)
-    rng = np.random.Generator(bits)
+    rng = _sampler()
+    bits = rng.bit_generator
+    state = _jump_state(_key_words(config.seed))
     n_batches = (config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS
-    state = _jump_state(words) if n_batches > 1 else None
     counts = (0, 0, 0, 0)  # built-in ints, summed batch by batch
     for b in range(n_batches):
-        if b:
-            _jump_to(bits, state, b)
+        _jump_to(bits, state, b)
         n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
         counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.eta1, probs)))
     p_hat = (counts[0] + counts[1]) / config.shots

@@ -464,6 +464,13 @@ def test_simulate_bad_arguments_stay_usage_errors(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", (-1, 2**128))
+def test_simulate_seed_outside_the_key_range_is_named(seed, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.5",
+                             "--seed", str(seed))
+    assert (code, out, err) == (2, "", f"error: seed must lie in [0, 2**128), got {seed}\n")
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random costs about 14 ms to import; the CLI loads it only when it draws
     src = str(Path(__file__).resolve().parent.parent / "src")

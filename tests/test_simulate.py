@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -263,15 +265,8 @@ def _pair_bits(pair):
 
 @pytest.mark.parametrize("seed", _SURFACE_SEEDS)
 def test_philox_on_key_words_draws_as_philox_on_its_key(seed):
-    # Philox built on a key's words draws and ends as Philox(key=key)
-    key = seed % 2**128
-    ours, theirs = sim._philox(sim._key_words(key)), np.random.Philox(key=key)
-    np.testing.assert_equal(ours.state, theirs.state)
-    ours_rng, theirs_rng = np.random.Generator(ours), np.random.Generator(theirs)
-    assert np.array_equal(ours_rng.standard_normal(7), theirs_rng.standard_normal(7))
-    assert np.array_equal(ours_rng.integers(0, 2**63, 5), theirs_rng.integers(0, 2**63, 5))
-    assert ours.random_raw() == theirs.random_raw()
-    np.testing.assert_equal(ours.state, theirs.state)
+    # batch 0 placed by the state on a key's two words draws and ends as Philox(key=key)
+    _assert_jump_lands(seed % 2**128, 0)
 
 
 def test_estimate_surface_rejects_a_bad_seed_before_any_work(monkeypatch):
@@ -304,11 +299,16 @@ def test_estimate_surface_rejects_bad_shots_before_any_work(monkeypatch):
             sim.estimate_surface(case, (0.5,), (0.5,), shots, seed=1)
 
 
-@pytest.mark.parametrize("seed", (-1, 2**128))
+@pytest.mark.parametrize("seed", (-1, 2**128, 1.5))
 def test_run_rejects_seeds_outside_the_philox_key_range(seed):
-    cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=0)
-    with pytest.raises(ValueError, match=r"2\*\*128"):
-        sim.run(dataclasses.replace(cfg, seed=seed))
+    # the config checks its seed when it is made, as it checks the shots and the prior
+    probs = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=0).probs
+    if isinstance(seed, float):
+        with pytest.raises(TypeError):
+            sim.SimConfig(probs, 0.6, 1000, seed)
+    else:
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*128\), got {seed}$"):
+            sim.SimConfig(probs, 0.6, 1000, seed)
 
 
 def test_run_takes_the_largest_philox_key():
@@ -317,45 +317,90 @@ def test_run_takes_the_largest_philox_key():
     assert sim.run(cfg).counts == tuple(list(sim._run_batch(rng, cfg.shots, cfg.eta1, cfg.probs)))
 
 
-@pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
-def test_philox_on_the_zero_counter_is_philox_on_its_key(key):
-    # _philox hands Philox its zero counter as a uint64 array; each generator gets its own copy
-    ours, theirs = sim._philox(sim._key_words(key)), np.random.Philox(key=key)
-    np.testing.assert_equal(ours.state, theirs.state)
-    assert np.array_equal(np.random.Generator(ours).random(9), np.random.Generator(theirs).random(9))
-    np.testing.assert_equal(ours.state, theirs.state)
-    assert not sim._ZERO_COUNTER.any()
-
-
-@pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
-@pytest.mark.parametrize("batch", (1, 2, 2**20))
-def test_jump_writes_the_jumped_state(key, batch):
-    # from a part-used buffer and a held uint32, the jump lands on jumped(batch) in full and draws as it does
-    bits = sim._philox(sim._key_words(key))
-    rng = np.random.Generator(bits)
+def _assert_jump_lands(key, batch):
+    # from this thread's sampler, part-used with a held uint32, the jump lands on Philox(key=key).jumped(batch) in
+    # full (Philox(key=key) itself for batch 0) and draws as it does
+    rng = sim._sampler()
+    bits = rng.bit_generator
+    sim._jump_to(bits, sim._jump_state(sim._key_words(key ^ 1)), 3)  # elsewhere, with an empty buffer
     rng.random(2)
     rng.integers(0, 10, dtype=np.uint32)
     assert 0 < bits.state["buffer_pos"] < 4 and bits.state["has_uint32"] == 1
     sim._jump_to(bits, sim._jump_state(sim._key_words(key)), batch)
-    theirs = np.random.Philox(key=key).jumped(batch)
+    theirs = np.random.Philox(key=key).jumped(batch) if batch else np.random.Philox(key=key)
     np.testing.assert_equal(bits.state, theirs.state)
     theirs_rng = np.random.Generator(theirs)
     assert np.array_equal(rng.random(5), theirs_rng.random(5))
+    assert np.array_equal(rng.standard_normal(7), theirs_rng.standard_normal(7))
+    assert np.array_equal(rng.integers(0, 2**63, 5), theirs_rng.integers(0, 2**63, 5))
     assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32), theirs_rng.integers(0, 2**32, 3, dtype=np.uint32))
     assert bits.random_raw() == theirs.random_raw()
     np.testing.assert_equal(bits.state, theirs.state)
 
 
-def test_run_builds_one_jump_state_and_none_for_one_batch(monkeypatch):
-    built = []
-    real = sim._jump_state
-    monkeypatch.setattr(sim, "_jump_state", lambda words: built.append(words) or real(words))
+@pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
+@pytest.mark.parametrize("batch", (0, 1, 2, 2**20))
+def test_jump_writes_the_jumped_state(key, batch):
+    _assert_jump_lands(key, batch)
+
+
+def test_run_builds_one_jump_state_per_run_and_writes_it_once_per_batch(monkeypatch):
+    built, writes = [], []
+    real_state, real_jump = sim._jump_state, sim._jump_to
+    monkeypatch.setattr(sim, "_jump_state", lambda words: built.append(words) or real_state(words))
+    monkeypatch.setattr(sim, "_jump_to", lambda bits, state, b: writes.append(b) or real_jump(bits, state, b))
     cfg = _config(Regime.A2, 2, 0.4, 0.6, sim.BATCH_SHOTS, seed=8)
     sim.run(cfg)
-    sim.estimate_surface(KnowledgeCase(Regime.B1, 2), (0.0, 0.5), (0.3,), 500, seed=8)
-    assert built == []
+    assert built == [sim._key_words(8)] and writes == [0]
     sim.run(dataclasses.replace(cfg, shots=3 * sim.BATCH_SHOTS + 1))
-    assert built == [sim._key_words(8)]
+    assert built == [sim._key_words(8)] * 2 and writes == [0, 0, 1, 2, 3]
+    built.clear()
+    sim.estimate_surface(KnowledgeCase(Regime.B1, 2), (0.0, 0.5), (0.3,), 500, seed=8)
+    assert len(built) == 2  # one run per point
+
+
+def _leak_configs():
+    one = _config(Regime.A2, 3, 0.4, 0.6, 1000, seed=15)  # one batch
+    many = _config(Regime.B3, 2, 0.7, 0.2, 3 * sim.BATCH_SHOTS + 11, seed=2**128 - 2)  # four, the last part-used
+    return one, many
+
+
+def test_runs_leak_nothing_through_the_thread_sampler():
+    # a run leaves this thread's generator part-used; the next run's report does not depend on it
+    one, many = _leak_configs()
+    for a, b in ((one, many), (many, one)):
+        first = sim.run(a)
+        sim.run(b)
+        assert sim.run(a) == first
+
+
+def test_concurrent_runs_draw_as_sequential_ones():
+    # each thread samples on its own generator, so runs interleaved at every switch report as they do alone
+    one, many = _leak_configs()
+    configs = (one, many, dataclasses.replace(one, seed=16), dataclasses.replace(many, seed=17))
+    expected = [sim.run(config) for config in configs]
+    reports, samplers = [[] for _ in configs], [None] * len(configs)
+    barrier = threading.Barrier(len(configs), timeout=60)
+
+    def work(k):
+        barrier.wait()
+        samplers[k] = sim._sampler()
+        for _ in range(20):
+            reports[k].append(sim.run(configs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [[report] * 20 for report in expected]
+    assert len({id(sampler) for sampler in samplers}) == len(configs)  # one generator per thread
 
 
 def test_counts_are_builtin_ints(monkeypatch):
