@@ -28,7 +28,7 @@ import numpy as np
 from .cases import ALL_REGIMES, KnowledgeCase, Regime
 from .linalg import NumericalError
 from .povm import build_for_case, success_probabilities, validate
-from .states import canonical_pair
+from .states import canonical_pair, grid_points
 from . import optimizer, simulate, strategies
 
 VERIFY_TOL_FACTOR = 2.0  # pass iff |closed - oracle| <= factor * resolution
@@ -128,8 +128,8 @@ def cmd_sweep(args) -> int:
             f"differences: {sorted(strategies.DIFFERENCE_SURFACES)})"
         )
     axis = optimizer._axis_grid(0.0, 1.0, args.grid)
-    eta_grid, beta_grid = np.meshgrid(axis, axis, indexing="ij")  # row order: eta1-major, beta fastest
-    values = [strategies.SURFACES[part](beta_grid, eta_grid).ravel() for part in parts]
+    betas, etas = grid_points(axis, axis)
+    values = [strategies.SURFACES[part](betas, etas) for part in parts]
     labels = list(map(_fmt, axis.tolist()))
     status = 0
     if len(parts) == 2:

@@ -110,13 +110,12 @@ import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
 from .linalg import _first_rows
-from .states import StatePair, pair_with_overlap
+from .states import StatePair, as_points, grid_points, pair_with_overlap
 from . import strategies
 
 ADVERSARY_STEP = 0.01
 _TIE_TOL = 1e-12
 _BLOCK_CELLS = 1 << 16
-_CHECK_CELLS = 1 << 12  # _check_solutions_psd's stacks: at most this many complex cells per element
 
 
 class Block:
@@ -408,7 +407,8 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     The regime enters only through ``_problem_inputs``: the problem takes
     those inputs (scalars, or equal-length 1-d arrays that stack one
     independent problem per entry, ``MaximinProblem.points``); of any other
-    given one it uses only the length.  Each hidden input, one it does not
+    given one it uses only the length, and ``states.as_points`` checks that
+    every given input lies in [0, 1].  Each hidden input, one it does not
     take, is left to the adversary: the adversary is the box vertices of the
     hidden inputs as ``(M, a)`` rows, the tie point the ``ADVERSARY_STEP``
     grid's mean point over them, and with nothing hidden there is neither.
@@ -425,11 +425,10 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
     given = {"beta": beta, "eta1": eta1}
     if any(given[name] is None for name in inputs):
         raise ValueError(f"{case}: problem requires {list(inputs)}")
-    values = [np.asarray(given[name], dtype=float) for name in inputs]
-    shape = np.broadcast_shapes(*(np.shape(v) for v in given.values() if v is not None))
+    betas, etas, _ = as_points(beta, eta1)
     k = _n_params(case)
     # one value per point, shaped to broadcast against a (P, n_0, ..., n_{k-1}, M) block
-    fixed = {name: np.broadcast_to(v, shape).reshape((-1,) + (1,) * (k + 1)) for name, v in zip(inputs, values)}
+    fixed = {name: v.reshape((-1,) + (1,) * (k + 1)) for name, v in (("beta", betas), ("eta1", etas)) if name in inputs}
     at = lambda block: {name: v[block.rows] for name, v in fixed.items()}  # the block's points
     p = _bracket if "beta" in hidden else {  # beta is hidden only from the known/unknown A2/B2 brackets
         Family.UNKNOWN_UNKNOWN: _unknown_unknown_p, Family.KNOWN_UNKNOWN: _known_unknown_p, Family.KNOWN_KNOWN: _known_known_p,
@@ -445,7 +444,7 @@ def case_problem(case: KnowledgeCase, beta=None, eta1=None) -> MaximinProblem:
         adversary=np.array(list(itertools.product((0.0, 1.0), repeat=len(hidden)))) if hidden else None,
         tie_point=np.array([[mean[name] for name in hidden]]) if hidden else None,
         boundary=lambda block: boundary(block.coords[0], at(block).get("beta")),
-        points=math.prod(shape),
+        points=len(betas),
     )
 
 
@@ -465,15 +464,14 @@ def _check_solutions_psd(case: KnowledgeCase, pairs: StatePair, lambda_stars: np
 
     ``pairs`` is a stacked pair, one row per solution.  The P measurements
     are built in stacks of consecutive rows (slices of both), as many as
-    fit ``_CHECK_CELLS`` complex cells per element (a memory cap) and at
-    least one, and validated one by one, in row order, so the first failing
-    row is the one reported; each stacked element is bitwise its lone
-    build.  An empty stack builds nothing.
+    ``povm.stack_rows`` allows, and validated one by one, in row order, so
+    the first failing row is the one reported; each stacked element is
+    bitwise its lone build.  An empty stack builds nothing.
     """
-    from .povm import PovmSet, build_for_case, validate
+    from .povm import PovmSet, build_for_case, stack_rows, validate
 
     lams = strategies.symmetric_lambda(case, lambda_stars)
-    rows = max(1, _CHECK_CELLS // case.register_dim**2)
+    rows = stack_rows(case)
     for start in range(0, len(lams), rows):
         stack = build_for_case(case, pairs[start : start + rows], lams[start : start + rows])
         for elements in zip(*stack.elements):
@@ -495,14 +493,14 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     calls of consecutive rows under a cell cap (one call on the oracle
     workload's grids) and validated one measurement at a time, in order,
     so a failure names the first failing solution; an empty grid builds
-    nothing.  ``betas``/``etas`` override the default square grid;
-    ``perturb`` shifts the closed form (negative-control hook for the
-    CLI's verify command).
+    nothing.  ``betas``/``etas`` override the axes of the default square
+    grid, laid out by ``states.grid_points``, which rejects a value outside
+    [0, 1]; ``perturb`` shifts the closed form (negative-control hook for
+    the CLI's verify command).
     """
-    betas = _axis_grid(0.0, 1.0, grid_step) if betas is None else np.asarray(betas, dtype=float)
-    etas = _axis_grid(0.0, 1.0, grid_step) if etas is None else np.asarray(etas, dtype=float)
-    eta_grid, beta_grid = np.meshgrid(etas, betas, indexing="ij")  # row order: eta1-major, beta fastest
-    points = np.stack([beta_grid.ravel(), eta_grid.ravel()], axis=1)
+    axis = _axis_grid(0.0, 1.0, grid_step)
+    beta_col, eta_col = grid_points(axis if betas is None else betas, axis if etas is None else etas)
+    points = np.stack([beta_col, eta_col], axis=1)
     inputs = _problem_inputs(case)
     # distinct keys in row order: fewer padded cells per stacked solve than sorted keys
     first, solution = _first_rows(points[:, [("beta", "eta1").index(name) for name in inputs]])
@@ -521,7 +519,7 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     overlaps = checks[distinct, 0]
     pairs = pair_with_overlap(case.dim, overlaps, np.full(len(overlaps), 0.5), seed=0)
     _check_solutions_psd(case, pairs[pair_of], checks[:, 1:])
-    closed = (strategies.case_surface(case)(beta_grid, eta_grid) + perturb).ravel()
+    closed = strategies.case_surface(case)(beta_col, eta_col) + perturb
     dev = np.abs(closed - oracle)
     worst = (0.0, (0.0, 0.0))  # the first largest deviation, or the first NaN; none when all are 0
     if dev.size and dev.max() != 0.0:  # != rather than >: a NaN deviation must fail

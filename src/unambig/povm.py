@@ -41,6 +41,7 @@ from .states import PureState, StatePair, _adapted_basis, _qubit_complement, ove
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-9
 FEASIBILITY_SLACK = 1e-12  # every positivity and box inequality reads margin >= -FEASIBILITY_SLACK
+STACK_CELLS = 1 << 12  # a stacked build's memory cap: at most this many complex cells per element
 
 # basis index pairs carrying one antisymmetric state each
 _PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -339,6 +340,11 @@ def build_for_case(case: KnowledgeCase, pair: StatePair, lam: LambdaParams | np.
     if case.family is Family.KNOWN_UNKNOWN:
         return build_known_unknown(pair.psi1, lam)
     return build_known_known(pair.psi1, pair.psi2, lam)
+
+
+def stack_rows(case: KnowledgeCase) -> int:
+    """Measurements of a case per stacked build: as many as fit ``STACK_CELLS`` cells per element, and at least one."""
+    return max(1, STACK_CELLS // case.register_dim**2)
 
 
 def distinct_measurements(case: KnowledgeCase, lams: np.ndarray) -> np.ndarray:

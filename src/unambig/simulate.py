@@ -35,9 +35,9 @@ depends on the grid it sits in.
 ``estimate_surface`` decides the whole grid in one
 ``success_probability`` call, which gives the ``(P, n)`` coefficient
 stack, and walks the grid in row order, in chunks of consecutive points:
-at most ``STACK_POINTS`` points, and at most ``STACK_CELLS`` complex
-cells per stacked POVM element, which bounds the chunk's memory.  The
-cell cap counts the chunk's distinct measurements
+at most ``STACK_POINTS`` points, and at most ``povm.stack_rows``
+measurements, the stacked-build cell cap that bounds the chunk's
+memory.  The cap counts the chunk's distinct measurements
 (``povm.distinct_measurements``): an unknown/unknown POVM reads only its
 coefficients, so points with equal coefficients share one, and every
 other point has its own.  A chunk ends before the first measurement over
@@ -63,13 +63,13 @@ import numpy as np
 
 from .cases import KnowledgeCase
 from .linalg import NumericalError, expectation
-from .povm import COMPLETENESS_TOL, LambdaParams, _lone, build_for_case, distinct_measurements, input_states, validate
-from .states import StatePair, pair_with_overlap
+from .povm import (COMPLETENESS_TOL, LambdaParams, _lone, build_for_case, distinct_measurements, input_states,
+                   stack_rows, validate)
+from .states import StatePair, grid_points, pair_with_overlap
 from . import strategies
 
 BATCH_SHOTS = 1 << 16
 STACK_POINTS = 64  # estimate_surface's chunks: at most this many points
-STACK_CELLS = 1 << 12  # and at most this many complex cells per stacked POVM element
 _PROB_SUM_TOL = 1e-9
 _thread = threading.local()  # holds each thread's sampler (see _sampler)
 
@@ -260,22 +260,23 @@ def estimate_surface(case: KnowledgeCase, beta_grid, eta_grid, shots_per_point: 
     """Empirical success-probability surface under the case-optimal strategy.
 
     The decision sees only what the case allows; the simulated world uses
-    the full (beta, eta1) point.  ``seed``, a non-negative int, seeds the
-    one generator that draws every point's sampler key and then every
-    point's pair (see the module docstring).  ``shots_per_point`` must be
-    an int of at least 1; both are checked before any work.  Points are
-    set up in chunks and sampled one ``run`` call each.
+    the full (beta, eta1) point of ``states.grid_points(beta_grid, eta_grid)``.
+    ``seed``, a non-negative int, seeds the one generator that draws every
+    point's sampler key and then every point's pair (see the module
+    docstring).  ``shots_per_point`` must be an int of at least 1; both are
+    checked before any work.  Points are set up in chunks and sampled one
+    ``run`` call each.
     """
     seed, shots_per_point = operator.index(seed), operator.index(shots_per_point)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point}")
-    points = [(float(beta), float(eta1)) for eta1 in eta_grid for beta in beta_grid]
-    betas, etas = np.array(points, dtype=float).reshape(-1, 2).T
+    betas, etas = grid_points(beta_grid, eta_grid)
+    points = list(zip(betas.tolist(), etas.tolist()))
     decided = strategies.success_probability(case, betas, etas)
     p_analytic = decided.p_analytic.tolist()
-    cap = max(1, STACK_CELLS // case.register_dim**2)  # distinct measurements per chunk
+    cap = stack_rows(case)  # distinct measurements per chunk
     rng = np.random.default_rng(seed)
     keys = rng.integers(2**64, size=len(points), dtype=np.uint64).tolist()  # drawn first: key k is (seed, k)'s
     pairs = pair_with_overlap(case.dim, betas, etas, rng)

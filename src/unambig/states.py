@@ -10,7 +10,8 @@ of ``beta`` and ``eta1``; both run their checks once on the whole stack.
 orthogonalises and phase-fixes all their states as ``(P, d)`` arrays
 into one stacked pair; the adapted qutrit basis and the qubit complement
 work on such arrays too.  A lone input is a stack of one that loses its
-axis.
+axis.  ``as_points`` parses every ``(beta, eta1)`` input of the package,
+and ``grid_points`` lays out every product grid, eta1-major, beta fastest.
 """
 
 from __future__ import annotations
@@ -139,6 +140,31 @@ def _trusted(v1: np.ndarray, v2: np.ndarray, beta, eta1) -> StatePair:
                     beta=beta, eta1=eta1)
 
 
+def as_points(beta, eta1) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both inputs as equal-length 1-d float arrays in [0, 1] (NaN fails), and whether both were scalars.
+
+    A missing input (None) stands in as 0.0 at every point of the other; a float array is not copied."""
+    if beta is None:
+        beta = np.zeros(np.shape(eta1))
+    if eta1 is None:
+        eta1 = np.zeros(np.shape(beta))
+    lone = np.ndim(beta) == np.ndim(eta1) == 0
+    betas, etas = np.atleast_1d(np.asarray(beta, dtype=float)), np.atleast_1d(np.asarray(eta1, dtype=float))
+    if betas.ndim != 1 or betas.shape != etas.shape:
+        raise ValueError(f"beta and eta1 must be scalars or equal-length 1-d arrays, got {betas.shape}, {etas.shape}")
+    for name, given, values in (("beta", beta, betas), ("eta1", eta1, etas)):
+        bad = ~((0.0 <= values) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {given if lone else values[bad.argmax()]}")
+    return betas, etas, lone
+
+
+def grid_points(betas, etas) -> tuple[np.ndarray, np.ndarray]:
+    """The product grid of a beta axis and an eta1 axis as ``as_points`` columns: eta1-major, beta fastest."""
+    eta_grid, beta_grid = np.meshgrid(etas, betas, indexing="ij")
+    return as_points(beta_grid.ravel(), eta_grid.ravel())[:2]
+
+
 def canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
     """Deterministic pair with overlap beta: e0 and beta*e0 + sqrt(1-beta^2)*e1."""
     v1 = np.zeros(dim, dtype=complex)
@@ -209,24 +235,17 @@ def pair_with_overlap(dim: int, beta, eta1, seed) -> StatePair:
     and a Haar-random orthogonal direction.
 
     ``beta`` and ``eta1`` are scalars, or equal-length 1-d arrays of
-    points for one stacked pair.  ``seed`` is one ``default_rng`` seed or
-    a ``Generator`` (used as is), never a sequence.  The points draw from
-    that one generator in order: every psi1 as one ``(P, 2, d)`` normal
-    draw (per row, real parts then imaginary); the directions of the rows
-    with beta < 1 as one such draw, then again for only the rows within
-    1e-6 of psi1; every phase as one ``random(m)``.  A stack of one is
-    the lone call.
+    points for one stacked pair, checked by ``as_points`` before any draw.
+    ``seed`` is one ``default_rng`` seed or a ``Generator`` (used as is),
+    never a sequence.  The points draw from that one generator in order:
+    every psi1 as one ``(P, 2, d)`` normal draw (per row, real parts then
+    imaginary); the directions of the rows with beta < 1 as one such
+    draw, then again for only the rows within 1e-6 of psi1; every phase
+    as one ``random(m)``.  A stack of one is the lone call.
     """
     if isinstance(seed, (Sequence, np.ndarray)):
         raise ValueError("seed must be one seed or Generator, not a sequence: the points share one generator")
-    lone = np.ndim(beta) == 0 and np.ndim(eta1) == 0
-    betas = np.atleast_1d(np.asarray(beta, dtype=float))
-    etas = np.atleast_1d(np.asarray(eta1, dtype=float))
-    if betas.ndim != 1 or etas.shape != betas.shape:
-        raise ValueError("beta and eta1 must be scalars, or equal-length 1-d arrays")
-    index = _first_failure(~((0.0 <= betas) & (betas <= 1.0)))
-    if index is not None:
-        raise ValueError(f"beta must lie in [0, 1], got {betas[index]}")
+    betas, etas, lone = as_points(beta, eta1)
     rng = np.random.default_rng(seed)  # a Generator is used as is
     psi1 = _haar_rows(rng, len(betas), dim)
     psi2 = psi1.copy()  # kept by the rows with beta = 1

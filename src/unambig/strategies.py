@@ -42,6 +42,7 @@ import numpy as np
 
 from .cases import Family, KnowledgeCase, Regime
 from .povm import FEASIBILITY_SLACK, LambdaParams, _lambda_of, _layout
+from .states import as_points
 
 SQRT5 = math.sqrt(5.0)
 SQRT_HALF = math.sqrt(0.5)
@@ -217,17 +218,6 @@ def _b3_decision(beta):
 
 B2_LAM = (3.0 - SQRT5, 0.5 * (3.0 - SQRT5), 1.0)
 
-_DECISIONS = {
-    Regime.A1: _a1_decision, Regime.A2: _a2_decision, Regime.A3: _a3_decision, Regime.A4: _a4_decision,
-    Regime.B1: lambda: (2.0 / 3.0, 2.0 / 3.0, "equalizer"), Regime.B2: lambda: (*B2_LAM, "equalizer"),
-    Regime.B3: _b3_decision, Regime.B4: lambda beta: (1.0 / (1.0 + beta),) * 2 + ("equalizer",),
-}
-# the corrected qutrit region lam1 + lam2 <= 1 changes A1 and B1: A1's linear objective has a corner optimum
-_QUTRIT_DECISIONS = {
-    Regime.A1: lambda eta1: _branches([eta1 <= 0.5], (0.0, 1.0, "eta1<=1/2"), (1.0, 0.0, "eta1>1/2")),
-    Regime.B1: lambda: (0.5, 0.5, "equalizer"),
-}
-
 
 # ---------------------------------------------------------------------------
 # success-probability surfaces (dim 2 closed forms)
@@ -327,31 +317,30 @@ DIFFERENCE_SURFACES = {
     "p_1plus_to_2": ("p2_opt", "p1plus_opt"),
 }
 
-CASE_SURFACE = {
-    Regime.A1: "p0_opt",
-    Regime.A2: "p1_wbeta",
-    Regime.A3: "p1plus_opt",
-    Regime.A4: "p2_opt",
-    Regime.B1: "p0_weta",
-    Regime.B2: "p1_wbetaeta",
-    Regime.B3: "p1plus_weta",
-    Regime.B4: "p2_weta",
+# (regime, dim) -> (decision, surface name): by name, so case_surface returns what the module binds to it.
+# The qutrit A1 and B1 entries hold the corrected region lam1 + lam2 <= 1, where A1's optimum is a corner.
+CASES = {(regime, dim): entry for regime, entry in {
+    Regime.A1: (_a1_decision, "p0_opt"),
+    Regime.A2: (_a2_decision, "p1_wbeta"),
+    Regime.A3: (_a3_decision, "p1plus_opt"),
+    Regime.A4: (_a4_decision, "p2_opt"),
+    Regime.B1: (lambda: (2.0 / 3.0, 2.0 / 3.0, "equalizer"), "p0_weta"),
+    Regime.B2: (lambda: (*B2_LAM, "equalizer"), "p1_wbetaeta"),
+    Regime.B3: (_b3_decision, "p1plus_weta"),
+    Regime.B4: (lambda beta: (1.0 / (1.0 + beta),) * 2 + ("equalizer",), "p2_weta"),
+}.items() for dim in (2, 3)} | {
+    (Regime.A1, 3): (lambda eta1: _branches([eta1 <= 0.5], (0.0, 1.0, "eta1<=1/2"), (1.0, 0.0, "eta1>1/2")),
+                     "p0_opt_qutrit"),
+    (Regime.B1, 3): (lambda: (0.5, 0.5, "equalizer"), "p0_weta_qutrit"),
 }
 
 
 def case_surface(case: KnowledgeCase):
-    """The closed-form surface of a case's optimal strategy, ``f(beta, eta1)``.
+    """The closed-form surface ``f(beta, eta1)`` of a case's ``CASES`` entry.
 
-    The qutrit unknown/unknown surfaces are the corrected ones; the other
-    qutrit families reduce to the qubit expressions.  B3's surface is its
-    guaranteed worst case; its realized value is ``p1plus_actual``.
+    B3's is its guaranteed worst case; its realized value is ``p1plus_actual``.
     """
-    r = case.regime
-    if case.dim == 3 and r is Regime.A1:
-        return p0_opt_qutrit
-    if case.dim == 3 and r is Regime.B1:
-        return p0_weta_qutrit
-    return SURFACES[CASE_SURFACE[r]]
+    return globals()[CASES[case.regime, case.dim][1]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +359,9 @@ def symmetric_lambda(case: KnowledgeCase, coeffs) -> LambdaParams | np.ndarray:
     return _lambda_of(case, lam) if lam.ndim == 1 else lam
 
 
-def _points(beta, eta1) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Both inputs as equal-length 1-d float arrays with entries in [0, 1], and whether both were scalars."""
-    lone = np.ndim(beta) == np.ndim(eta1) == 0
-    betas, etas = np.array(beta, dtype=float, ndmin=1), np.array(eta1, dtype=float, ndmin=1)
-    if betas.ndim != 1 or betas.shape != etas.shape:
-        raise ValueError(f"beta and eta1 must be scalars or equal-length 1-d arrays, got {betas.shape}, {etas.shape}")
-    for name, given, values in (("beta", beta, betas), ("eta1", eta1, etas)):
-        bad = ~((0.0 <= values) & (values <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name} must lie in [0, 1], got {given if lone else values[bad.argmax()]}")
-    return betas, etas, lone
-
-
 def _decisions(case: KnowledgeCase, betas: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(P, k)`` block values and ``(P,)`` branches of the case's decision, from the inputs its regime knows."""
-    decide = (case.dim == 3 and _QUTRIT_DECISIONS.get(case.regime)) or _DECISIONS[case.regime]
+    decide, _ = CASES[case.regime, case.dim]
     known = [x for x, knows in ((betas, case.regime.knows_beta), (etas, case.regime.knows_eta1)) if knows]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the branches not taken
         *blocks, branch = decide(*known)
@@ -407,8 +383,7 @@ def optimal_lambda(case: KnowledgeCase, beta: float | None = None, eta1: float |
         parts = [f"{label}: {', '.join(sorted(names))}" for label, names in
                  (("missing required input(s)", needs - given), ("case must not receive", given - needs)) if names]
         raise ValueError(f"{case}: " + "; ".join(parts))
-    # the decision reads only the inputs checked above; 0.0 stands in for the others
-    betas, etas, lone = _points(0.0 if beta is None else beta, 0.0 if eta1 is None else eta1)
+    betas, etas, lone = as_points(beta, eta1)  # the decision reads only the inputs checked above
     blocks, _ = _decisions(case, betas, etas)
     return symmetric_lambda(case, blocks[0] if lone else blocks)
 
@@ -426,7 +401,7 @@ def success_probability(case: KnowledgeCase, beta, eta1) -> StrategyResult:
     the ``(P, n)`` coefficient stack, and ``(P,)`` for the others.  A lone
     point is a stack of one that loses its axis, bitwise equal to its row.
     """
-    betas, etas, lone = _points(beta, eta1)
+    betas, etas, lone = as_points(beta, eta1)
     blocks, branch = _decisions(case, betas, etas)
     r = case.regime
     surface = case_surface(case)(betas, etas)

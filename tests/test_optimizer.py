@@ -320,7 +320,7 @@ def test_capped_solution_checks_keep_row_order_and_elements(k, monkeypatch):
     monkeypatch.setattr(povm, "validate", record_validate)
     opt.verify_case(case, **grid)
     one_stack, builds[:], validated[:] = validated[:], [], []
-    monkeypatch.setattr(opt, "_CHECK_CELLS", 3 * case.register_dim**2 - 1)
+    monkeypatch.setattr(povm, "STACK_CELLS", 3 * case.register_dim**2 - 1)
     opt.verify_case(case, **grid)
     assert builds == [2, 1] and validated == one_stack
 
@@ -395,6 +395,14 @@ def test_stacked_solves_match_single_points(regime, dim, monkeypatch):
             assert any(len(span) > 1 and (span == full).any() and (span < full).any() for span in spans)
     # a stack of no points is solved, to no results
     assert opt.solve_maximin(opt.case_problem(case, beta=[], eta1=[])) == []
+
+
+def test_a_missing_input_stands_in_at_every_point():
+    # B4 is posed at beta alone: a stack of betas without eta1 solves as the per-point scalar calls
+    case = KnowledgeCase(Regime.B4, 2)
+    betas = np.array([0.0, 0.3, 0.75, 1.0])
+    single = _fields([opt.solve_maximin(opt.case_problem(case, beta=b))[0] for b in betas.tolist()])
+    assert _fields(opt.solve_maximin(opt.case_problem(case, beta=betas))) == single
 
 
 @pytest.mark.parametrize("regime", (Regime.A1, Regime.A3, Regime.A4), ids=lambda r: r.value)

@@ -508,7 +508,7 @@ def test_estimate_surface_runs_each_point_once_in_row_order(monkeypatch):
 
     monkeypatch.setattr(sim, "run", recording_run)
     drawn = _drawn_pairs(monkeypatch)
-    monkeypatch.setattr(sim, "STACK_CELLS", 3 * 9**2)  # A2/dim3 in chunks of 3 points
+    monkeypatch.setattr(povm, "STACK_CELLS", 3 * 9**2)  # A2/dim3 in chunks of 3 points
     betas, etas = (0.1, 0.5, 0.9, 0.3), (0.2, 0.7)
     case = KnowledgeCase(Regime.A2, 3)
     rows = sim.estimate_surface(case, betas, etas, 1000, seed=15)
@@ -644,9 +644,9 @@ _GOLDEN_ROWS_ACROSS_CHUNKS = {
 def test_estimate_surface_rows_golden_across_chunks(regime, monkeypatch):
     # every draw precedes the first chunk, so the rows do not depend on where the chunks end
     etas = tuple(k / 20 for k in range(21))
-    for points, cells in ((sim.STACK_POINTS, sim.STACK_CELLS), (5, sim.STACK_CELLS), (64, 27**2)):
+    for points, cells in ((sim.STACK_POINTS, povm.STACK_CELLS), (5, povm.STACK_CELLS), (64, 27**2)):
         monkeypatch.setattr(sim, "STACK_POINTS", points)
-        monkeypatch.setattr(sim, "STACK_CELLS", cells)
+        monkeypatch.setattr(povm, "STACK_CELLS", cells)
         rows = sim.estimate_surface(KnowledgeCase(Regime(regime), 3), (0.0, 0.3, 0.6, 0.9), etas, 2000, 2025)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == _GOLDEN_ROWS_ACROSS_CHUNKS[regime]
 
@@ -696,11 +696,11 @@ def test_distinct_measurements_keep_each_chunk_within_the_cell_cap(monkeypatch):
     stacks, chunks = _record_validated(monkeypatch)
     etas = tuple(k / 63 for k in range(64))
     rows = sim.estimate_surface(KnowledgeCase(Regime.A1, 3), (0.2, 0.7), etas, 100, seed=18)
-    cap = sim.STACK_CELLS // 27**2
+    cap = povm.STACK_CELLS // 27**2
     assert len(rows) == sum(chunks) == 128 and all(row.p_hat >= 0.0 for row in rows)
     assert [len(s.pi1) for s in stacks] == [cap] * (64 // cap) + [64 % cap]
     assert chunks == [2 * len(s.pi1) for s in stacks]
-    assert all(s.pi1.size <= sim.STACK_CELLS for s in stacks)
+    assert all(s.pi1.size <= povm.STACK_CELLS for s in stacks)
 
 
 def test_shared_measurement_failures_name_its_first_point(monkeypatch):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from unambig import states
+from unambig import optimizer as opt, simulate as sim, states, strategies as st
+from unambig.cases import KnowledgeCase, Regime
 from unambig.linalg import NumericalError, fix_global_phase
 from unambig.states import PureState, StatePair, overlap, pair_with_overlap
 
@@ -311,6 +312,38 @@ def test_only_the_rejected_direction_is_redrawn():
     assert all([draw.shape for draw in stub.draws] == [(4, 2, 3), (3, 2, 3), (1, 2, 3)] for stub in stubs)
     assert np.array_equal(stacked.psi2.vec, reference[1])
     assert np.all(np.abs(overlap(stacked.psi1, stacked.psi2) - betas) <= 1e-12)
+
+
+# every route that takes (beta, eta1) points, called at one point
+_ENTRY_POINTS = {
+    "success_probability": lambda b, e: st.success_probability(KnowledgeCase(Regime.A3, 2), b, e),
+    "optimal_lambda": lambda b, e: st.optimal_lambda(KnowledgeCase(Regime.A3, 2), beta=b, eta1=e),
+    "pair_with_overlap": lambda b, e: pair_with_overlap(2, b, e, seed=0),
+    **{f"case_problem_{r.value}": lambda b, e, r=r: opt.case_problem(KnowledgeCase(r, 2), beta=b, eta1=e)
+       for r in (Regime.A3, Regime.A4, Regime.B4)},
+    "verify_case": lambda b, e: opt.verify_case(KnowledgeCase(Regime.A3, 2), betas=[b], etas=[e]),
+    "estimate_surface": lambda b, e: sim.estimate_surface(KnowledgeCase(Regime.A3, 2), [b], [e], 10, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("name, beta, eta1", [("beta", 1.5, 0.5), ("beta", -0.5, 0.5), ("beta", float("nan"), 0.5),
+                                              ("eta1", 0.5, 1.5), ("eta1", 0.5, float("nan"))])
+def test_every_entry_point_rejects_points_outside_the_unit_square(entry, name, beta, eta1):
+    bad = beta if name == "beta" else eta1
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {re.escape(str(bad))}$"):
+        _ENTRY_POINTS[entry](beta, eta1)
+
+
+def test_an_uneven_grid_is_laid_out_eta1_major_with_beta_fastest():
+    betas, etas = (0.1, 0.55, 0.9), (0.0, 0.3, 0.7, 1.0)
+    expected = np.array([(b, e) for e in etas for b in betas]).tobytes()
+    assert np.column_stack(states.grid_points(betas, etas)).tobytes() == expected
+    case = KnowledgeCase(Regime.A3, 2)
+    report = opt.verify_case(case, betas=betas, etas=etas)
+    assert np.array([row[:2] for row in report.rows]).tobytes() == expected
+    rows = sim.estimate_surface(case, betas, etas, 100, seed=3)
+    assert np.array([(row.beta, row.eta1) for row in rows]).tobytes() == expected
 
 
 def test_stacked_pair_inputs_must_match():
