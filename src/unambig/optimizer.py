@@ -190,8 +190,10 @@ class SolveResult:
 
 
 def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(1, int(round((hi - lo) / step))) + 1
-    return np.linspace(lo, hi, n)
+    n = round((hi - lo) / step)
+    if abs(n * step - (hi - lo)) > 1e-9:
+        raise ValueError(f"grid step must divide [{lo:g}, {hi:g}] into whole steps, got {step}")
+    return np.linspace(lo, hi, max(1, n) + 1)
 
 
 def _axes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -468,18 +470,17 @@ def _check_solutions_psd(case: KnowledgeCase, pairs: StatePair, lambda_stars: np
     the first failing row is the one reported; each stacked element is
     bitwise its lone build.  An empty stack builds nothing.
     """
-    from .povm import PovmSet, build_for_case, stack_rows, validate
+    from .povm import MeasurementError, PovmSet, build_for_case, stack_rows, validate
 
     lams = strategies.symmetric_lambda(case, lambda_stars)
     rows = stack_rows(case)
     for start in range(0, len(lams), rows):
         stack = build_for_case(case, pairs[start : start + rows], lams[start : start + rows])
         for elements in zip(*stack.elements):
-            report = validate(PovmSet(*elements))
-            if not all(report.psd_ok):
-                raise AssertionError(
-                    f"oracle solution for {case} is not a measurement: min eigenvalues {report.min_eigenvalues}"
-                )
+            try:
+                validate(PovmSet(*elements)).check()
+            except MeasurementError as exc:
+                raise MeasurementError(f"oracle solution for {case}: {exc}") from exc
 
 
 def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float = 1e-3,

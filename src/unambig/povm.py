@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import Family, KnowledgeCase
-from .linalg import _first_rows, eigvals_hermitian, expectation, kron, orthonormal_completion, projector
+from .linalg import (NumericalError, _first_failure, _first_rows, eigvals_hermitian, expectation, kron,
+                     orthonormal_completion, projector)
 from .states import PureState, StatePair, _adapted_basis, _qubit_complement, overlap
 
 COMPLETENESS_TOL = 1e-10
@@ -168,6 +169,10 @@ class PovmSet:
         return self.pi1, self.pi2, self.pi0
 
 
+class MeasurementError(NumericalError):
+    """The assembled POVM is not a measurement: a numerical failure, not bad input."""
+
+
 @dataclass(frozen=True)
 class PovmReport:
     """One value per element (and one residual); ``(P,)`` arrays for a stack of P POVMs."""
@@ -176,9 +181,20 @@ class PovmReport:
     min_eigenvalues: tuple[float, float, float]
     completeness_residual: float
 
-    @property
-    def all_ok(self) -> bool:
-        return bool(np.all(self.psd_ok) and np.all(self.completeness_residual <= COMPLETENESS_TOL))
+    def check(self) -> "PovmReport":
+        """This report, if every POVM has PSD elements and a residual at most ``COMPLETENESS_TOL`` (NaN fails).
+
+        Otherwise raises ``MeasurementError`` indexed by the first failing POVM in stack order (``()`` for a lone
+        one), naming the test it fails, positivity before completeness."""
+        psd = np.asarray(self.psd_ok)
+        residual = np.asarray(self.completeness_residual)
+        index = _first_failure(~(psd.all(axis=0) & (residual <= COMPLETENESS_TOL)))
+        if index is None:
+            return self
+        if not psd[(slice(None),) + index].all():
+            mins = tuple(float(np.asarray(m)[index]) for m in self.min_eigenvalues)
+            raise MeasurementError(f"POVM is not positive semidefinite: min eigenvalues {mins}", index)
+        raise MeasurementError(f"POVM completeness residual {residual[index]:.3e}", index)
 
 
 def antisymmetric_state(u: np.ndarray, v: np.ndarray) -> np.ndarray:

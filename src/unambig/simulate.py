@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import KnowledgeCase
-from .linalg import NumericalError, expectation
-from .povm import (COMPLETENESS_TOL, LambdaParams, _lone, build_for_case, distinct_measurements, input_states,
+from .linalg import NumericalError, _first_failure, expectation
+from .povm import (LambdaParams, MeasurementError, _lone, build_for_case, distinct_measurements, input_states,
                    stack_rows, validate)
 from .states import StatePair, grid_points, pair_with_overlap
 from . import strategies
@@ -72,10 +72,6 @@ BATCH_SHOTS = 1 << 16
 STACK_POINTS = 64  # estimate_surface's chunks: at most this many points
 _PROB_SUM_TOL = 1e-9
 _thread = threading.local()  # holds each thread's sampler (see _sampler)
-
-
-class MeasurementError(NumericalError):
-    """The assembled POVM is not a measurement: a numerical failure, not bad input."""
 
 
 @dataclass(frozen=True, eq=False)  # holds an array: compared by identity
@@ -117,8 +113,8 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     For a stacked pair of P rows and a ``(P, n)`` coefficient stack the
     result is ``(P, 2, 3)``, from one stacked build and validation of the
     stack's distinct measurements (``povm.distinct_measurements``) and one
-    Born-rule pass.  A failed check names the first point, in stack
-    order, that uses a failing measurement.
+    Born-rule pass.  A failed check, ``PovmReport.check`` among them, names
+    the first point, in stack order, that uses a failing measurement.
     """
     lone = _lone(lam, pair.psi1)
     inverse = np.zeros(1, dtype=int) if lone else distinct_measurements(case, lam)
@@ -139,7 +135,7 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     else:
         povm = build_for_case(case, pair[point[:, 0]], lam[point[:, 0]])
     try:
-        report = validate(povm)
+        validate(povm).check()
         ins = np.stack(input_states(case, pair), axis=-2)  # (P, 2, n), or (2, n) for a lone pair
         grouped = np.zeros(point.shape + ins.shape[-2:], dtype=complex)  # zero states pad the slots
         grouped[inverse, slot] = ins
@@ -150,29 +146,15 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
         if not (lone or exc.index):
             raise
         where = tuple(exc.index or ())
-        # validate locates a measurement (its first point is in slot 0); the Born rule, a (measurement, slot, input)
+        # validate and check name a measurement (first point in slot 0); the Born rule, a (measurement, slot, input)
         k = int(point[where[0], where[1] if len(where) > 2 else 0]) if where else 0
         index = (k,) + where[2:]
         raise type(exc)(f"{exc} {at(k)}", index[1:] if lone else index) from exc
-    probs = probs[inverse, slot]
-    mins = np.reshape(report.min_eigenvalues, (3, -1))[:, inverse]  # (element, point)
-    bad = ~np.reshape(report.psd_ok, (3, -1))[:, inverse].all(axis=0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MeasurementError(
-            f"POVM is not positive semidefinite {at(k)}: min eigenvalues {tuple(mins[:, k].tolist())}"
-        )
-    residual = np.reshape(report.completeness_residual, -1)[inverse]
-    bad = ~(residual <= COMPLETENESS_TOL)  # NaN fails; the bound of PovmReport.all_ok
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MeasurementError(f"POVM completeness residual {residual[k]:.3e} {at(k)}")
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(probs[inverse, slot], 0.0, None)
     sums = probs.sum(axis=-1)
-    bad = ~(np.abs(sums - 1.0) <= _PROB_SUM_TOL).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise MeasurementError(f"outcome probabilities sum to {sums[k]} {at(k)}, expected 1")
+    index = _first_failure(~(np.abs(sums - 1.0) <= _PROB_SUM_TOL).all(axis=1))
+    if index is not None:
+        raise MeasurementError(f"outcome probabilities sum to {sums[index]} {at(*index)}, expected 1")
     probs = probs / sums[..., None]
     return probs[0] if lone else probs
 

@@ -167,6 +167,7 @@ def grid_points(betas, etas) -> tuple[np.ndarray, np.ndarray]:
 
 def canonical_pair(dim: int, beta: float, eta1: float) -> StatePair:
     """Deterministic pair with overlap beta: e0 and beta*e0 + sqrt(1-beta^2)*e1."""
+    as_points(beta, eta1)
     v1 = np.zeros(dim, dtype=complex)
     v1[0] = 1.0
     v2 = np.zeros(dim, dtype=complex)

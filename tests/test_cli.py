@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unambig import linalg, optimizer, povm, simulate, states, strategies as st
+from unambig import cli, linalg, optimizer, povm, simulate, states, strategies as st
 from unambig.cli import main
 
 
@@ -368,7 +368,7 @@ def test_grid_step_that_does_not_divide_the_box_is_a_usage_error(command, grid, 
     # the axes hold round(1/step) + 1 points, so such a step would be replaced by 1/round(1/step) unannounced
     code, out, err = run_cli(capsys, *command, "--grid", grid)
     assert code == 2 and out == ""
-    assert err == f"error: --grid step must divide [0, 1] into whole steps, got {float(grid)}\n"
+    assert err == f"error: grid step must divide [0, 1] into whole steps, got {float(grid)}\n"
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys):
@@ -381,18 +381,37 @@ def test_internal_check_failure_exits_3(monkeypatch, capsys):
     assert err == "internal error: oracle solution is not a measurement\n"
 
 
-def test_failed_measurement_check_exits_3(monkeypatch, capsys):
-    real = povm.validate
-
-    def negative_eigenvalue(povm_set):
+def _negative_pi0_eigenvalue(real):
+    """``real`` (a ``validate``) with pi0's least eigenvalue reported as -0.25."""
+    def validate(povm_set):
         report = real(povm_set)
         return dataclasses.replace(report, psd_ok=report.psd_ok[:2] + (False,),
                                    min_eigenvalues=report.min_eigenvalues[:2] + (-0.25,))
 
-    monkeypatch.setattr(povm, "validate", negative_eigenvalue)
+    return validate
+
+
+def test_failed_measurement_check_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(povm, "validate", _negative_pi0_eigenvalue(povm.validate))
     code, out, err = run_cli(capsys, "verify", "--case", "a4", "--dim", "3", "--grid", "0.5")
     assert code == 3 and out == ""
-    assert err.startswith("internal error: oracle solution for a4/dim3 is not a measurement: min eigenvalues (")
+    assert err.startswith("internal error: oracle solution for a4/dim3: POVM is not positive semidefinite: min eigenvalues (")
+    assert err.endswith(", -0.25)\n")
+
+
+def test_verify_completeness_failure_exits_3(monkeypatch, capsys):
+    real = povm.validate
+    monkeypatch.setattr(povm, "validate", lambda povm_set: dataclasses.replace(real(povm_set), completeness_residual=1e-3))
+    code, out, err = run_cli(capsys, "verify", "--case", "a4", "--dim", "3", "--grid", "0.5")
+    assert code == 3 and out == ""
+    assert err == "internal error: oracle solution for a4/dim3: POVM completeness residual 1.000e-03\n"
+
+
+def test_solve_measurement_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate", _negative_pi0_eigenvalue(cli.validate))
+    code, out, err = run_cli(capsys, "solve", "--case", "a4", "--dim", "2", "--beta", "0.3", "--eta1", "0.4")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: POVM is not positive semidefinite: min eigenvalues (")
     assert err.endswith(", -0.25)\n")
 
 

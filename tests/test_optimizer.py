@@ -292,11 +292,11 @@ def test_failed_solution_check_names_the_first_failing_solution(k, monkeypatch):
                                    min_eigenvalues=reports[i].min_eigenvalues[:2] + (-1.0 - i,))
 
     monkeypatch.setattr(povm, "validate", fail_from_k)
-    with pytest.raises(AssertionError) as info:
+    with pytest.raises(povm.MeasurementError) as info:
         opt.verify_case(case, betas=(0.0, 0.4, 0.8), etas=(0.5,))
     assert len(reports) == k + 1  # validation stops at the first failing solution
     expected = reports[k].min_eigenvalues[:2] + (-1.0 - k,)
-    assert str(info.value) == f"oracle solution for {case} is not a measurement: min eigenvalues {expected}"
+    assert str(info.value) == f"oracle solution for {case}: POVM is not positive semidefinite: min eigenvalues {expected}"
 
 
 @pytest.mark.parametrize("k", (0, 1, 2))
@@ -334,7 +334,7 @@ def test_capped_solution_checks_keep_row_order_and_elements(k, monkeypatch):
 
     builds[:], validated[:] = [], []
     monkeypatch.setattr(povm, "validate", fail_from_k)
-    with pytest.raises(AssertionError, match=rf"min eigenvalues \(.*, {-1.0 - k}\)$"):
+    with pytest.raises(povm.MeasurementError, match=rf"min eigenvalues \(.*, {-1.0 - k}\)$"):
         opt.verify_case(case, **grid)
     assert len(validated) == k + 1 and builds == [2, 1][: 1 + k // 2]
 
@@ -537,6 +537,12 @@ def test_verify_b4_over_overlap():
     assert rep.max_deviation <= 2e-3
     for beta, _, closed, _ in rep.rows:
         assert closed == pytest.approx(1.0 - beta, abs=1e-12)
+
+
+def test_a_grid_step_that_does_not_divide_the_box_is_rejected():
+    # else the axis would hold 1/round(1/step) steps: betas 0, 1/3, 2/3 and 1 for a step of 0.3
+    with pytest.raises(ValueError, match=r"^grid step must divide \[0, 1\] into whole steps, got 0\.3$"):
+        opt.verify_case(KnowledgeCase(Regime.A1, 2), grid_step=0.3)
 
 
 def test_verify_worst_point_is_the_first_largest_deviation():

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as hs
 from unambig.cases import Family, KnowledgeCase, Regime
 from unambig.linalg import NumericalError, expectation, kron, orthonormal_completion
 from unambig.povm import (
+    COMPLETENESS_TOL,
     FEASIBILITY_SLACK,
     PSD_TOL,
     LambdaParams,
+    MeasurementError,
+    PovmReport,
     PovmSet,
     build_for_case,
     build_known_known,
@@ -64,7 +67,7 @@ def test_zero_coefficients_give_identity_inconclusive():
         povm = build_unknown_unknown(dim, LambdaParams.of((0.0,) * n, (0.0,) * n))
         assert np.allclose(povm.pi1, 0) and np.allclose(povm.pi2, 0)
         assert np.allclose(povm.pi0, np.eye(dim**3))
-        assert validate(povm).all_ok
+        validate(povm).check()
 
 
 def test_qubit_pair_program_boundary_and_violation():
@@ -207,7 +210,7 @@ def test_validate_reports():
     report = validate(bad)
     assert not report.psd_ok[2] and report.psd_ok[0] and report.psd_ok[1]
     good = build_for_case(case, pair, LambdaParams.of(3 - np.sqrt(5), (3 - np.sqrt(5)) / 2, 1.0))
-    assert validate(good).all_ok
+    validate(good).check()
 
 
 def test_validate_rejects_nan_elements():
@@ -215,6 +218,64 @@ def test_validate_rejects_nan_elements():
     pi = np.full((2, 2), np.nan)
     with pytest.raises(NumericalError, match="not Hermitian"):
         validate(PovmSet(np.eye(2), pi, np.eye(2) - pi))
+
+
+def _planted_report(rng, rows):
+    """A report as ``validate`` makes one, lone (``rows == 0``) or of ``rows`` POVMs, with failures planted at random.
+
+    Each row draws an eigenvalue plant (none, one exactly at ``-PSD_TOL``, one just or far below it) and a residual
+    plant (small, exactly ``COMPLETENESS_TOL``, just or far above it, NaN); also the first failing row, or None."""
+    n = max(rows, 1)
+    mins = rng.uniform(0.0, 0.5, (3, n))
+    residual = rng.uniform(0.0, COMPLETENESS_TOL, n)
+    below = (None, -PSD_TOL, np.nextafter(-PSD_TOL, -1.0), -0.25)
+    above = (None, COMPLETENESS_TOL, np.nextafter(COMPLETENESS_TOL, 1.0), 1e-3, np.nan)
+    for row in range(n):  # most rows pass, so a stack's first failure often comes late
+        eig = below[rng.choice(len(below), p=(0.6, 0.1, 0.15, 0.15))]
+        res = above[rng.choice(len(above), p=(0.6, 0.1, 0.1, 0.1, 0.1))]
+        if eig is not None:
+            mins[rng.integers(3), row] = eig
+        if res is not None:
+            residual[row] = res
+    psd_ok = mins >= -PSD_TOL
+    bad = ~(psd_ok.all(axis=0) & (residual <= COMPLETENESS_TOL))
+    first = int(np.argmax(bad)) if bad.any() else None
+    if rows == 0:
+        report = PovmReport(tuple(psd_ok[:, 0].tolist()), tuple(mins[:, 0].tolist()), float(residual[0]))
+    else:
+        report = PovmReport(tuple(psd_ok), tuple(mins), residual)
+    return report, mins, residual, first
+
+
+@pytest.mark.parametrize("seed", range(84))
+def test_check_raises_exactly_at_the_first_failing_povm(seed):
+    rng = np.random.default_rng(seed)
+    rows = seed % 7  # 0: a lone report; else a stack of 1 to 6 POVMs
+    report, mins, residual, first = _planted_report(rng, rows)
+    if first is None:
+        assert report.check() is report
+        return
+    with pytest.raises(MeasurementError) as err:
+        report.check()
+    assert err.value.index == ((first,) if rows else ())
+    if (mins[:, first] >= -PSD_TOL).all():
+        assert str(err.value) == f"POVM completeness residual {residual[first]:.3e}"
+    else:
+        assert str(err.value) == f"POVM is not positive semidefinite: min eigenvalues {tuple(mins[:, first].tolist())}"
+
+
+def test_check_passes_a_least_eigenvalue_exactly_at_the_tolerance():
+    # diagonal elements: eigvalsh returns the diagonal exactly, so pi0's least eigenvalue is the planted one
+    def povm_with_least(e):
+        return np.diag([1.0 - e, 0.0]), np.zeros((2, 2)), np.diag([e, 1.0])
+
+    lone = validate(PovmSet(*povm_with_least(-PSD_TOL)))
+    assert lone.min_eigenvalues[2] == -PSD_TOL and lone.check() is lone
+    below = np.nextafter(-PSD_TOL, -1.0)
+    stack = PovmSet(*map(np.stack, zip(povm_with_least(-PSD_TOL), povm_with_least(below))))
+    with pytest.raises(MeasurementError, match=r"^POVM is not positive semidefinite: min eigenvalues") as err:
+        validate(stack).check()
+    assert err.value.index == (1,)
 
 
 @pytest.mark.parametrize("regime", [Regime.A1, Regime.A2, Regime.A4])  # one per family

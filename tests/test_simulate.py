@@ -10,7 +10,7 @@ from scipy import stats
 
 from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig.linalg import NumericalError
-from unambig.povm import LambdaParams, PovmSet, build_for_case, input_states, validate
+from unambig.povm import PSD_TOL, LambdaParams, PovmSet, build_for_case, input_states, validate
 from unambig import povm
 from unambig import simulate as sim
 from unambig import strategies as st
@@ -580,7 +580,7 @@ def test_stacked_failure_names_first_failing_point(monkeypatch):
     mins = validate(povm.build_unknown_unknown(2, LambdaParams.of(1.0, 1.0))).min_eigenvalues
     with pytest.raises(sim.MeasurementError) as err:
         sim.estimate_surface(KnowledgeCase(Regime.A1, 2), (0.0, 0.25, 0.5, 0.75), (0.2, 0.6), 1000, seed=16)
-    assert str(err.value) == f"POVM is not positive semidefinite at (beta, eta1) = (0.5, 0.2): min eigenvalues {mins}"
+    assert str(err.value) == f"POVM is not positive semidefinite: min eigenvalues {mins} at (beta, eta1) = (0.5, 0.2)"
 
 
 def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
@@ -611,6 +611,28 @@ def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
     with pytest.raises(NumericalError, match=r"^matrix is not Hermitian .* at \(beta, eta1\) = \(0\.8, 0\.9\)$") as err:
         sim.outcome_probabilities(case, pairs, lams)
     assert err.value.index == (2,)
+
+
+def test_the_first_failing_measurement_is_named_whichever_test_it_fails(monkeypatch):
+    # row 0 fails completeness and row 1 positivity: row 0 is named, though it fails the later test
+    case = KnowledgeCase(Regime.B2, 3)
+    points = [(0.1, 0.4), (0.6, 0.3), (0.8, 0.9)]
+    pairs = pair_with_overlap(3, *np.transpose(points), seed=0)
+    lams = st.success_probability(case, *np.transpose(points)).lam
+    real_validate = sim.validate
+
+    def failing(stacked):
+        report = real_validate(stacked)
+        residual, pi0_mins = report.completeness_residual.copy(), report.min_eigenvalues[2].copy()
+        residual[0], pi0_mins[1] = 1e-3, -0.25
+        return dataclasses.replace(report, psd_ok=report.psd_ok[:2] + (pi0_mins >= -PSD_TOL,),
+                                   min_eigenvalues=report.min_eigenvalues[:2] + (pi0_mins,),
+                                   completeness_residual=residual)
+
+    monkeypatch.setattr(sim, "validate", failing)
+    with pytest.raises(sim.MeasurementError, match=r"^POVM completeness residual 1\.000e-03 at \(beta, eta1\) = \(0\.1, 0\.4\)$") as err:
+        sim.outcome_probabilities(case, pairs, lams)
+    assert err.value.index == (0,)
 
 
 def test_nan_probabilities_fail_the_residual_and_sum_checks(monkeypatch):
@@ -716,7 +738,7 @@ def test_shared_measurement_failures_name_its_first_point(monkeypatch):
     mins = validate(povm.build_unknown_unknown(3, bad)).min_eigenvalues
     with pytest.raises(sim.MeasurementError) as err:
         sim.outcome_probabilities(case, pairs, lams)
-    assert str(err.value) == f"POVM is not positive semidefinite at (beta, eta1) = (0.6, 0.3): min eigenvalues {mins}"
+    assert str(err.value) == f"POVM is not positive semidefinite: min eigenvalues {mins} at (beta, eta1) = (0.6, 0.3)"
     other = st.success_probability(case, 0.5, 0.7).lam
     lone = (good, good, other, good, other)
     lams = np.array([lam.flat for lam in lone])

@@ -319,6 +319,7 @@ _ENTRY_POINTS = {
     "success_probability": lambda b, e: st.success_probability(KnowledgeCase(Regime.A3, 2), b, e),
     "optimal_lambda": lambda b, e: st.optimal_lambda(KnowledgeCase(Regime.A3, 2), beta=b, eta1=e),
     "pair_with_overlap": lambda b, e: pair_with_overlap(2, b, e, seed=0),
+    "canonical_pair": lambda b, e: states.canonical_pair(2, b, e),
     **{f"case_problem_{r.value}": lambda b, e, r=r: opt.case_problem(KnowledgeCase(r, 2), beta=b, eta1=e)
        for r in (Regime.A3, Regime.A4, Regime.B4)},
     "verify_case": lambda b, e: opt.verify_case(KnowledgeCase(Regime.A3, 2), betas=[b], etas=[e]),
@@ -331,8 +332,9 @@ _ENTRY_POINTS = {
                                               ("eta1", 0.5, 1.5), ("eta1", 0.5, float("nan"))])
 def test_every_entry_point_rejects_points_outside_the_unit_square(entry, name, beta, eta1):
     bad = beta if name == "beta" else eta1
-    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {re.escape(str(bad))}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {re.escape(str(bad))}$") as err:
         _ENTRY_POINTS[entry](beta, eta1)
+    assert type(err.value) is ValueError  # bad input, not a NumericalError (exit 3)
 
 
 def test_an_uneven_grid_is_laid_out_eta1_major_with_beta_fastest():
