@@ -37,7 +37,7 @@ import numpy as np
 from .cases import Family, KnowledgeCase
 from .linalg import (NumericalError, _first_failure, _first_rows, eigvals_hermitian, expectation, kron,
                      orthonormal_completion, projector)
-from .states import PureState, StatePair, _adapted_basis, _qubit_complement, overlap
+from .states import PureState, StatePair, _adapted_basis, _qubit_complement, _reject_parallel, overlap
 
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -278,8 +278,7 @@ def build_known_unknown(psi1: PureState, lam: LambdaParams | np.ndarray) -> Povm
 def _known_known_directions(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """``(P, 2, d)``: per pair of rows, e1 orthogonal to v2 and e2 to v1, within the pair's span for qutrits."""
     beta = overlap(v1, v2)
-    if not np.all(beta <= 1.0 - 1e-12):
-        raise ValueError("states are parallel (beta = 1): no unambiguous measurement exists")
+    _reject_parallel(beta, "no unambiguous measurement exists")
     if v1.shape[-1] == 2:
         return _qubit_complement(np.stack([v2, v1], axis=1))
     b0, b1, _ = _adapted_basis(v1, v2)
@@ -293,7 +292,7 @@ def build_known_known(psi1: PureState, psi2: PureState, lam: LambdaParams | np.n
 
     pi1 projects onto the direction orthogonal to psi2 (within the span of
     the pair for qutrits), pi2 onto the direction orthogonal to psi1.
-    Parallel pairs are degenerate and rejected.
+    A pair with overlap above ``states.PARALLEL_OVERLAP`` is degenerate and rejected.
     """
     lone = _lone(lam, psi1, psi2)
     if psi1.dim != psi2.dim:

@@ -159,14 +159,6 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     return probs[0] if lone else probs
 
 
-def _run_batch(rng: np.random.Generator, n: int, eta1: float, probs: np.ndarray) -> tuple[int, int, int, int]:
-    """Counts (identified-1, identified-2, inconclusive, error), as ints, of one batch of ``n`` shots from ``rng``."""
-    n_prep1 = rng.binomial(n, eta1)
-    id1, wrong2, inc1 = rng.multinomial(n_prep1, probs[0]).tolist()  # state 1 prepared: outcome 2 is an error
-    wrong1, id2, inc2 = rng.multinomial(n - n_prep1, probs[1]).tolist()  # state 2 prepared: outcome 1 is an error
-    return id1, id2, inc1 + inc2, wrong1 + wrong2
-
-
 def _jump_state(words: tuple[int, int]) -> dict:
     """The state of ``Philox(key=<words>).jumped(b)`` in Python ints, while its counter list reads ``[0, 0, b, 0]``.
 
@@ -209,23 +201,34 @@ def run(config: SimConfig) -> SimReport:
     """Simulate the experiment; deterministic for a fixed seed.
 
     The seed is the Philox key: batch ``b`` draws from
-    ``Philox(key=seed).jumped(b)``, in the order ``_run_batch`` fixes.
-    Every batch, batch 0 included, first writes the run's one
-    ``_jump_state`` dict with counter ``b`` into this thread's generator.
+    ``Philox(key=seed).jumped(b)`` the preparation split
+    ``n1 = binomial(n, eta1)``, then ``multinomial(n1, probs[0])``, then
+    ``multinomial(n - n1, probs[1])``.  Every batch, batch 0 included,
+    first writes the run's one ``_jump_state`` dict with counter ``b``
+    into this thread's generator.
     """
-    probs = config.probs
     rng = _sampler()
-    bits = rng.bit_generator
+    binomial, multinomial, bits = rng.binomial, rng.multinomial, rng.bit_generator
+    row1, row2 = config.probs
+    eta1, shots = config.eta1, config.shots
     state = _jump_state(_key_words(config.seed))
-    n_batches = (config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS
-    counts = (0, 0, 0, 0)  # built-in ints, summed batch by batch
-    for b in range(n_batches):
+    id1 = id2 = inc = err = b = 0  # built-in ints, summed batch by batch
+    left = shots
+    while left > 0:
+        n = BATCH_SHOTS if left > BATCH_SHOTS else left
         _jump_to(bits, state, b)
-        n = min(BATCH_SHOTS, config.shots - b * BATCH_SHOTS)
-        counts = tuple(map(operator.add, counts, _run_batch(rng, n, config.eta1, probs)))
-    p_hat = (counts[0] + counts[1]) / config.shots
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / config.shots)
-    return SimReport(counts=counts, estimated_success=p_hat, stderr=stderr)
+        n1 = binomial(n, eta1)
+        hit1, wrong2, inc1 = multinomial(n1, row1).tolist()  # state 1 prepared: outcome 2 is an error
+        wrong1, hit2, inc2 = multinomial(n - n1, row2).tolist()  # state 2 prepared: outcome 1 is an error
+        id1 += hit1
+        id2 += hit2
+        inc += inc1 + inc2
+        err += wrong1 + wrong2
+        b += 1
+        left -= BATCH_SHOTS
+    p_hat = (id1 + id2) / shots
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
+    return SimReport(counts=(id1, id2, inc, err), estimated_success=p_hat, stderr=stderr)
 
 
 @dataclass(frozen=True)

@@ -195,18 +195,27 @@ def _qubit_complement(v: np.ndarray) -> np.ndarray:
     return fix_global_phase(np.stack([np.conj(v[..., 1]), -np.conj(v[..., 0])], axis=-1))
 
 
+PARALLEL_OVERLAP = 1.0 - 1e-12  # an overlap above this is parallel: no adapted basis, no known/known measurement
+
+
+def _reject_parallel(beta: np.ndarray, consequence: str) -> None:
+    """Raise ``ValueError`` naming the first overlap of ``beta`` above ``PARALLEL_OVERLAP`` (NaN included)."""
+    k = _first_failure(~(beta <= PARALLEL_OVERLAP))
+    if k is not None:
+        raise ValueError(f"states are parallel to within 1e-12: overlap {float(beta[k])!r} > 1 - 1e-12; {consequence}")
+
+
 def _adapted_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal qutrit bases (b0, b1, b2) adapted to each pair of rows of two ``(P, 3)`` stacks of unit vectors.
 
     b0 equals v1, and v2 lies in span{b0, b1} with
     v2 = phase * (beta*b0 + sqrt(1-beta^2)*b1) for a single global phase,
-    where beta = |<v1|v2>|.  Parallel pairs (beta = 1) are degenerate
-    and rejected.
+    where beta = |<v1|v2>|.  A pair with beta above ``PARALLEL_OVERLAP``
+    is degenerate and rejected.
     """
     c0 = row_vdots(v1, v2)
     beta = modulus(c0)
-    if not np.all(beta <= 1.0 - 1e-12):
-        raise ValueError("states are parallel (beta = 1): adapted basis is degenerate")
+    _reject_parallel(beta, "adapted basis is degenerate")
     resid = v2 - c0[:, None] * v1
     b1 = resid / row_norms(resid)[:, None]
     # align b1's coefficient phase with b0's, so v2 has one global phase

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -481,6 +482,19 @@ def test_simulate_bad_arguments_stay_usage_errors(argv, capsys):
     code, out, err = run_cli(capsys, "simulate", "--case", "a4", "--dim", "2", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case,dim", (("a4", 2), ("b4", 3)))
+@pytest.mark.parametrize("beta", ("0.9999999999999", "1"))
+def test_simulate_near_parallel_states_name_the_overlap_and_the_threshold(case, dim, beta, capsys):
+    # an overlap below 1 but above 1 - 1e-12 is rejected as parallel, and the message says which overlap
+    code, out, err = run_cli(capsys, "simulate", "--case", case, "--dim", str(dim), "--beta", beta, "--eta1", "0.5",
+                             "--shots", "10")
+    assert code == 2 and out == ""
+    overlap = r"0\.99999999999\d*" if beta != "1" else r"(1\.0|0\.99999999999\d*)"
+    assert re.fullmatch(rf"error: states are parallel to within 1e-12: overlap {overlap} > 1 - 1e-12; "
+                        r"no unambiguous measurement exists\n", err), err
+    assert "beta = 1" not in err
 
 
 @pytest.mark.parametrize("seed", (-1, 2**128))

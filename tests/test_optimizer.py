@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hs
 
 from unambig.cases import ALL_REGIMES, Family, KnowledgeCase, Regime
 from unambig import cli, optimizer as opt, povm
 from unambig import strategies as st
 from unambig.linalg import orthonormal_completion
 from unambig.povm import UNKNOWN_UNKNOWN_BLOCKS, input_states
-from unambig.states import StatePair, pair_with_overlap
+from unambig.states import PARALLEL_OVERLAP, StatePair, pair_with_overlap
 
 SQRT5 = math.sqrt(5.0)
 
@@ -140,6 +141,27 @@ def test_case_problem_and_feasible_read_one_region(regime, dim):
             row = tuple(float(c[cell]) for c in coords)
             kwargs = {"beta": float(betas[cell[0]])} if case.family is Family.KNOWN_KNOWN else {}
             assert mask[cell] == st.feasible(case, st.symmetric_lambda(case, row), **kwargs), (cell, row)
+
+
+_FAMILY_OBJECTIVES = {Family.UNKNOWN_UNKNOWN: opt._unknown_unknown_p, Family.KNOWN_UNKNOWN: opt._known_unknown_p,
+                      Family.KNOWN_KNOWN: opt._known_known_p}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hs.sampled_from(ALL_REGIMES), hs.sampled_from([2, 3]), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0),
+       hs.floats(0.0, 1.0), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0), hs.integers(0, 2**32 - 1))
+def test_family_objectives_score_off_table_coefficients_by_their_povm(regime, dim, beta, eta1, l1, scale, l3, seed):
+    # any feasible symmetric coefficients, not only the decided ones: the POVM of those coefficients on a pair at
+    # (beta, eta1) succeeds with the probability the oracle's family objective gives them
+    case = KnowledgeCase(regime, dim)
+    assume(case.family is not Family.KNOWN_KNOWN or beta <= PARALLEL_OVERLAP)
+    _, boundary = st.REGIONS[case.family, dim]
+    l2 = scale * float(boundary(np.float64(l1), beta))  # the region is a down-set in l2 below its boundary
+    coeffs = (l1, l2, l3)[: opt._n_params(case)]
+    lam = st.symmetric_lambda(case, coeffs)
+    assert st.feasible(case, lam, **({"beta": beta} if case.family is Family.KNOWN_KNOWN else {}))
+    p1, p2 = povm.success_probabilities(case, pair_with_overlap(dim, beta, eta1, seed=seed), lam)
+    assert abs(eta1 * p1 + (1 - eta1) * p2 - _FAMILY_OBJECTIVES[case.family](*coeffs, beta, eta1)) <= 1e-12
 
 
 def _second_axis_problem_and_blocks(regime, dim, second):

@@ -14,7 +14,7 @@ from unambig.povm import PSD_TOL, LambdaParams, PovmSet, build_for_case, input_s
 from unambig import povm
 from unambig import simulate as sim
 from unambig import strategies as st
-from unambig.states import StatePair, pair_with_overlap
+from unambig.states import PARALLEL_OVERLAP, StatePair, pair_with_overlap
 
 
 def _config(regime, dim, beta, eta1, shots, seed):
@@ -66,28 +66,54 @@ def test_identical_seeds_identical_reports():
     assert a == b
 
 
+def _reference_batches(cfg):
+    # each batch's counts (identified-1, identified-2, inconclusive, error) drawn directly on its own
+    # Generator(Philox(key=seed).jumped(b)): the binomial split, then row 0, then row 1
+    full, last = divmod(cfg.shots, sim.BATCH_SHOTS)
+    batches = []
+    for b, n in enumerate([sim.BATCH_SHOTS] * full + [last] * (last > 0)):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
+        n_prep1 = rng.binomial(n, cfg.eta1)
+        prep1, prep2 = rng.multinomial(n_prep1, cfg.probs[0]), rng.multinomial(n - n_prep1, cfg.probs[1])
+        batches.append(tuple(int(c) for c in (prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0])))
+    return batches
+
+
+def _summed(batches):
+    return tuple(sum(column) for column in zip(*batches))
+
+
 def test_runs_are_prefixes_of_one_batch_stream():
     # batch b draws binomial, multinomial, multinomial from Philox(key=seed).jumped(b),
     # so a run of k full batches is exactly the first k batches of any longer run
     k = 3
     cfg = _config(Regime.A1, 2, 0.3, 0.7, (k + 2) * sim.BATCH_SHOTS + 17, seed=4)
-    probs = cfg.probs
-    sizes = [sim.BATCH_SHOTS] * (k + 2) + [17]
-    bits = np.random.Philox(key=cfg.seed)  # one generator, reset to each batch's stream as run resets it
-    rng = np.random.Generator(bits)
-    state = sim._jump_state(sim._key_words(cfg.seed))
-    batches = []
-    for b, n in enumerate(sizes):
-        sim._jump_to(bits, state, b)
-        batches.append(sim._run_batch(rng, n, cfg.eta1, probs))
-    for b, n in enumerate(sizes):
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
-        n_prep1 = rng.binomial(n, cfg.eta1)
-        prep1, prep2 = rng.multinomial(n_prep1, probs[0]), rng.multinomial(n - n_prep1, probs[1])
-        assert list(batches[b]) == [prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0]]
-    assert sim.run(cfg).counts == tuple(np.sum(batches, axis=0))
+    batches = _reference_batches(cfg)
+    assert len(batches) == k + 3
+    assert sim.run(cfg).counts == _summed(batches)
     short = sim.run(dataclasses.replace(cfg, shots=k * sim.BATCH_SHOTS))
-    assert short.counts == tuple(np.sum(batches[:k], axis=0))
+    assert short.counts == _summed(batches[:k])
+
+
+_B = sim.BATCH_SHOTS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hs.sampled_from(ALL_REGIMES), hs.sampled_from([2, 3]), hs.floats(0.0, 1.0), hs.floats(0.0, 1.0),
+       hs.sampled_from([0.0, 1.0]) | hs.floats(0.0, 1.0),
+       hs.sampled_from([1, _B - 1, _B, _B + 1]) | hs.builds(lambda k, r: k * _B + r, hs.integers(2, 4), hs.integers(0, _B - 1)),
+       hs.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1]), hs.integers(0, 2**32 - 1))
+def test_run_counts_are_the_summed_reference_batches(regime, dim, beta, world_eta1, eta1, shots, key, seed):
+    # on a Born table of outcome_probabilities, run's counts are the sum of the batches drawn on their own
+    # jumped Philox streams, as built-in ints, for every batch shape, key width and prior
+    case = KnowledgeCase(regime, dim)
+    assume(not (regime.family is Family.KNOWN_KNOWN and beta > PARALLEL_OVERLAP))
+    lam = st.success_probability(case, beta, world_eta1).lam
+    probs = sim.outcome_probabilities(case, pair_with_overlap(dim, beta, world_eta1, seed=seed), lam)
+    cfg = sim.SimConfig(probs, eta1, shots, key)
+    counts = sim.run(cfg).counts
+    assert counts == _summed(_reference_batches(cfg))
+    assert [type(n) for n in counts] == [int] * 4
 
 
 @pytest.mark.parametrize(
@@ -313,8 +339,7 @@ def test_run_rejects_seeds_outside_the_philox_key_range(seed):
 
 def test_run_takes_the_largest_philox_key():
     cfg = _config(Regime.A2, 2, 0.4, 0.6, 1000, seed=2**128 - 1)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    assert sim.run(cfg).counts == tuple(list(sim._run_batch(rng, cfg.shots, cfg.eta1, cfg.probs)))
+    assert sim.run(cfg).counts == _summed(_reference_batches(cfg))
 
 
 def _assert_jump_lands(key, batch):
