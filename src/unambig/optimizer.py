@@ -466,9 +466,12 @@ def _check_solutions_psd(case: KnowledgeCase, pairs: StatePair, lambda_stars: np
 
     ``pairs`` is a stacked pair, one row per solution.  The P measurements
     are built in stacks of consecutive rows (slices of both), as many as
-    ``povm.stack_rows`` allows, and validated one by one, in row order, so
-    the first failing row is the one reported; each stacked element is
-    bitwise its lone build.  An empty stack builds nothing.
+    ``povm.stack_rows`` allows, and validated one by one, in row order;
+    each stacked element is bitwise its lone build.  A stacked ``validate``
+    would name the first failing row just as well (``PovmReport.check``),
+    but ``perfbench/tracing._eigvalsh_name`` names a stacked eigensolve by
+    its stack length, so it waits on that benchmark change (ROADMAP items
+    1 and 2).  An empty stack builds nothing.
     """
     from .povm import MeasurementError, PovmSet, build_for_case, stack_rows, validate
 
@@ -492,12 +495,13 @@ def verify_case(case: KnowledgeCase, grid_step: float = 0.05, resolution: float 
     stacked solve.  Each distinct solution is checked to assemble into a
     measurement: a case's checks are built in stacked ``build_for_case``
     calls of consecutive rows under a cell cap (one call on the oracle
-    workload's grids) and validated one measurement at a time, in order,
-    so a failure names the first failing solution; an empty grid builds
-    nothing.  ``betas``/``etas`` override the axes of the default square
-    grid, laid out by ``states.grid_points``, which rejects a value outside
-    [0, 1]; ``perturb`` shifts the closed form (negative-control hook for
-    the CLI's verify command).
+    workload's grids) and validated one measurement at a time, in order
+    (``_check_solutions_psd`` says why); a failure names the first failing
+    solution, and an empty grid builds nothing.  ``betas``/``etas``
+    override the axes of the default square grid, laid out by
+    ``states.grid_points``, which rejects a value outside [0, 1];
+    ``perturb`` shifts the closed form (negative-control hook for the
+    CLI's verify command).
     """
     axis = _axis_grid(0.0, 1.0, grid_step)
     beta_col, eta_col = grid_points(axis if betas is None else betas, axis if etas is None else etas)

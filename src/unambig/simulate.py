@@ -14,16 +14,15 @@ through the measurement, and the prior ``eta1``, which fixes how often
 each row of the table is drawn.  It builds no measurement.
 
 Randomness comes from the Philox counter-based generator.  Shots are
-processed in fixed-size batches of ``BATCH_SHOTS``, batch ``b`` owning
-the stream ``Philox(key=seed).jumped(b)`` with a fixed draw order, so a
-run of ``k * BATCH_SHOTS`` shots is exactly the first ``k`` batches of
-any longer run with the same seed.  Each thread holds one generator,
-made on its first run; a written Philox state defines the generator in
-full, so ``run`` builds one state dict, ``Philox(key=seed).jumped(0).state``
-in Python ints, and places every batch, batch 0 included, by writing
-that dict with the batch's counter; no state is read back, and nothing
-a run leaves in the generator reaches the next.  It sums the batches'
-counts as built-in ints.
+processed in fixed-size batches of ``BATCH_SHOTS``, drawn in order from
+the one stream of ``Philox(key=seed)`` with a fixed draw order per
+batch, so a run of ``k * BATCH_SHOTS`` shots is exactly the first ``k``
+batches of any longer run with the same seed.  Each thread holds one
+generator, made on its first run; a written Philox state defines the
+generator in full, so ``run`` writes the state of ``Philox(key=seed)``,
+built in Python ints, once before its first batch; no state is read
+back, and nothing a run leaves in the generator reaches the next.  It
+sums the batches' counts as built-in ints.
 
 ``estimate_surface`` draws everything a surface needs from one
 ``np.random.default_rng(seed)``, in a fixed order: first one Philox key
@@ -65,7 +64,7 @@ from .cases import KnowledgeCase
 from .linalg import NumericalError, _first_failure, expectation
 from .povm import (LambdaParams, MeasurementError, _lone, build_for_case, distinct_measurements, input_states,
                    stack_rows, validate)
-from .states import StatePair, grid_points, pair_with_overlap
+from .states import ParallelStatesError, StatePair, grid_points, pair_with_overlap
 from . import strategies
 
 BATCH_SHOTS = 1 << 16
@@ -130,11 +129,8 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     def at(k: int) -> str:
         return f"at (beta, eta1) = ({betas[k]}, {etas[k]})"
 
-    if lone:  # a lone POVM stays 2-D, as its own validate call reports it
-        povm = build_for_case(case, pair, lam)
-    else:
-        povm = build_for_case(case, pair[point[:, 0]], lam[point[:, 0]])
-    try:
+    try:  # a lone POVM stays 2-D, as its own validate call reports it
+        povm = build_for_case(case, pair, lam) if lone else build_for_case(case, pair[point[:, 0]], lam[point[:, 0]])
         validate(povm).check()
         ins = np.stack(input_states(case, pair), axis=-2)  # (P, 2, n), or (2, n) for a lone pair
         grouped = np.zeros(point.shape + ins.shape[-2:], dtype=complex)  # zero states pad the slots
@@ -142,11 +138,13 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
         # one Born-rule pass per element: each distinct element against the inputs of all its points
         probs = np.stack([expectation(grouped, el.reshape((-1, 1, 1) + el.shape[-2:])) for el in povm.elements],
                          axis=-1)
-    except NumericalError as exc:
-        if not (lone or exc.index):
+    except (NumericalError, ParallelStatesError) as exc:
+        # raised as is: a stacked failure with no index, and a lone pair's parallel error, which its overlap names
+        if not (lone or exc.index) or lone and isinstance(exc, ParallelStatesError):
             raise
         where = tuple(exc.index or ())
-        # validate and check name a measurement (first point in slot 0); the Born rule, a (measurement, slot, input)
+        # the build, validate and check name a measurement (first point in slot 0); the Born rule, a
+        # (measurement, slot, input)
         k = int(point[where[0], where[1] if len(where) > 2 else 0]) if where else 0
         index = (k,) + where[2:]
         raise type(exc)(f"{exc} {at(k)}", index[1:] if lone else index) from exc
@@ -159,37 +157,20 @@ def outcome_probabilities(case: KnowledgeCase, pair: StatePair, lam: LambdaParam
     return probs[0] if lone else probs
 
 
-def _jump_state(words: tuple[int, int]) -> dict:
-    """The state of ``Philox(key=<words>).jumped(b)`` in Python ints, while its counter list reads ``[0, 0, b, 0]``.
-
-    ``jumped`` empties the buffer and zeroes ``uinteger`` and ``has_uint32``, as here.
-    """
-    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": list(words)},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _jump_to(bits: np.random.Philox, state: dict, batch_index: int) -> None:
-    """Write ``state`` (from ``_jump_state``) into ``bits`` at counter ``batch_index * 2^128``.
-
-    ``bits`` is then ``Philox(key=<the state's key>).jumped(batch_index)``,
-    whatever it drew before.
-    """
-    state["state"]["counter"][2] = batch_index
-    bits.state = state
-
-
-def _key_words(key: int) -> tuple[int, int]:
-    """The Philox key's two 64-bit words, low first, as Python ints."""
+def _philox_state(key: int) -> dict:
+    """The state of ``Philox(key=key)`` in Python ints: the key's two 64-bit words low first, counter zero, buffer
+    empty, no held uint32."""
     high, low = divmod(operator.index(key), 1 << 64)
-    return low, high
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [low, high]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _sampler() -> np.random.Generator:
     """This thread's one sampling generator, on one Philox, made on first use.
 
-    Its seed is never read: ``run`` writes the state of every batch
-    before drawing.  Made lazily, so ``import unambig.cli`` leaves
-    ``numpy.random`` unloaded.
+    Its seed is never read: ``run`` writes its state before drawing.
+    Made lazily, so ``import unambig.cli`` leaves ``numpy.random``
+    unloaded.
     """
     rng = getattr(_thread, "rng", None)
     if rng is None:
@@ -200,23 +181,20 @@ def _sampler() -> np.random.Generator:
 def run(config: SimConfig) -> SimReport:
     """Simulate the experiment; deterministic for a fixed seed.
 
-    The seed is the Philox key: batch ``b`` draws from
-    ``Philox(key=seed).jumped(b)`` the preparation split
-    ``n1 = binomial(n, eta1)``, then ``multinomial(n1, probs[0])``, then
-    ``multinomial(n - n1, probs[1])``.  Every batch, batch 0 included,
-    first writes the run's one ``_jump_state`` dict with counter ``b``
-    into this thread's generator.
+    The seed is the Philox key: the run first writes ``_philox_state`` of
+    its key into this thread's generator, then draws every batch in order
+    from that one stream: the preparation split ``n1 = binomial(n, eta1)``,
+    then ``multinomial(n1, probs[0])``, then ``multinomial(n - n1, probs[1])``.
     """
     rng = _sampler()
-    binomial, multinomial, bits = rng.binomial, rng.multinomial, rng.bit_generator
+    rng.bit_generator.state = _philox_state(config.seed)
+    binomial, multinomial = rng.binomial, rng.multinomial
     row1, row2 = config.probs
     eta1, shots = config.eta1, config.shots
-    state = _jump_state(_key_words(config.seed))
-    id1 = id2 = inc = err = b = 0  # built-in ints, summed batch by batch
+    id1 = id2 = inc = err = 0  # built-in ints, summed batch by batch
     left = shots
     while left > 0:
         n = BATCH_SHOTS if left > BATCH_SHOTS else left
-        _jump_to(bits, state, b)
         n1 = binomial(n, eta1)
         hit1, wrong2, inc1 = multinomial(n1, row1).tolist()  # state 1 prepared: outcome 2 is an error
         wrong1, hit2, inc2 = multinomial(n - n1, row2).tolist()  # state 2 prepared: outcome 1 is an error
@@ -224,7 +202,6 @@ def run(config: SimConfig) -> SimReport:
         id2 += hit2
         inc += inc1 + inc2
         err += wrong1 + wrong2
-        b += 1
         left -= BATCH_SHOTS
     p_hat = (id1 + id2) / shots
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)

@@ -198,11 +198,20 @@ def _qubit_complement(v: np.ndarray) -> np.ndarray:
 PARALLEL_OVERLAP = 1.0 - 1e-12  # an overlap above this is parallel: no adapted basis, no known/known measurement
 
 
+class ParallelStatesError(ValueError):
+    """A pair of states is parallel: bad input, not a ``NumericalError``.  ``index`` is the first such pair's row."""
+
+    def __init__(self, message: str, index: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def _reject_parallel(beta: np.ndarray, consequence: str) -> None:
-    """Raise ``ValueError`` naming the first overlap of ``beta`` above ``PARALLEL_OVERLAP`` (NaN included)."""
+    """Raise ``ParallelStatesError`` naming the first overlap of ``beta`` above ``PARALLEL_OVERLAP`` (NaN included)."""
     k = _first_failure(~(beta <= PARALLEL_OVERLAP))
     if k is not None:
-        raise ValueError(f"states are parallel to within 1e-12: overlap {float(beta[k])!r} > 1 - 1e-12; {consequence}")
+        raise ParallelStatesError(
+            f"states are parallel to within 1e-12: overlap {float(beta[k])!r} > 1 - 1e-12; {consequence}", k)
 
 
 def _adapted_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

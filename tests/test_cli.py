@@ -238,61 +238,70 @@ def test_simulate_json_and_determinism(tmp_path, capsys):
     assert abs(record["estimated_success"] - record["p_analytic"]) <= 4 * sigma
 
 
+def _assert_sound_sample(out, shots):
+    # a pinned sample must be a right one: no error counts, every shot counted once, within 5 stderr of the closed form
+    record = json.loads(out)
+    assert record["counts"]["n_error"] == 0 and sum(record["counts"].values()) == shots
+    assert abs(record["estimated_success"] - record["p_analytic"]) <= 5 * record["stderr"]
+
+
 def test_simulate_stdout_is_pinned(capsys):
-    # 16 batches summed as ints: the sha256 of stdout recorded when run summed numpy int64 counts
+    # 16 batches drawn in order on one Philox stream and summed as ints
     code, out, _ = run_cli(capsys, "simulate", "--case", "b2", "--dim", "3", "--beta", "0.4", "--eta1", "0.3",
                            "--shots", "1000000", "--seed", "5")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "2f7f005f4856b394b9757a9a7dcdde3cda1fcdae8366d73cdf9f48fe1b50ca69"
+    _assert_sound_sample(out, 1_000_000)
+    assert hashlib.sha256(out.encode()).hexdigest() == "656cec3b160a019459fddd4fbc9bde046dcaaaf9240ffa7b49323dd8a47f0fcf"
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (1, "9da1f6a18363f340a1b60e63ba089521a7980ac3c2e8f0b9fff40c3c87386514"),
-    (2**128 - 1, "ebb2ff35418237d6ebc0abd45d645e5d17e3df9641794a19e167e11c7fd83ded"),
-])
+    (1, "750a4c84a0ded5bc392bc95f666a3089b2a0db445cec31a5684c5b7999fd4d33"),
+    (2**128 - 1, "73b883a2088ab312712bf2021843ba6296fb4a2b5320e78f9ab6bebbb8b57471"),
+], ids=("1", "2**128-1"))  # ids without the digest, so a re-pin keeps the test's name
 def test_simulate_1e8_shots_stdout_is_pinned(seed, digest, capsys):
-    # 1526 batches, each on its own jumped stream: the sha256 of stdout recorded when run read each jump's state back
+    # 1526 batches drawn in order on one Philox stream, at seed 1 and at the largest Philox key
     code, out, _ = run_cli(capsys, "simulate", "--case", "b2", "--dim", "3", "--beta", "0.4", "--eta1", "0.3",
                            "--shots", "100000000", "--seed", str(seed))
     assert code == 0
+    _assert_sound_sample(out, 100_000_000)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of stdout for every case at one point, beta = 0.4 and eta1 = 0.3: solve takes the inputs its
-# regime may use, simulate takes both and runs 10^5 shots at seed 7; recorded when run built its own POVM
+# regime may use, simulate takes both and runs 10^5 shots (two batches) at seed 7
 _CASE_STDOUT = {
     ("solve", "a1", 2): "74ce4bc50177ae4e148fe6e8dad1d8b8ac6c28a96f076ac9794e8f6fa140e26e",
-    ("simulate", "a1", 2): "8688752a8441930f388992eac2c38cf3a46bf957793a7f0411ec676901cce6c8",
+    ("simulate", "a1", 2): "f166f599ed09be096bbc61d333f99f5b87d29fa7a160b0c0e9c28cf0bfbad306",
     ("solve", "a2", 2): "21fd46469a1e8bcaca4b284cabec4aed2f18ac4d6ee8cb591e5cdd8c26b84eb3",
-    ("simulate", "a2", 2): "26d09121e9c1697dad7d346ea0db7fa174093c55999483260ec1a40c3f13e7c3",
+    ("simulate", "a2", 2): "459d596e9fb1a7197e7e1f2d58d9b10b0b015981e12348962b5ed0d6996fea55",
     ("solve", "a3", 2): "2df89b60d1bf957cfda1c7cd9d3c466c6121487e9e34c5c627928601755c025e",
-    ("simulate", "a3", 2): "f19b68ea616e62a431834d83991eccd86c0c204116c46324ee2bda27fe4e4cfc",
+    ("simulate", "a3", 2): "ceabdf17435b25af4b445c128caeee76ad589e6085aba717e7c073a6f99c7d5d",
     ("solve", "a4", 2): "6aaab6fe3c1c1b80eebc1a99541be1d1201a02da1f2428b7dbd99767e4bae796",
-    ("simulate", "a4", 2): "e7dd6dc24e1381aa4cd9655045bb5784e3aaa2c960324fe0b8a1786552cb50c4",
+    ("simulate", "a4", 2): "5384e0cedced9d4b5349a441ed054c64c65f41103307af5ccbee6d1fd9301349",
     ("solve", "b1", 2): "348d97b6adb5cc0ddda4a411dfb3b4070b5ddb9a0d50660c9bc1574c29fc7910",
-    ("simulate", "b1", 2): "bec1a6595105d9e5b9e83eaa2f4cff1b1c8d05d1cce70ae50053e1daa0c31b19",
+    ("simulate", "b1", 2): "5c2bcb057035622ec07f275d509cb85175b9d964cbc6d05d6eef24b465eaa6cf",
     ("solve", "b2", 2): "3410f61f0f68cfca3b0212f8e7ee2e5974548e797a2e94aab5fca3d21a9787c9",
-    ("simulate", "b2", 2): "20de5248d52ffcf1a161be9b40559c2657863da290c474c21e06a8464fab53e3",
+    ("simulate", "b2", 2): "db6f321e69c4652cb587e6d7f86369c9c71bd0b3759c88ca3d3ac99b12248b54",
     ("solve", "b3", 2): "676deb70a57d78c045e17fbb1e7d7fb2e8d54afd6285f2d6b8c1901b435713aa",
-    ("simulate", "b3", 2): "469aa5c8e6fb5d3762521eed0f4b0f583984616b4c8ee95bf78fa67fbdf2df4e",
+    ("simulate", "b3", 2): "7dc2f93c6e838fd4dd113abd47d25bb8fe0f2650e0a90a636985b86a772d00a6",
     ("solve", "b4", 2): "f9900f067801b7a1d5a6cdb4f5403b4f2d346ac7a12579f877540b92582bdfb0",
-    ("simulate", "b4", 2): "e9414576ed80859bf1ba9d4580ec2ed40af5c44419858766e7491bc5db22eddb",
+    ("simulate", "b4", 2): "f8d9cdbe841c05ce8bbc7f00a720179d489a091d0ccf89afab325901545c1a70",
     ("solve", "a1", 3): "1c932c4d4ae407f7494f5b544ff56328b2ab8bf35fea189f1ad2dce791ea9397",
-    ("simulate", "a1", 3): "07b66d4c03d048fa013e48664d03692670b2cceadb2ccf8295cdae2b96fb904f",
+    ("simulate", "a1", 3): "594b2c0d86a2372b1187aac44fd282ce62f548c6be86be64389f32a0136b0ba6",
     ("solve", "a2", 3): "6528b2fa43f3834f2e90e85e1d58b57757ba1f8e94602c3ee09e17f28bce15d3",
-    ("simulate", "a2", 3): "933971be51a4a149e47bb96a6b0decaabdcc631c283a7f1a5245acb051564eb5",
+    ("simulate", "a2", 3): "c3dae868ea96c266587f030d1af8f97f50cdf0e7cc5befaefdee9523c3888596",
     ("solve", "a3", 3): "c0b92d7dc39c48868e2388c354de79f19cf79ef969acfefb6c02a4f35026733f",
-    ("simulate", "a3", 3): "ef04a7dd2f6ca157c640adc57e5f4d68921187a978a21bb8e3b5e102dc620143",
+    ("simulate", "a3", 3): "1b069089643054f445d4f551e5ae301d3939c09fac3a4f0e9159101099269881",
     ("solve", "a4", 3): "a4395adacb5a4f214f8a2a7a2d72a7f87eca065ca55817504af5dbb0fe429769",
-    ("simulate", "a4", 3): "f388a8c9f80b4bd80547659c3d1b6b056a6977b21c1e27b99b2fdcdfb8a362ec",
+    ("simulate", "a4", 3): "bf5686044834b4c1ad853f2ea2c9d92c1c2c1cdc375f04c2e1af17540e6e4cc2",
     ("solve", "b1", 3): "48a0a4ff310420db924473ee31c693c76e4aaa729afdf5e702385d44f4b86bb1",
-    ("simulate", "b1", 3): "4ca0d0bc7584d1c70f8fd202bf192616a3bad3391cb52dc511bc3c84c531f2a3",
+    ("simulate", "b1", 3): "0e0861aa89cdbdd6b55cb47e84213227f058ad83544f46563052a004611ab7b8",
     ("solve", "b2", 3): "6adb92c249243769baccea5d76a362c1a0ad370929306c54e5de4289e95a5f3f",
-    ("simulate", "b2", 3): "85671e0d6d4fa81c99727ce83500f4098eb0a96663348253e7135a081f52afa3",
+    ("simulate", "b2", 3): "056089d53d7aaa01e2e9bc7e2e818bd02f541a7248a090ed5b28de12f0ad8cc6",
     ("solve", "b3", 3): "a976cb3810e76340dbc5d5ae82e0740680dba61bc98bf6b463b56da4f5676c0b",
-    ("simulate", "b3", 3): "7cf99ede23e82929d108afb7175b131a14fea6f26b524571685b86fb7fc6e365",
+    ("simulate", "b3", 3): "92f3a53d62ead42ea55567fab92bd064cdbabf9ec8f180fd41e36da56b6b7ca1",
     ("solve", "b4", 3): "e721804f8864b4e4bf90d22876d8cbdad260c968b4f3fec4ae60834eece67761",
-    ("simulate", "b4", 3): "f0f3fb1d8edc4390879d16c8745e1c656179892c7dc86d4a47cd379b5573cc56",
+    ("simulate", "b4", 3): "190a0a2e167b92041343c736d40615255f55fd4c3deb907a641e8267ebefe6d4",
 }
 
 
@@ -308,6 +317,8 @@ def test_solve_and_simulate_stdout_are_pinned(command, regime, dim, capsys):
         argv += ["--shots", "100000", "--seed", "7"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    if command == "simulate":
+        _assert_sound_sample(out, 100_000)
     assert hashlib.sha256(out.encode()).hexdigest() == _CASE_STDOUT[command, regime, dim]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import sys
 import threading
 
@@ -67,12 +68,12 @@ def test_identical_seeds_identical_reports():
 
 
 def _reference_batches(cfg):
-    # each batch's counts (identified-1, identified-2, inconclusive, error) drawn directly on its own
-    # Generator(Philox(key=seed).jumped(b)): the binomial split, then row 0, then row 1
+    # each batch's counts (identified-1, identified-2, inconclusive, error) drawn in order on one
+    # Generator(Philox(key=seed)): per batch the binomial split, then row 0, then row 1
     full, last = divmod(cfg.shots, sim.BATCH_SHOTS)
     batches = []
-    for b, n in enumerate([sim.BATCH_SHOTS] * full + [last] * (last > 0)):
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    for n in [sim.BATCH_SHOTS] * full + [last] * (last > 0):
         n_prep1 = rng.binomial(n, cfg.eta1)
         prep1, prep2 = rng.multinomial(n_prep1, cfg.probs[0]), rng.multinomial(n - n_prep1, cfg.probs[1])
         batches.append(tuple(int(c) for c in (prep1[0], prep2[1], prep1[2] + prep2[2], prep1[1] + prep2[0])))
@@ -84,7 +85,7 @@ def _summed(batches):
 
 
 def test_runs_are_prefixes_of_one_batch_stream():
-    # batch b draws binomial, multinomial, multinomial from Philox(key=seed).jumped(b),
+    # each batch draws binomial, multinomial, multinomial in order on the one stream of Philox(key=seed),
     # so a run of k full batches is exactly the first k batches of any longer run
     k = 3
     cfg = _config(Regime.A1, 2, 0.3, 0.7, (k + 2) * sim.BATCH_SHOTS + 17, seed=4)
@@ -104,8 +105,8 @@ _B = sim.BATCH_SHOTS
        hs.sampled_from([1, _B - 1, _B, _B + 1]) | hs.builds(lambda k, r: k * _B + r, hs.integers(2, 4), hs.integers(0, _B - 1)),
        hs.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1]), hs.integers(0, 2**32 - 1))
 def test_run_counts_are_the_summed_reference_batches(regime, dim, beta, world_eta1, eta1, shots, key, seed):
-    # on a Born table of outcome_probabilities, run's counts are the sum of the batches drawn on their own
-    # jumped Philox streams, as built-in ints, for every batch shape, key width and prior
+    # on a Born table of outcome_probabilities, run's counts are the sum of the batches drawn in order on
+    # one Philox stream, as built-in ints, for every batch shape, key width and prior
     case = KnowledgeCase(regime, dim)
     assume(not (regime.family is Family.KNOWN_KNOWN and beta > PARALLEL_OVERLAP))
     lam = st.success_probability(case, beta, world_eta1).lam
@@ -291,8 +292,8 @@ def _pair_bits(pair):
 
 @pytest.mark.parametrize("seed", _SURFACE_SEEDS)
 def test_philox_on_key_words_draws_as_philox_on_its_key(seed):
-    # batch 0 placed by the state on a key's two words draws and ends as Philox(key=key)
-    _assert_jump_lands(seed % 2**128, 0)
+    # the state on a key's two words draws and ends as Philox(key=key)
+    _assert_placed(seed % 2**128)
 
 
 def test_estimate_surface_rejects_a_bad_seed_before_any_work(monkeypatch):
@@ -342,17 +343,17 @@ def test_run_takes_the_largest_philox_key():
     assert sim.run(cfg).counts == _summed(_reference_batches(cfg))
 
 
-def _assert_jump_lands(key, batch):
-    # from this thread's sampler, part-used with a held uint32, the jump lands on Philox(key=key).jumped(batch) in
-    # full (Philox(key=key) itself for batch 0) and draws as it does
+def _assert_placed(key):
+    # from this thread's sampler, part-used with a held uint32, writing the state of a key lands on Philox(key=key)
+    # in full and draws as it does
     rng = sim._sampler()
     bits = rng.bit_generator
-    sim._jump_to(bits, sim._jump_state(sim._key_words(key ^ 1)), 3)  # elsewhere, with an empty buffer
+    bits.state = sim._philox_state(key ^ 1)  # elsewhere, with an empty buffer
     rng.random(2)
     rng.integers(0, 10, dtype=np.uint32)
     assert 0 < bits.state["buffer_pos"] < 4 and bits.state["has_uint32"] == 1
-    sim._jump_to(bits, sim._jump_state(sim._key_words(key)), batch)
-    theirs = np.random.Philox(key=key).jumped(batch) if batch else np.random.Philox(key=key)
+    bits.state = sim._philox_state(key)
+    theirs = np.random.Philox(key=key)
     np.testing.assert_equal(bits.state, theirs.state)
     theirs_rng = np.random.Generator(theirs)
     assert np.array_equal(rng.random(5), theirs_rng.random(5))
@@ -364,24 +365,41 @@ def _assert_jump_lands(key, batch):
 
 
 @pytest.mark.parametrize("key", (0, 2**64 - 1, 2**64, 2**128 - 1))
-@pytest.mark.parametrize("batch", (0, 1, 2, 2**20))
-def test_jump_writes_the_jumped_state(key, batch):
-    _assert_jump_lands(key, batch)
+def test_state_write_places_the_sampler_on_philox_of_its_key(key):
+    _assert_placed(key)
 
 
-def test_run_builds_one_jump_state_per_run_and_writes_it_once_per_batch(monkeypatch):
+class Philox(np.random.Philox):
+    # records the key of every state written; named Philox, as a written state must name its generator
+    def __init__(self, writes):
+        super().__init__(0)
+        self.writes = writes
+
+    @property
+    def state(self):
+        return np.random.Philox.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        self.writes.append(tuple(value["state"]["key"]))
+        np.random.Philox.state.__set__(self, value)
+
+
+def test_run_builds_one_philox_state_per_run_and_writes_it_once_per_run(monkeypatch):
     built, writes = [], []
-    real_state, real_jump = sim._jump_state, sim._jump_to
-    monkeypatch.setattr(sim, "_jump_state", lambda words: built.append(words) or real_state(words))
-    monkeypatch.setattr(sim, "_jump_to", lambda bits, state, b: writes.append(b) or real_jump(bits, state, b))
+    real_state = sim._philox_state
+    monkeypatch.setattr(sim, "_philox_state", lambda key: built.append(key) or real_state(key))
+    monkeypatch.setattr(sim._thread, "rng", np.random.Generator(Philox(writes)), raising=False)
     cfg = _config(Regime.A2, 2, 0.4, 0.6, sim.BATCH_SHOTS, seed=8)
     sim.run(cfg)
-    assert built == [sim._key_words(8)] and writes == [0]
-    sim.run(dataclasses.replace(cfg, shots=3 * sim.BATCH_SHOTS + 1))
-    assert built == [sim._key_words(8)] * 2 and writes == [0, 0, 1, 2, 3]
+    assert built == [8] and writes == [(8, 0)]  # the key's two words, low first
+    long = dataclasses.replace(cfg, shots=3 * sim.BATCH_SHOTS + 1)
+    assert sim.run(long).counts == _summed(_reference_batches(long))
+    assert built == [8] * 2 and writes == [(8, 0)] * 2
     built.clear()
+    writes.clear()
     sim.estimate_surface(KnowledgeCase(Regime.B1, 2), (0.0, 0.5), (0.3,), 500, seed=8)
-    assert len(built) == 2  # one run per point
+    assert len(built) == len(writes) == 2  # one run per point
 
 
 def _leak_configs():
@@ -606,6 +624,17 @@ def test_stacked_failure_names_first_failing_point(monkeypatch):
     with pytest.raises(sim.MeasurementError) as err:
         sim.estimate_surface(KnowledgeCase(Regime.A1, 2), (0.0, 0.25, 0.5, 0.75), (0.2, 0.6), 1000, seed=16)
     assert str(err.value) == f"POVM is not positive semidefinite: min eigenvalues {mins} at (beta, eta1) = (0.5, 0.2)"
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_stacked_parallel_pair_names_its_point(dim):
+    # a parallel pair in a stack is bad input, not a numerical failure: a ValueError that names its first point
+    with pytest.raises(ValueError) as err:
+        sim.estimate_surface(KnowledgeCase(Regime.B4, dim), (0.2, 0.5, 0.9999999999999), (0.3, 0.6), 100, seed=0)
+    assert not isinstance(err.value, NumericalError)
+    assert re.fullmatch(r"states are parallel to within 1e-12: overlap 0\.99999999999\d* > 1 - 1e-12; "
+                        r"no unambiguous measurement exists at \(beta, eta1\) = \(0\.9999999999999, 0\.3\)",
+                        str(err.value)), str(err.value)
 
 
 def test_stacked_residual_and_hermiticity_failures_name_the_point(monkeypatch):
